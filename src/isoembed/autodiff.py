@@ -2,15 +2,38 @@
 
 Exactly the operation set the flow models need: broadcast add/mul, matmul,
 rectifier, exp, clamp, column gather/assembly, axis sums, and scalar mean.
-Each op records a closure that routes the upstream gradient to its parents;
-``Tensor.backward`` runs them in reverse topological order. All data is
-float64 and reductions run in fixed index order, so gradients are
-deterministic for a given graph.
+Each op whose output needs a gradient records its parents and a closure
+that routes the upstream gradient to them; ``Tensor.backward`` runs the
+closures in reverse topological order. Inside ``with no_grad():`` ops record
+neither, so intermediates are freed as soon as nothing refers to them and
+a forward pass costs only its arithmetic. All data is float64 and
+reductions run in fixed index order, so gradients are deterministic for a
+given graph.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording a graph; outputs never require gradients.
+
+    Values are the same as in graph mode. The previous mode is restored on
+    exit, also when the block raises.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -29,7 +52,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in parents)
+        )
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -38,9 +63,12 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # Copy on first touch: a backward closure may hand the same array to
+        # several parents, and later accumulation writes in place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad.copy()
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar output; seeds d(out)/d(out) = 1."""
@@ -104,7 +132,6 @@ def parameter(data) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def backward(grad):
         if a.requires_grad:
@@ -112,13 +139,11 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def backward(grad):
         if a.requires_grad:
@@ -126,13 +151,11 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def backward(grad):
         if a.requires_grad:
@@ -140,54 +163,46 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ grad)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, parents=(a, b), backward=backward)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0), parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad * mask)
 
-    out._backward = backward
-    return out
+    return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=backward)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     value = np.exp(a.data)
-    out = Tensor(value, parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad * value)
 
-    out._backward = backward
-    return out
+    return Tensor(value, parents=(a,), backward=backward)
 
 
 def clamp(a, low: float, high: float) -> Tensor:
     """Hard clamp; gradient is 1 strictly inside [low, high], else 0."""
     a = _as_tensor(a)
     inside = (a.data > low) & (a.data < high)
-    out = Tensor(np.clip(a.data, low, high), parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad * inside)
 
-    out._backward = backward
-    return out
+    return Tensor(np.clip(a.data, low, high), parents=(a,), backward=backward)
 
 
 def take_cols(a, index) -> Tensor:
     """Gather columns of a 2-D tensor; ``index`` is an integer array or slice."""
     a = _as_tensor(a)
-    out = Tensor(a.data[:, index], parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
@@ -195,8 +210,7 @@ def take_cols(a, index) -> Tensor:
             full[:, index] = grad
             a._accumulate(full)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data[:, index], parents=(a,), backward=backward)
 
 
 def assemble_cols(n_cols: int, parts: list[tuple[np.ndarray, Tensor]]) -> Tensor:
@@ -213,15 +227,13 @@ def assemble_cols(n_cols: int, parts: list[tuple[np.ndarray, Tensor]]) -> Tensor
         covered += len(idx)
     if covered != n_cols:
         raise ValueError("assemble_cols parts do not cover all columns")
-    out = Tensor(data, parents=tuple(t for _, t in parts))
 
     def backward(grad):
         for idx, t in parts:
             if t.requires_grad:
                 t._accumulate(grad[:, idx])
 
-    out._backward = backward
-    return out
+    return Tensor(data, parents=tuple(t for _, t in parts), backward=backward)
 
 
 def scatter_matrix(vec, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> Tensor:
@@ -229,40 +241,34 @@ def scatter_matrix(vec, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, in
     vec = _as_tensor(vec)
     data = np.zeros(shape, dtype=np.float64)
     data[rows, cols] = vec.data
-    out = Tensor(data, parents=(vec,))
 
     def backward(grad):
         if vec.requires_grad:
             vec._accumulate(grad[rows, cols])
 
-    out._backward = backward
-    return out
+    return Tensor(data, parents=(vec,), backward=backward)
 
 
 def sum_rows(a) -> Tensor:
     """Row sums of a 2-D tensor: (n, d) -> (n,)."""
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=1), parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
             a._accumulate(np.repeat(grad[:, None], a.data.shape[1], axis=1))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.sum(axis=1), parents=(a,), backward=backward)
 
 
 def total(a) -> Tensor:
     """Sum of all entries -> scalar tensor."""
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(), parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
             a._accumulate(np.full_like(a.data, float(grad)))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.sum(), parents=(a,), backward=backward)
 
 
 def mean(a) -> Tensor:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateVarianceError, ParseError
 
@@ -27,16 +28,22 @@ class Qrels:
 
     grades: dict[tuple[str, str], int]
 
+    @cached_property
+    def _by_query(self) -> dict[str, list[int]]:
+        """Query id -> its grades, in judgment order; built on first use."""
+        index: dict[str, list[int]] = {}
+        for (qid, _), g in self.grades.items():
+            index.setdefault(qid, []).append(g)
+        return index
+
     def grade(self, query_id: str, doc_id: str) -> int:
         return self.grades.get((query_id, doc_id), 0)
 
     def query_grades(self, query_id: str) -> list[int]:
-        return [g for (qid, _), g in self.grades.items() if qid == query_id]
+        return list(self._by_query.get(query_id, ()))
 
     def has_relevant(self, query_id: str, threshold: int = 1) -> bool:
-        return any(
-            g >= threshold for (qid, _), g in self.grades.items() if qid == query_id
-        )
+        return any(g >= threshold for g in self._by_query.get(query_id, ()))
 
 
 @dataclass

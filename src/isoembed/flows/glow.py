@@ -72,9 +72,6 @@ class ActNorm:
         y = ad.mul(ad.add(x, self.shift), ad.exp(self.log_scale))
         return y, ad.add(logdet, ad.total(self.log_scale))
 
-    def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        return (x + self.shift.data) * np.exp(self.log_scale.data)
-
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return y * np.exp(-self.log_scale.data) - self.shift.data
 
@@ -130,9 +127,6 @@ class LuLinear:
         y = ad.matmul(x, self.matrix_tensor())
         return y, ad.add(logdet, ad.total(self.log_diag))
 
-    def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.matrix()
-
     def inverse(self, y: np.ndarray) -> np.ndarray:
         # y = x @ W  =>  x^T = solve(W^T, y^T)
         return np.linalg.solve(self.matrix().T, y.T).T
@@ -166,19 +160,10 @@ class AffineCoupling:
         y = ad.assemble_cols(self.dim, [(self.cond_idx, cond), (self.moved_idx, moved)])
         return y, ad.add(logdet, ad.sum_rows(scale))
 
-    def _numpy_parts(self, cond: np.ndarray):
-        m = len(self.moved_idx)
-        raw = self.net.numpy_apply(cond)
-        return raw[:, :m], np.clip(raw[:, m : 2 * m], -CLAMP, CLAMP)
-
-    def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        shift, scale = self._numpy_parts(x[:, self.cond_idx])
-        y = x.copy()
-        y[:, self.moved_idx] = x[:, self.moved_idx] * np.exp(scale) + shift
-        return y
-
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        shift, scale = self._numpy_parts(y[:, self.cond_idx])
+        m = len(self.moved_idx)
+        raw = self.net.numpy_apply(y[:, self.cond_idx])
+        shift, scale = raw[:, :m], np.clip(raw[:, m : 2 * m], -CLAMP, CLAMP)
         x = y.copy()
         x[:, self.moved_idx] = (y[:, self.moved_idx] - shift) * np.exp(-scale)
         return x
@@ -200,11 +185,6 @@ class GlowStep:
         if not np.isfinite(x.data).all():
             raise NumericError(f"glow step {label} produced non-finite values")
         return x, logdet
-
-    def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        return self.coupling.numpy_forward(
-            self.linear.numpy_forward(self.actnorm.numpy_forward(x))
-        )
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return self.actnorm.inverse(self.linear.inverse(self.coupling.inverse(y)))
@@ -253,14 +233,16 @@ class GlowModel:
     def initialize_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent init: run the batch through, initializing each
         actnorm from the activations that reach it."""
-        active = np.asarray(batch, dtype=np.float64)
-        for li, steps in enumerate(self.levels):
-            for step in steps:
-                if not step.actnorm.initialized:
-                    step.actnorm.data_init(active)
-                active = step.numpy_forward(active)
-            if li < len(self.levels) - 1:
-                active = active[:, : self.sizes[li + 1]]
+        active = ad.constant(batch)
+        logdet = ad.constant(np.zeros(active.data.shape[0]))
+        with ad.no_grad():
+            for li, steps in enumerate(self.levels):
+                for si, step in enumerate(steps):
+                    if not step.actnorm.initialized:
+                        step.actnorm.data_init(active.data)
+                    active, logdet = step.forward(active, logdet, f"{li}.{si}")
+                if li < len(self.levels) - 1:
+                    active = ad.take_cols(active, slice(None, self.sizes[li + 1]))
 
     def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         n = x.data.shape[0]

@@ -31,6 +31,9 @@ FlowSpec = NiceSpec | GlowSpec
 ADAM_BETA_1 = 0.9
 ADAM_BETA_2 = 0.999
 ADAM_EPS = 1e-8
+# Rows per forward call when transforming without a graph: bounds the hidden
+# activations of wide coupling nets (5x1000 widths: 8 KB per row and layer).
+FORWARD_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,20 @@ def _check_batch(model: FlowModel, batch) -> np.ndarray:
 
 
 def flow_forward(model: FlowModel, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Transform a batch; returns (z, per-row log|det Jacobian|)."""
+    """Transform a batch; returns (z, per-row log|det Jacobian|).
+
+    Runs without recording a graph, in chunks of FORWARD_CHUNK_ROWS rows.
+    """
     x = _check_batch(model, batch)
-    z, logdet = model.forward_tensors(ad.constant(x))
-    return z.data, logdet.data
+    zs, logdets = [], []
+    with ad.no_grad():
+        for start in range(0, max(x.shape[0], 1), FORWARD_CHUNK_ROWS):
+            z, logdet = model.forward_tensors(
+                ad.constant(x[start : start + FORWARD_CHUNK_ROWS])
+            )
+            zs.append(z.data)
+            logdets.append(logdet.data)
+    return np.concatenate(zs), np.concatenate(logdets)
 
 
 def flow_inverse(model: FlowModel, z) -> np.ndarray:
@@ -125,7 +138,8 @@ def nll(model: FlowModel, batch) -> float:
     x = _check_batch(model, batch)
     if x.shape[0] == 0:
         raise EmptyInputError("nll needs a non-empty batch")
-    return float(nll_tensor(model, x).data)
+    with ad.no_grad():
+        return float(nll_tensor(model, x).data)
 
 
 def nll_gradient(model: FlowModel, batch) -> list[np.ndarray]:

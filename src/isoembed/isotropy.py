@@ -98,7 +98,9 @@ def avg_pairwise_cosine(
 
     ``mode="exact"`` averages all n(n-1)/2 unordered pairs; ``"sampled"``
     averages ``pairs`` random pairs (i != j) drawn from the pinned stream,
-    for matrices too large for the quadratic exact path.
+    for matrices too large for the quadratic exact path. Both estimates
+    are clamped to [-1, 1]: for a collapsed corpus (identical or parallel
+    rows) rounding can otherwise land just above 1.
     """
     w = as_matrix(matrix)
     n = w.shape[0]
@@ -112,10 +114,10 @@ def avg_pairwise_cosine(
     if mode == "exact":
         # sum over i<j of u_i . u_j == (|sum u|^2 - n) / 2
         total = np.linalg.norm(unit.sum(axis=0)) ** 2 - n
-        return float(total / (n * (n - 1)))
+        return float(np.clip(total / (n * (n - 1)), -1.0, 1.0))
     if mode == "sampled":
         i, j = PinnedRng(seed).index_pairs(pairs, n)
-        return float(np.einsum("ij,ij->i", unit[i], unit[j]).mean())
+        return float(np.clip(np.einsum("ij,ij->i", unit[i], unit[j]).mean(), -1.0, 1.0))
     raise ValueError(f"unknown mode {mode!r}")
 
 

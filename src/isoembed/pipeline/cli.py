@@ -554,10 +554,8 @@ def cmd_rerank(args) -> int:
         f"{settings['scorer']}.{settings['post']}.{settings['granularity']}"
         f".c{config_hash(settings)[:8]}.s{settings['seed']}"
     )
-    rankings = {}
-    for qid in sorted(candidates):
-        ranked = rank_candidates(corpus, qid, candidates[qid], settings["scorer"], post)
-        rankings[qid] = [(c.doc_id, c.score) for c in ranked]
+    ranked = rank_candidates(corpus, dict(sorted(candidates.items())), settings["scorer"], post)
+    rankings = {qid: [(c.doc_id, c.score) for c in scored] for qid, scored in ranked.items()}
     save_run(RankingRun(rankings, tag=tag), settings["out"])
     print(f"wrote run {settings['out']} ({len(rankings)} queries, tag {tag})")
     return EXIT_OK

@@ -14,13 +14,14 @@ first, transform the pooled vectors, then cosine).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .flows import FlowModel, apply_flow
-from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY
+from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, SequenceRecord
 from .whitening import WhiteningTransform, apply_whitening
 
 SCORER_COLBERT = "colbert"
@@ -81,13 +82,6 @@ class PostProcessor:
         if self.granularity not in (TOKEN_WISE, SEQUENCE_WISE):
             raise ConfigurationError(f"unknown granularity {self.granularity!r}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.transform is None and self.doc_transform is None
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return _run_transform(self.transform, matrix)
-
     def apply_query(self, matrix: np.ndarray) -> np.ndarray:
         return _run_transform(self.transform, matrix)
 
@@ -107,55 +101,115 @@ class ScoredCandidate:
     rank: int
 
 
-def _score_fn(scorer: str):
-    if scorer == SCORER_COLBERT:
-        return colbert_score
-    if scorer == SCORER_REPBERT:
-        return repbert_score
-    raise ConfigurationError(f"unknown scorer {scorer!r}")
+class _Spans:
+    """Where each of a list of sequences sits once their token rows are
+    stacked in order (see ``_gather``)."""
+
+    def __init__(self, records: list[SequenceRecord]):
+        self.ids = [seq.id for seq in records]
+        self.counts = np.array([seq.token_count for seq in records], dtype=np.intp)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def pooled(self, rows: np.ndarray) -> np.ndarray:
+        """Token mean of every sequence: (n_sequences, dim)."""
+        return np.add.reduceat(rows, self.starts, axis=0) / self.counts[:, None]
+
+    def unit_rows(self, rows: np.ndarray, kind: str) -> np.ndarray:
+        norms = np.linalg.norm(rows, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            seq = int(np.searchsorted(self.starts, zero[0], side="right")) - 1
+            raise ValueError(
+                f"{kind} {self.ids[seq]!r}: token row "
+                f"{zero[0] - self.starts[seq]} has zero norm"
+            )
+        return rows / norms[:, None]
+
+    def vector_norms(self, vectors: np.ndarray, kind: str) -> np.ndarray:
+        norms = np.linalg.norm(vectors, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ValueError(f"pooled {kind} vector of {self.ids[zero[0]]!r} has zero norm")
+        return norms
+
+    def row_index(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the picked sequences, concatenated in pick order, and the
+        offset of each picked sequence within them."""
+        lengths = self.counts[picks]
+        begins = np.cumsum(lengths) - lengths
+        index = np.arange(lengths.sum()) + np.repeat(self.starts[picks] - begins, lengths)
+        return index, begins
+
+
+def _gather(corpus: EmbeddingCorpus, records: list[SequenceRecord]):
+    return _Spans(records), np.concatenate([corpus.tokens(seq) for seq in records])
 
 
 def rank_candidates(
     corpus: EmbeddingCorpus,
-    query_id: str,
-    candidate_doc_ids: list[str],
+    candidates: Mapping[str, Sequence[str]],
     scorer: str = SCORER_REPBERT,
     post: PostProcessor = IDENTITY,
-) -> list[ScoredCandidate]:
-    """Score and order a candidate list for one query.
+) -> dict[str, list[ScoredCandidate]]:
+    """Score and order the candidate list of every query in ``candidates``.
 
-    Token-wise placement transforms every token row of the query and the
-    candidates before scoring; sequence-wise pools each sequence to a single
-    vector, transforms the pooled vectors, and compares by cosine. Ties are
-    broken by doc_id ascending so rankings are reproducible.
+    Returns ``{query_id: [ScoredCandidate, ...]}`` in the mapping's order.
+    The token rows of every needed query and document are gathered once
+    and transformed with one call per side. Token-wise placement
+    transforms the token rows, then scores; sequence-wise placement pools
+    each sequence to its token mean, transforms the pooled vectors, and
+    compares by cosine. Colbert scores a query against the concatenated
+    tokens of all its candidates in one product, then takes each query
+    token's best match within each document's span. Ties are broken by
+    doc_id ascending so rankings are reproducible. Unknown ids raise
+    KeyError.
     """
-    score = _score_fn(scorer)
+    if scorer not in (SCORER_COLBERT, SCORER_REPBERT):
+        raise ConfigurationError(f"unknown scorer {scorer!r}")
     if scorer == SCORER_COLBERT and post.granularity != TOKEN_WISE:
         raise ConfigurationError(
             "colbert scoring interacts at the token level; sequence_wise "
             "post-processing is not applicable"
         )
-    query = corpus.find(KIND_QUERY, query_id)
-    docs = [corpus.find(KIND_DOCUMENT, doc_id) for doc_id in candidate_doc_ids]
+    query_records = [corpus.find(KIND_QUERY, qid) for qid in candidates]
+    scored_queries = [(seq, candidates[seq.id]) for seq in query_records if candidates[seq.id]]
+    ranked = {qid: [] for qid in candidates}
+    if not scored_queries:
+        return ranked
+    doc_ids = list(dict.fromkeys(d for _, ids in scored_queries for d in ids))
+    doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    queries, q_rows = _gather(corpus, [seq for seq, _ in scored_queries])
+    docs, d_rows = _gather(corpus, [corpus.find(KIND_DOCUMENT, d) for d in doc_ids])
 
-    if post.granularity == TOKEN_WISE:
-        query_tokens = post.apply_query(corpus.tokens(query))
-        doc_tokens = {doc.id: post.apply_doc(corpus.tokens(doc)) for doc in docs}
-        scored = [(doc.id, score(query_tokens, doc_tokens[doc.id])) for doc in docs]
+    if post.granularity == SEQUENCE_WISE:
+        q_rows = post.apply_query(queries.pooled(q_rows))
+        d_rows = post.apply_doc(docs.pooled(d_rows))
     else:
-        q_vec = post.apply_query(
-            corpus.tokens(query).mean(axis=0, keepdims=True)
-        )[0]
-        pooled_docs = post.apply_doc(
-            np.stack([corpus.tokens(doc).mean(axis=0) for doc in docs])
-        )
-        scored = [
-            (doc.id, repbert_score(q_vec[None, :], pooled_docs[i][None, :]))
-            for i, doc in enumerate(docs)
-        ]
+        q_rows = post.apply_query(q_rows)
+        d_rows = post.apply_doc(d_rows)
+        if scorer == SCORER_REPBERT:
+            q_rows, d_rows = queries.pooled(q_rows), docs.pooled(d_rows)
+    if scorer == SCORER_REPBERT:
+        q_norms = queries.vector_norms(q_rows, "query")
+        d_norms = docs.vector_norms(d_rows, "document")
+    else:
+        q_rows = queries.unit_rows(q_rows, "query")
+        d_rows = docs.unit_rows(d_rows, "document")
 
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [
-        ScoredCandidate(doc_id=doc_id, score=value, rank=i + 1)
-        for i, (doc_id, value) in enumerate(scored)
-    ]
+    for qi, (_, ids) in enumerate(scored_queries):
+        picks = np.array([doc_index[d] for d in ids], dtype=np.intp)
+        if scorer == SCORER_COLBERT:
+            start = queries.starts[qi]
+            index, begins = docs.row_index(picks)
+            sims = q_rows[start : start + queries.counts[qi]] @ d_rows[index].T
+            best = np.maximum.reduceat(sims, begins, axis=1)
+            # contiguous per-candidate rows: each sum runs like colbert_score's
+            values = np.ascontiguousarray(best.T).sum(axis=1)
+        else:
+            values = (d_rows[picks] @ q_rows[qi]) / (q_norms[qi] * d_norms[picks])
+        order = sorted(zip(ids, values.tolist()), key=lambda item: (-item[1], item[0]))
+        ranked[queries.ids[qi]] = [
+            ScoredCandidate(doc_id=doc_id, score=value, rank=i + 1)
+            for i, (doc_id, value) in enumerate(order)
+        ]
+    return ranked

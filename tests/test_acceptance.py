@@ -40,10 +40,8 @@ def report(criterion: str, detail: str) -> None:
 
 
 def rerank_all(corpus, qrels, candidates, post, scorer="colbert"):
-    rankings = {}
-    for qid in sorted(candidates):
-        ranked = rank_candidates(corpus, qid, candidates[qid], scorer=scorer, post=post)
-        rankings[qid] = [(c.doc_id, c.score) for c in ranked]
+    ranked = rank_candidates(corpus, candidates, scorer=scorer, post=post)
+    rankings = {qid: [(c.doc_id, c.score) for c in scored] for qid, scored in ranked.items()}
     return evaluate(RankingRun(rankings, tag="acceptance"), qrels)
 
 

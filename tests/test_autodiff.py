@@ -128,3 +128,72 @@ class TestBackwardContract:
         x = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ValueError):
             ad.assemble_cols(3, [(np.array([0, 1]), x)])
+
+    def test_parents_of_add_get_distinct_gradient_arrays(self):
+        """add routes one upstream array to both parents; each must store
+        its own copy so that accumulating into one leaves the other alone."""
+        a, b = ad.parameter(1.0), ad.parameter(2.0)
+        ad.add(a, b).backward()
+        assert a.grad is not b.grad
+        a.grad += 5.0
+        assert float(b.grad) == 1.0
+
+
+def every_op(p: list[ad.Tensor]) -> list[ad.Tensor]:
+    """Apply each op once, chained; returns every intermediate output."""
+    x, w, v = p
+    outs = [ad.matmul(x, w)]
+    outs.append(ad.add(outs[-1], v))
+    outs.append(ad.relu(outs[-1]))
+    outs.append(ad.clamp(outs[-1], -0.5, 0.5))
+    outs.append(ad.exp(outs[-1]))
+    outs.append(ad.mul(outs[-1], x))
+    left = ad.take_cols(outs[-1], np.array([0, 2]))
+    right = ad.take_cols(outs[-1], slice(1, 2))
+    outs += [left, right]
+    outs.append(ad.assemble_cols(3, [(np.array([0, 2]), left), (np.array([1]), right)]))
+    outs.append(ad.scatter_matrix(v, np.array([0, 1, 2]), np.array([2, 0, 1]), (3, 3)))
+    outs.append(ad.matmul(outs[-2], outs[-1]))
+    outs.append(ad.sum_rows(outs[-1]))
+    outs.append(ad.total(outs[-1]))
+    outs.append(ad.mean(outs[-2]))
+    return outs
+
+
+class TestNoGrad:
+    def params(self):
+        rng = np.random.default_rng(3)
+        return [
+            ad.parameter(rng.normal(size=(4, 3))),
+            ad.parameter(rng.normal(size=(3, 3))),
+            ad.parameter(rng.normal(size=3)),
+        ]
+
+    def test_values_bitwise_equal_to_graph_mode(self):
+        graph = every_op(self.params())
+        with ad.no_grad():
+            plain = every_op(self.params())
+        for g, n in zip(graph, plain):
+            assert g.requires_grad
+            np.testing.assert_array_equal(n.data, g.data)
+
+    def test_records_no_parents_or_closures(self):
+        with ad.no_grad():
+            outs = every_op(self.params())
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+
+    def test_mode_restored_after_exception_and_nesting(self):
+        p = ad.parameter(np.ones(2))
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert not ad.add(p, 1.0).requires_grad
+                raise RuntimeError("boom")
+        out = ad.total(ad.add(p, 1.0))
+        assert out.requires_grad and out._parents and out._backward is not None
+        out.backward()
+        np.testing.assert_array_equal(p.grad, np.ones(2))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoembed import (
     Qrels,
@@ -158,6 +160,47 @@ class TestAgainstBruteForce:
                     expected_p = precision_oracle(ranked_ids, grades, 20)
                     assert per_p[qid] == pytest.approx(expected_p, abs=1e-12)
                     assert 0.0 <= per_p[qid] <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_queries=st.integers(1, 8),
+        n_docs=st.integers(1, 25),
+    )
+    def test_evaluate_per_query_with_interleaved_judgments(self, seed, n_queries, n_docs):
+        """Judgments of all queries arrive shuffled together, some queries
+        are judged but never run and some run but never judged; evaluate's
+        per-query P@20 and NDCG@10 must match oracles that scan every
+        judgment."""
+        rng = np.random.default_rng(seed)
+        judged = [
+            ((f"q{qi}", f"d{j}"), int(rng.integers(0, 4)))
+            for qi in range(n_queries + 1)
+            for j in range(n_docs)
+            if rng.random() < 0.6
+        ]
+        grades = dict(judged[i] for i in rng.permutation(len(judged)))
+        qrels = Qrels(grades)
+        rankings = {}
+        for qi in range(n_queries):
+            docs = [f"d{j}" for j in rng.permutation(n_docs + 2)]
+            rankings[f"q{qi}_" if qi == 0 else f"q{qi}"] = [
+                (doc_id, float(-rank)) for rank, doc_id in enumerate(docs)
+            ]
+        report = evaluate(RankingRun(rankings), qrels)
+        for qid, ranked in rankings.items():
+            query_grades = {d: g for (q, d), g in grades.items() if q == qid}
+            ranked_ids = [d for d, _ in ranked]
+            expected_n = ndcg_oracle(ranked_ids, query_grades, 10)
+            assert qrels.query_grades(qid) == list(query_grades.values())
+            assert qrels.has_relevant(qid) == any(g >= 1 for g in query_grades.values())
+            if expected_n is None:
+                assert qid not in report.per_query_ndcg
+                assert qid not in report.per_query_p
+                continue
+            assert report.per_query_ndcg[qid] == pytest.approx(expected_n, abs=1e-12)
+            expected_p = precision_oracle(ranked_ids, query_grades, 20)
+            assert report.per_query_p[qid] == pytest.approx(expected_p, abs=1e-12)
 
     def test_doc_renaming_invariance(self):
         rng = np.random.default_rng(32)

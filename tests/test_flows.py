@@ -8,7 +8,9 @@ import pytest
 
 from isoembed import autodiff as ad
 from isoembed.errors import CorpusFormatError, ShapeError, TrainingError
+from isoembed.flows import training
 from isoembed.flows import (
+    CLAMP,
     FlowTrainConfig,
     GlowModel,
     GlowSpec,
@@ -280,6 +282,55 @@ class TestTraining:
         model = randomize(build_model(6, SMALL_NICE, seed=30), seed=31)
         w = np.random.default_rng(15).normal(size=(12, 6))
         np.testing.assert_array_equal(apply_flow(model, w), flow_forward(model, w)[0])
+
+
+def numpy_actnorm_init(model, batch: np.ndarray) -> None:
+    """Reference data-dependent init written with plain numpy layer maps."""
+    active = batch
+    for li, steps in enumerate(model.levels):
+        for step in steps:
+            step.actnorm.data_init(active)
+            an, lu, cp = step.actnorm, step.linear, step.coupling
+            active = (active + an.shift.data) * np.exp(an.log_scale.data)
+            active = active @ lu.matrix()
+            m = len(cp.moved_idx)
+            raw = cp.net.numpy_apply(active[:, cp.cond_idx])
+            moved = active[:, cp.moved_idx] * np.exp(np.clip(raw[:, m:], -CLAMP, CLAMP))
+            active = active.copy()
+            active[:, cp.moved_idx] = moved + raw[:, :m]
+        if li < len(model.levels) - 1:
+            active = active[:, : model.sizes[li + 1]]
+
+
+class TestForwardWithoutGraph:
+    @pytest.mark.parametrize("spec", [SMALL_NICE, SMALL_GLOW], ids=["nice", "glow"])
+    def test_flow_forward_equals_graph_mode(self, spec):
+        model = randomize(build_model(8, spec, seed=50), seed=51)
+        x = np.random.default_rng(52).normal(size=(20, 8))
+        z, logdet = flow_forward(model, x)
+        z_graph, logdet_graph = model.forward_tensors(ad.constant(x))
+        assert z_graph.requires_grad
+        np.testing.assert_array_equal(z, z_graph.data)
+        np.testing.assert_array_equal(logdet, logdet_graph.data)
+
+    def test_chunked_forward_matches_one_chunk(self, monkeypatch):
+        model = randomize(build_model(8, SMALL_GLOW, seed=53), seed=54)
+        x = np.random.default_rng(55).normal(size=(23, 8))
+        z, logdet = flow_forward(model, x)
+        monkeypatch.setattr(training, "FORWARD_CHUNK_ROWS", 5)
+        z_chunked, logdet_chunked = flow_forward(model, x)
+        np.testing.assert_allclose(z_chunked, z, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(logdet_chunked, logdet, rtol=1e-12, atol=1e-12)
+
+    def test_actnorm_init_matches_numpy_reference(self):
+        batch = np.random.default_rng(56).normal(size=(32, 8)) * 3.0 + 1.0
+        model = randomize(build_model(8, SMALL_GLOW, seed=57), seed=58)
+        reference = randomize(build_model(8, SMALL_GLOW, seed=57), seed=58)
+        model.initialize_actnorms(batch)
+        numpy_actnorm_init(reference, batch)
+        assert model.actnorms_initialized
+        for pa, pb in zip(model.parameters(), reference.parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data)
 
 
 class TestSerialization:

@@ -1,17 +1,22 @@
 """Isotropy metrics: frozen anchors, enumeration oracles, and invariances."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from isoembed import (
+    EmbeddingCorpus,
+    SequenceRecord,
     avg_pairwise_cosine,
     dimension_profile,
     measure,
     partition_ratio,
 )
 from isoembed.errors import EmptyInputError
+from isoembed.pipeline import run
+from isoembed.store import KIND_DOCUMENT, save_corpus
 from isoembed.rng import PinnedRng
 
 
@@ -221,3 +226,38 @@ class TestDimensionProfile:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             dimension_profile(np.zeros((0, 2)))
+
+
+# Collapsed corpora: the exact estimate for these rounds to 1 + 7e-16, and
+# the sampled one to 1 + 2e-16 for the identical rows, without the clamp.
+COLLAPSED = {
+    "identical": np.tile([[0.3, 0.7, 1.1]], (3, 1)),
+    "rank_one": np.outer([1.0, 2.0, 3.0], [0.3, 0.7, 1.1]),
+}
+
+
+class TestCollapsedCorpus:
+    @pytest.mark.parametrize("name", sorted(COLLAPSED))
+    def test_cosine_estimates_stay_in_range(self, name):
+        matrix = COLLAPSED[name]
+        assert avg_pairwise_cosine(matrix) == 1.0
+        assert avg_pairwise_cosine(matrix, mode="sampled", pairs=1000) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSED))
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_measure_reports_full_collapse(self, name, mode):
+        report = measure(COLLAPSED[name], cosine_mode=mode)
+        assert report.avg_cos == 1.0
+        assert 0.0 <= report.i_w <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSED))
+    def test_cli_measure_exits_zero(self, name, tmp_path):
+        matrix = COLLAPSED[name]
+        corpus = EmbeddingCorpus(
+            matrix,
+            tuple(SequenceRecord(f"d{i}", KIND_DOCUMENT, i, 1) for i in range(len(matrix))),
+        )
+        save_corpus(corpus, tmp_path / "c.emb")
+        out = tmp_path / "m.json"
+        assert run(["measure", "--corpus", str(tmp_path / "c.emb"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["avg_cos"] == 1.0

@@ -2,6 +2,7 @@
 provenance, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -282,3 +283,22 @@ class TestCli:
         manifest = json.loads((tmp_path / "g.emb.manifest.json").read_text())
         assert manifest["seed"] == 4
         assert "config_sha256" in manifest
+
+    def test_module_entry_point_runs_without_warnings(self):
+        """``python -m isoembed.pipeline.cli`` must not find the CLI module
+        already imported by its package (runpy's RuntimeWarning)."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import isoembed
+
+        env = dict(os.environ)
+        src = str(Path(isoembed.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "isoembed.pipeline.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage" in done.stdout

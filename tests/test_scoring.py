@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoembed import (
     EmbeddingCorpus,
+    GlowModel,
+    GlowSpec,
     PostProcessor,
     SequenceRecord,
     WhiteningTransform,
@@ -138,7 +142,7 @@ class TestRankCandidates:
             [[1.0, 0.0]],
             {"a": [[0.8, 0.6]], "b": [[1.0, 0.1]], "c": [[0.0, 1.0]]},
         )
-        ranked = rank_candidates(corpus, "q", ["a", "b", "c"], scorer="repbert")
+        ranked = rank_candidates(corpus, {"q": ["a", "b", "c"]}, scorer="repbert")["q"]
         assert [c.doc_id for c in ranked] == ["b", "a", "c"]
         assert [c.rank for c in ranked] == [1, 2, 3]
         assert ranked[0].score >= ranked[1].score >= ranked[2].score
@@ -147,9 +151,9 @@ class TestRankCandidates:
         rng = np.random.default_rng(25)
         docs = {f"d{i}": rng.normal(size=(3, 4)) for i in range(6)}
         corpus = corpus_with(rng.normal(size=(2, 4)), docs)
-        plain = rank_candidates(corpus, "q", sorted(docs), scorer="colbert")
+        plain = rank_candidates(corpus, {"q": sorted(docs)}, scorer="colbert")["q"]
         post = PostProcessor(identity_whitening(4), TOKEN_WISE)
-        identity = rank_candidates(corpus, "q", sorted(docs), scorer="colbert", post=post)
+        identity = rank_candidates(corpus, {"q": sorted(docs)}, scorer="colbert", post=post)["q"]
         assert [c.doc_id for c in plain] == [c.doc_id for c in identity]
         for a, b in zip(plain, identity):
             assert b.score == pytest.approx(a.score, abs=1e-12)
@@ -159,7 +163,7 @@ class TestRankCandidates:
             [[1.0, 0.0]],
             {"zz": [[2.0, 0.0]], "aa": [[3.0, 0.0]], "mm": [[0.0, 1.0]]},
         )
-        ranked = rank_candidates(corpus, "q", ["zz", "aa", "mm"], scorer="repbert")
+        ranked = rank_candidates(corpus, {"q": ["zz", "aa", "mm"]}, scorer="repbert")["q"]
         assert [c.doc_id for c in ranked] == ["aa", "zz", "mm"]
 
     def test_colbert_sequence_wise_rejected(self):
@@ -167,8 +171,7 @@ class TestRankCandidates:
         with pytest.raises(ConfigurationError):
             rank_candidates(
                 corpus,
-                "q",
-                ["a"],
+                {"q": ["a"]},
                 scorer="colbert",
                 post=PostProcessor(None, SEQUENCE_WISE),
             )
@@ -176,9 +179,9 @@ class TestRankCandidates:
     def test_unknown_ids_rejected(self):
         corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]]})
         with pytest.raises(KeyError):
-            rank_candidates(corpus, "missing", ["a"])
+            rank_candidates(corpus, {"missing": ["a"]})
         with pytest.raises(KeyError):
-            rank_candidates(corpus, "q", ["missing"])
+            rank_candidates(corpus, {"q": ["missing"]})
 
     def test_token_wise_whitened_repbert_matches_oracle(self):
         """Transform-the-tokens-then-pool must equal an independently
@@ -188,7 +191,7 @@ class TestRankCandidates:
         corpus = corpus_with(rng.normal(size=(3, 5)) + 1.5, docs)
         transform = fit_whitening(corpus.matrix)
         post = PostProcessor(transform, TOKEN_WISE)
-        ranked = rank_candidates(corpus, "q", sorted(docs), scorer="repbert", post=post)
+        ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
         q_white = apply_whitening(transform, corpus.tokens(corpus.find(KIND_QUERY, "q")))
         for candidate in ranked:
             doc_seq = corpus.find(KIND_DOCUMENT, candidate.doc_id)
@@ -205,7 +208,7 @@ class TestRankCandidates:
         corpus = corpus_with(rng.normal(size=(2, 4)) + 2.0, docs)
         transform = fit_whitening(corpus.matrix)
         post = PostProcessor(transform, SEQUENCE_WISE)
-        ranked = rank_candidates(corpus, "q", sorted(docs), scorer="repbert", post=post)
+        ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
         pooled_q = corpus.tokens(corpus.find(KIND_QUERY, "q")).mean(axis=0)
         zq = apply_whitening(transform, pooled_q[None, :])[0]
         for candidate in ranked:
@@ -218,8 +221,8 @@ class TestRankCandidates:
         rng = np.random.default_rng(28)
         docs = {f"d{i}": rng.normal(size=(2, 3)) for i in range(5)}
         corpus = corpus_with(rng.normal(size=(2, 3)), docs)
-        first = rank_candidates(corpus, "q", sorted(docs), scorer="colbert")
-        second = rank_candidates(corpus, "q", sorted(docs), scorer="colbert")
+        first = rank_candidates(corpus, {"q": sorted(docs)}, scorer="colbert")["q"]
+        second = rank_candidates(corpus, {"q": sorted(docs)}, scorer="colbert")["q"]
         assert first == second
 
     def test_separate_document_transform(self):
@@ -233,7 +236,7 @@ class TestRankCandidates:
         t_query = fit_whitening(np.vstack([rows_of_kind(corpus, KIND_QUERY)] * 2))
         t_doc = fit_whitening(rows_of_kind(corpus, KIND_DOCUMENT))
         post = PostProcessor(t_query, TOKEN_WISE, doc_transform=t_doc)
-        ranked = rank_candidates(corpus, "q", sorted(docs), scorer="repbert", post=post)
+        ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
         q_tokens = apply_whitening(t_query, corpus.tokens(corpus.find(KIND_QUERY, "q")))
         for candidate in ranked:
             d_tokens = apply_whitening(
@@ -241,3 +244,105 @@ class TestRankCandidates:
             )
             expected = cosine(q_tokens.mean(axis=0), d_tokens.mean(axis=0))
             assert candidate.score == pytest.approx(expected, abs=1e-12)
+
+
+def per_query_oracle(corpus, candidates, scorer, post):
+    """One query at a time, each sequence transformed on its own, scored
+    with colbert_score / repbert_score: the per-candidate definition that
+    the bulk ranking must reproduce."""
+    ranked = {}
+    for qid, doc_ids in candidates.items():
+        q_tokens = corpus.tokens(corpus.find(KIND_QUERY, qid))
+        scored = []
+        for doc_id in doc_ids:
+            d_tokens = corpus.tokens(corpus.find(KIND_DOCUMENT, doc_id))
+            if post.granularity == SEQUENCE_WISE:
+                q = post.apply_query(q_tokens.mean(axis=0, keepdims=True))
+                d = post.apply_doc(d_tokens.mean(axis=0, keepdims=True))
+                scored.append((doc_id, repbert_score(q, d)))
+            else:
+                score = colbert_score if scorer == "colbert" else repbert_score
+                scored.append(
+                    (doc_id, score(post.apply_query(q_tokens), post.apply_doc(d_tokens)))
+                )
+        ranked[qid] = sorted(scored, key=lambda item: (-item[1], item[0]))
+    return ranked
+
+
+def perturbed_glow(dim: int, seed: int):
+    """A tiny glow whose parameters are moved off the identity start."""
+    model = GlowModel.build(dim, GlowSpec(levels=2, depth=1, hidden=(3,)), seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.data = p.data + rng.normal(scale=0.2, size=p.data.shape)
+    return model
+
+
+@st.composite
+def bulk_cases(draw):
+    """Random corpus, shared candidate lists (some empty), scorer and
+    post-processor; all numbers come from a drawn numpy seed."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = 4
+    n_queries = draw(st.integers(1, 4))
+    n_docs = draw(st.integers(1, 6))
+    queries = {f"q{i}": rng.normal(size=(draw(st.integers(1, 4)), dim)) for i in range(n_queries)}
+    docs = {f"d{i}": rng.normal(size=(draw(st.integers(1, 4)), dim)) + 0.5 for i in range(n_docs)}
+    rows, sequences, offset = [], [], 0
+    for kind, blocks in ((KIND_QUERY, queries), (KIND_DOCUMENT, docs)):
+        for seq_id, block in blocks.items():
+            sequences.append(SequenceRecord(seq_id, kind, offset, block.shape[0]))
+            rows.append(block)
+            offset += block.shape[0]
+    corpus = EmbeddingCorpus(np.vstack(rows), tuple(sequences))
+    doc_ids = sorted(docs)
+    candidates = {
+        qid: draw(st.lists(st.sampled_from(doc_ids), max_size=n_docs, unique=True))
+        for qid in queries
+    }
+    scorer = draw(st.sampled_from(["colbert", "repbert"]))
+    granularities = [TOKEN_WISE] if scorer == "colbert" else [TOKEN_WISE, SEQUENCE_WISE]
+    granularity = draw(st.sampled_from(granularities))
+    kind = draw(st.sampled_from(["none", "whiten", "glow"]))
+    separate_docs = kind != "none" and draw(st.booleans())
+    if kind == "none":
+        post = PostProcessor(None, granularity)
+    elif kind == "whiten":
+        doc_transform = fit_whitening(corpus.matrix[::-1] ** 3) if separate_docs else None
+        post = PostProcessor(fit_whitening(corpus.matrix), granularity, doc_transform)
+    else:
+        doc_transform = perturbed_glow(dim, seed + 1) if separate_docs else None
+        post = PostProcessor(perturbed_glow(dim, seed), granularity, doc_transform)
+    return corpus, candidates, scorer, post
+
+
+class TestBulkRankingMatchesPerQueryOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(bulk_cases())
+    def test_scores_and_order(self, case):
+        corpus, candidates, scorer, post = case
+        bulk = rank_candidates(corpus, candidates, scorer=scorer, post=post)
+        oracle = per_query_oracle(corpus, candidates, scorer, post)
+        assert list(bulk) == list(candidates)
+        for qid, expected in oracle.items():
+            got = bulk[qid]
+            assert [c.doc_id for c in got] == [doc_id for doc_id, _ in expected]
+            assert [c.rank for c in got] == list(range(1, len(expected) + 1))
+            for candidate, (_, score) in zip(got, expected):
+                assert abs(candidate.score - score) <= 1e-12
+
+    def test_query_without_candidates_is_empty(self):
+        corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]]})
+        for scorer, granularity in (
+            ("colbert", TOKEN_WISE),
+            ("repbert", TOKEN_WISE),
+            ("repbert", SEQUENCE_WISE),
+        ):
+            post = PostProcessor(identity_whitening(2), granularity)
+            assert rank_candidates(corpus, {"q": []}, scorer=scorer, post=post) == {"q": []}
+
+    def test_zero_norm_row_names_its_sequence(self):
+        corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]], "b": [[0.5, 0.5], [0.0, 0.0]]})
+        with pytest.raises(ValueError, match=r"document 'b': token row 1 has zero norm"):
+            rank_candidates(corpus, {"q": ["a", "b"]}, scorer="colbert")
