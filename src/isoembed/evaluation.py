@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .atomic import atomic_write
 from .errors import DegenerateVarianceError, ParseError
 
 _BETA_CF_MAX_ITER = 300
@@ -289,7 +290,7 @@ def load_qrels(path) -> Qrels:
 
 
 def save_qrels(qrels: Qrels, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, text=True) as fh:
         for (qid, doc_id), grade in sorted(qrels.grades.items()):
             fh.write(f"{qid} 0 {doc_id} {grade}\n")
 
@@ -315,7 +316,7 @@ def load_run(path) -> RankingRun:
 
 
 def save_run(run: RankingRun, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, text=True) as fh:
         for qid in sorted(run.rankings):
             for rank, (doc_id, score) in enumerate(run.rankings[qid], start=1):
                 fh.write(f"{qid} Q0 {doc_id} {rank} {score!r} {run.tag}\n")

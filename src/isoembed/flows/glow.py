@@ -47,9 +47,11 @@ class GlowSpec:
 def active_sizes(dim: int, levels: int) -> list[int]:
     """Active dimension entering each level; level l keeps the first half."""
     sizes = [dim]
-    for _ in range(levels - 1):
+    # Halving stops as soon as it would go below 2, so a huge ``levels``
+    # (for example from a corrupt file header) costs no more than a small one.
+    while len(sizes) < levels and sizes[-1] >= 4:
         sizes.append(sizes[-1] // 2)
-    if sizes[-1] < 2:
+    if len(sizes) < levels or sizes[-1] < 2:
         raise ValueError(f"dim {dim} too small for {levels} levels (active < 2)")
     return sizes
 
@@ -59,6 +61,15 @@ class ActNorm:
         self.shift = ad.parameter(np.zeros(dim))
         self.log_scale = ad.parameter(np.zeros(dim))
         self.initialized = False
+
+    @classmethod
+    def from_parameters(
+        cls, shift: ad.Tensor, log_scale: ad.Tensor, initialized: bool
+    ) -> "ActNorm":
+        layer = cls(shift.data.shape[0])
+        layer.shift, layer.log_scale = shift, log_scale
+        layer.initialized = initialized
+        return layer
 
     def data_init(self, x: np.ndarray) -> None:
         """Set shift/scale so this batch leaves with zero mean, unit variance."""
@@ -83,18 +94,43 @@ class LuLinear:
     """Invertible mixing y = x @ (P L U); log-determinant = sum(log_diag)."""
 
     def __init__(self, dim: int, rng: PinnedRng):
+        """Identity L and U behind a permutation drawn from ``rng``."""
+        off_diagonal = dim * (dim - 1) // 2
+        self._assign(
+            rng.permutation(dim),
+            np.ones(dim),
+            ad.parameter(np.zeros(off_diagonal)),
+            ad.parameter(np.zeros(dim)),
+            ad.parameter(np.zeros(off_diagonal)),
+        )
+
+    @classmethod
+    def from_parameters(
+        cls,
+        permutation: np.ndarray,
+        signs: np.ndarray,
+        lower: ad.Tensor,
+        log_diag: ad.Tensor,
+        upper: ad.Tensor,
+    ) -> "LuLinear":
+        """Layer with the given permutation, frozen diagonal signs and
+        strict-lower / log-diagonal / strict-upper parameters (row-major)."""
+        layer = cls.__new__(cls)
+        layer._assign(permutation, signs, lower, log_diag, upper)
+        return layer
+
+    def _assign(self, permutation, signs, lower, log_diag, upper) -> None:
+        dim = len(permutation)
         self.dim = dim
-        self.permutation = rng.permutation(dim)
-        self.signs = np.ones(dim)
-        rows, cols = np.tril_indices(dim, k=-1)
-        self._lower_rows, self._lower_cols = rows, cols
-        urows, ucols = np.triu_indices(dim, k=1)
-        self._upper_rows, self._upper_cols = urows, ucols
-        self.lower = ad.parameter(np.zeros(len(rows)))
-        self.upper = ad.parameter(np.zeros(len(urows)))
-        self.log_diag = ad.parameter(np.zeros(dim))
+        self.permutation = permutation
+        self.signs = signs
+        self._lower_rows, self._lower_cols = np.tril_indices(dim, k=-1)
+        self._upper_rows, self._upper_cols = np.triu_indices(dim, k=1)
+        self.lower = lower
+        self.upper = upper
+        self.log_diag = log_diag
         self._eye = np.eye(dim)
-        self._perm_matrix = self._eye[:, self.permutation]
+        self._perm_matrix = self._eye[:, permutation]
 
     def parameters(self):
         return [self.lower, self.log_diag, self.upper]

@@ -18,21 +18,36 @@ Parameter traversal order:
           weight/bias per layer.
 Matrices are row-major; coupling mask parities are implicit (step index
 modulo 2) and not stored.
+
+Loading assembles the model from the file's arrays and never runs the
+seeded initialization. The widths in the architecture block fix the file
+size, which is checked before any array is allocated; every permutation
+must be a permutation of range(active), every sign +1 or -1 and every
+actnorm flag 0 or 1. Any violation raises CorpusFormatError.
 """
 
 from __future__ import annotations
 
+import io
+import math
+import os
 import struct
 
 import numpy as np
 
+from .. import autodiff as ad
+from ..atomic import atomic_write
 from ..errors import CorpusFormatError
-from .glow import GlowSpec
+from .coupling import CouplingNet, parity_indices
+from .glow import ActNorm, AffineCoupling, GlowModel, GlowSpec, GlowStep, LuLinear, active_sizes
 from .nice import NiceModel, NiceSpec
-from .training import FlowModel, build_model
+from .training import FlowModel
 
 MAGIC = b"FLW1"
 FORMAT_VERSION = 1
+
+_HEADER = struct.Struct("<4sIBI")
+_F64 = np.dtype("<f8")
 
 
 def _arch_block(model: FlowModel) -> bytes:
@@ -55,75 +70,212 @@ def _arch_block(model: FlowModel) -> bytes:
     return b"".join(parts)
 
 
-def flow_to_bytes(model: FlowModel) -> bytes:
-    parts = [
-        struct.pack("<4sIBI", MAGIC, FORMAT_VERSION, model.arch_tag, model.dim),
-        _arch_block(model),
-    ]
+def _write_flow(model: FlowModel, fh) -> None:
+    """Stream the FLW1 encoding of ``model`` to ``fh``; parameter arrays are
+    handed to the file as buffers, without an intermediate copy."""
+    fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, model.arch_tag, model.dim))
+    fh.write(_arch_block(model))
     for p in model.parameters():
-        parts.append(p.data.astype("<f8").tobytes(order="C"))
-    return b"".join(parts)
+        fh.write(np.ascontiguousarray(p.data, dtype=_F64))
+
+
+def flow_to_bytes(model: FlowModel) -> bytes:
+    buffer = io.BytesIO()
+    _write_flow(model, buffer)
+    return buffer.getvalue()
 
 
 def save_flow(model: FlowModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(flow_to_bytes(model))
+    with atomic_write(path) as fh:
+        _write_flow(model, fh)
 
 
 class _Reader:
-    def __init__(self, data: bytes, label):
-        self.data = data
+    """Reads from a stream whose total size is known, so no read can ask
+    for more bytes than remain."""
+
+    def __init__(self, fh, size: int, label):
+        self.fh = fh
+        self.size = size
         self.pos = 0
         self.label = label
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _claim(self, n: int) -> None:
+        if n > self.size - self.pos:
             raise CorpusFormatError(f"{self.label}: truncated flow file")
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        chunk = self.fh.read(n)
+        if len(chunk) != n:
+            raise CorpusFormatError(f"{self.label}: truncated flow file")
         return chunk
 
     def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, count: int, dtype: str) -> np.ndarray:
+        dt = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dt.itemsize), dtype=dt)
+
+    def read_into(self, out: np.ndarray) -> None:
+        self._claim(out.nbytes)
+        if self.fh.readinto(out) != out.nbytes:
+            raise CorpusFormatError(f"{self.label}: truncated flow file")
 
 
-def flow_from_bytes(data: bytes, label="<bytes>") -> FlowModel:
-    reader = _Reader(data, label)
-    magic, version, arch, dim = reader.unpack("<4sIBI")
+def _net_size(widths: tuple[int, ...]) -> int:
+    return sum(a * b + b for a, b in zip(widths, widths[1:]))
+
+
+def _parity_counts(first: int, count: int) -> tuple[int, int]:
+    """How many of the step indices first .. first+count-1 are even / odd."""
+    even = (first + count + 1) // 2 - (first + 1) // 2
+    return even, count - even
+
+
+def _nice_layout(dim: int, spec: NiceSpec) -> tuple[int, int]:
+    """(bytes of per-step architecture data, parameter count); integers only."""
+    cond_0, moved_0 = (dim + 1) // 2, dim // 2  # parity 0: even columns condition
+    even, odd = _parity_counts(0, spec.couplings)
+    params = (
+        even * _net_size((cond_0, *spec.hidden, moved_0))
+        + odd * _net_size((moved_0, *spec.hidden, cond_0))
+        + dim
+    )
+    return 0, params
+
+
+def _glow_layout(dim: int, spec: GlowSpec) -> tuple[int, int]:
+    """(bytes of per-step architecture data, parameter count); integers only."""
+    step_bytes = params = 0
+    for level, size in enumerate(active_sizes(dim, spec.levels)):
+        cond_0, moved_0 = (size + 1) // 2, size // 2
+        even, odd = _parity_counts(level * spec.depth, spec.depth)
+        step_bytes += spec.depth * (5 * size + 1)
+        params += (
+            spec.depth * (2 * size + size * size)  # actnorm, LU
+            + even * _net_size((cond_0, *spec.hidden, 2 * moved_0))
+            + odd * _net_size((moved_0, *spec.hidden, 2 * cond_0))
+        )
+    return step_bytes, params
+
+
+class _Parameters:
+    """Hands out consecutive views of the parameter slab as parameters."""
+
+    def __init__(self, slab: np.ndarray):
+        self.slab = slab
+        self.pos = 0
+
+    def take(self, *shape: int) -> ad.Tensor:
+        count = math.prod(shape)
+        view = self.slab[self.pos : self.pos + count].reshape(shape)
+        self.pos += count
+        return ad.Tensor(view, requires_grad=True)
+
+    def net(self, widths: tuple[int, ...]) -> CouplingNet:
+        weights, biases = [], []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            weights.append(self.take(fan_in, fan_out))
+            biases.append(self.take(fan_out))
+        return CouplingNet(weights, biases)
+
+
+def _read_glow_steps(reader: _Reader, sizes: list[int], depth: int) -> list[tuple]:
+    """Per step: (permutation, signs as float64, actnorm initialized)."""
+    steps = []
+    for k in range(len(sizes) * depth):
+        size = sizes[k // depth]
+        perm = reader.array(size, "<u4").astype(np.int64)
+        if not np.array_equal(np.sort(perm), np.arange(size)):
+            raise CorpusFormatError(
+                f"{reader.label}: step {k} permutation is not a permutation of range({size})"
+            )
+        signs = reader.array(size, "<i1")
+        if not ((signs == 1) | (signs == -1)).all():
+            raise CorpusFormatError(f"{reader.label}: step {k} has a sign other than +1/-1")
+        (initialized,) = reader.unpack("<B")
+        if initialized > 1:
+            raise CorpusFormatError(
+                f"{reader.label}: step {k} actnorm flag is {initialized}, not 0 or 1"
+            )
+        steps.append((perm, signs.astype(np.float64), bool(initialized)))
+    return steps
+
+
+def _assemble_glow(dim: int, spec: GlowSpec, steps: list[tuple], params: _Parameters):
+    sizes = active_sizes(dim, spec.levels)
+    levels = [[] for _ in sizes]
+    for k, (perm, signs, initialized) in enumerate(steps):
+        size = sizes[k // spec.depth]
+        off_diagonal = size * (size - 1) // 2
+        actnorm = ActNorm.from_parameters(params.take(size), params.take(size), initialized)
+        linear = LuLinear.from_parameters(
+            perm, signs, params.take(off_diagonal), params.take(size), params.take(off_diagonal)
+        )
+        cond, moved = parity_indices(size, k % 2)
+        net = params.net((len(cond), *spec.hidden, 2 * len(moved)))
+        levels[k // spec.depth].append(GlowStep(actnorm, linear, AffineCoupling(size, k % 2, net)))
+    return GlowModel(dim, spec, levels)
+
+
+def _assemble_nice(dim: int, spec: NiceSpec, params: _Parameters):
+    couplings = []
+    for i in range(spec.couplings):
+        cond, moved = parity_indices(dim, i % 2)
+        couplings.append((i % 2, params.net((len(cond), *spec.hidden, len(moved)))))
+    return NiceModel(dim, spec, couplings, params.take(dim))
+
+
+def _read_flow(fh, size: int, label) -> FlowModel:
+    reader = _Reader(fh, size, label)
+    magic, version, arch, dim = reader.unpack(_HEADER.format)
     if magic != MAGIC:
         raise CorpusFormatError(f"{label}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise CorpusFormatError(f"{label}: unsupported version {version}")
-    if arch == 0:
-        couplings, n_hidden = reader.unpack("<II")
-        hidden = reader.unpack(f"<{n_hidden}I")
-        model = build_model(dim, NiceSpec(couplings=couplings, hidden=hidden), seed=0)
-    elif arch == 1:
-        levels, depth, n_hidden = reader.unpack("<III")
-        hidden = reader.unpack(f"<{n_hidden}I")
-        model = build_model(dim, GlowSpec(levels=levels, depth=depth, hidden=hidden), seed=0)
-        for steps in model.levels:
-            for step in steps:
-                size = step.linear.dim
-                perm = np.frombuffer(reader.take(4 * size), dtype="<u4").astype(np.int64)
-                signs = np.frombuffer(reader.take(size), dtype="<i1").astype(np.float64)
-                step.linear.permutation = perm
-                step.linear.signs = signs
-                step.linear._perm_matrix = np.eye(size)[:, perm]
-                (initialized,) = reader.unpack("<B")
-                step.actnorm.initialized = bool(initialized)
-    else:
+    if arch not in (0, 1):
         raise CorpusFormatError(f"{label}: unknown architecture tag {arch}")
-    for p in model.parameters():
-        raw = reader.take(8 * p.data.size)
-        p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).copy()
-    if reader.pos != len(data):
-        raise CorpusFormatError(f"{label}: {len(data) - reader.pos} trailing bytes")
-    return model
+    try:
+        if arch == 0:
+            couplings, n_hidden = reader.unpack("<II")
+            spec = NiceSpec(couplings=couplings, hidden=reader.unpack(f"<{n_hidden}I"))
+            if dim < 2:
+                raise ValueError("flow dimension must be >= 2")
+            step_bytes, n_params = _nice_layout(dim, spec)
+        else:
+            levels, depth, n_hidden = reader.unpack("<III")
+            hidden = reader.unpack(f"<{n_hidden}I")
+            spec = GlowSpec(levels=levels, depth=depth, hidden=hidden)
+            step_bytes, n_params = _glow_layout(dim, spec)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{label}: invalid architecture: {exc}") from None
+    expected = reader.pos + step_bytes + _F64.itemsize * n_params
+    if expected > size:
+        raise CorpusFormatError(
+            f"{label}: truncated flow file: the architecture needs {expected} bytes, got {size}"
+        )
+    if expected < size:
+        raise CorpusFormatError(f"{label}: {size - expected} trailing bytes")
+    if arch == 1:
+        steps = _read_glow_steps(reader, active_sizes(dim, spec.levels), spec.depth)
+    slab = np.empty(n_params, dtype=_F64)
+    reader.read_into(slab)
+    params = _Parameters(slab)
+    if arch == 0:
+        return _assemble_nice(dim, spec, params)
+    return _assemble_glow(dim, spec, steps, params)
+
+
+def flow_from_bytes(data: bytes, label="<bytes>") -> FlowModel:
+    """Decode FLW1 bytes; the parameters are copied out of ``data`` once."""
+    return _read_flow(io.BytesIO(data), len(data), label)
 
 
 def load_flow(path) -> FlowModel:
+    """Read an FLW1 file; the parameters are read straight into the model's
+    arrays, without seeding a model first."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    return flow_from_bytes(data, label=str(path))
+        return _read_flow(fh, os.fstat(fh.fileno()).st_size, str(path))

@@ -24,6 +24,9 @@ from .rng import PinnedRng
 from .store import as_matrix
 
 FULL_BATCH = "full"
+# Bytes of gathered rows per operand and block of the sampled cosine
+# estimate; a block holds COSINE_BLOCK_BYTES // (8 * dim) pairs.
+COSINE_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,15 @@ def avg_pairwise_cosine(
         return float(np.clip(total / (n * (n - 1)), -1.0, 1.0))
     if mode == "sampled":
         i, j = PinnedRng(seed).index_pairs(pairs, n)
-        return float(np.clip(np.einsum("ij,ij->i", unit[i], unit[j]).mean(), -1.0, 1.0))
+        # Gathering unit[i] and unit[j] for every pair at once would take
+        # 2 * pairs * dim doubles; blocks bound that, and each pair's dot
+        # product is the same whichever block computes it.
+        dots = np.empty(pairs)
+        step = max(1, COSINE_BLOCK_BYTES // (8 * w.shape[1]))
+        for start in range(0, pairs, step):
+            block = slice(start, start + step)
+            np.einsum("ij,ij->i", unit[i[block]], unit[j[block]], out=dots[block])
+        return float(np.clip(dots.mean(), -1.0, 1.0))
     raise ValueError(f"unknown mode {mode!r}")
 
 

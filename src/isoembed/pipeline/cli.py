@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import (
     ConfigurationError,
     CorpusFormatError,
@@ -116,7 +117,7 @@ def file_sha256(path) -> str:
 
 
 def write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, text=True) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -335,7 +336,7 @@ def cmd_measure(args) -> int:
     }
     write_json(payload, settings["out"])
     if settings["csv"]:
-        with open(settings["csv"], "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(settings["csv"], text=True) as fh:
             fh.write("dimension,max_abs,mean,std,outlier\n")
             for d in range(report.dim):
                 fh.write(

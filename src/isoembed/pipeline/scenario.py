@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ParseError
 from ..evaluation import Qrels
 from ..rng import PinnedRng
@@ -135,7 +136,7 @@ def build_designed_scenario(
 
 def save_candidates(candidates: dict[str, list[str]], path) -> None:
     """One JSON object per line: {"qid": ..., "docs": [...]}."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, text=True) as fh:
         for qid in sorted(candidates):
             fh.write(json.dumps({"qid": qid, "docs": candidates[qid]}) + "\n")
 

@@ -26,9 +26,15 @@ _U53 = 2.0**-53
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 output rounds, applied to the uint64 array ``z`` in place."""
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, _MIX_1), (27, _MIX_2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= multiplier
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class PinnedRng:
@@ -51,13 +57,19 @@ class PinnedRng:
         """Next ``n`` raw 64-bit outputs."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        idx = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        state = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
         self._drawn += n
-        return _mix(self._seed + idx * _GOLDEN)
+        state *= _GOLDEN
+        state += self._seed
+        return _mix(state)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles uniform on [0, 1)."""
-        return (self.u64(n) >> np.uint64(11)).astype(np.float64) * _U53
+        raw = self.u64(n)
+        raw >>= np.uint64(11)
+        # Each value is below 2**53, so the conversion is exact; the doubles
+        # overwrite the integers they come from.
+        return np.multiply(raw, _U53, out=raw.view(np.float64))
 
     def gaussians(self, n: int) -> np.ndarray:
         """Next ``n`` standard-normal doubles via Box-Muller.
@@ -66,18 +78,21 @@ class PinnedRng:
         final pair is discarded rather than carried into the next call.
         """
         n_pairs = (n + 1) // 2
-        u = self.uniforms(2 * n_pairs)
-        u_radius = u[0::2]
-        u_angle = u[1::2]
+        pairs = self.uniforms(2 * n_pairs).reshape(n_pairs, 2)
         # u == 0 occurs with probability 2^-53; substitute the smallest
-        # positive draw so the radius stays finite.
-        u_radius = np.where(u_radius == 0.0, _U53, u_radius)
-        radius = np.sqrt(-2.0 * np.log(u_radius))
-        theta = (2.0 * np.pi) * u_angle
-        out = np.empty(2 * n_pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return out[:n]
+        # positive draw so the radius stays finite. Every nonzero draw is at
+        # least that, so the maximum changes nothing else.
+        radius = np.maximum(pairs[:, 0], _U53)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta = np.multiply(pairs[:, 1], 2.0 * np.pi)
+        # The pair's uniforms are spent, so the outputs take their place.
+        np.cos(theta, out=pairs[:, 0])
+        pairs[:, 0] *= radius
+        np.sin(theta, out=theta)
+        np.multiply(radius, theta, out=pairs[:, 1])
+        return pairs.reshape(-1)[:n]
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n uniform keys."""
@@ -88,8 +103,10 @@ class PinnedRng:
         """Next ``n`` integers uniform on [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        raw = np.floor(self.uniforms(n) * bound).astype(np.int64)
-        return np.minimum(raw, bound - 1)
+        scaled = self.uniforms(n)
+        scaled *= bound
+        raw = np.floor(scaled, out=scaled).astype(np.int64)
+        return np.minimum(raw, bound - 1, out=raw)
 
     def index_pairs(self, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` pairs (i, j) with i != j, both in [0, n).
@@ -101,5 +118,5 @@ class PinnedRng:
             raise ValueError("need n >= 2 to form distinct pairs")
         i = self.indices(count, n)
         j = self.indices(count, n - 1)
-        j = j + (j >= i)
+        j += j >= i
         return i, j

@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CorpusFormatError, IntegrityError
 from .rng import PinnedRng
 
@@ -137,12 +138,7 @@ _HEADER = struct.Struct("<4sIIQQ")
 
 def save_corpus(corpus: EmbeddingCorpus, path) -> None:
     """Write a corpus as EMB1; byte-deterministic for identical input."""
-    parts = [
-        _HEADER.pack(
-            MAGIC, FORMAT_VERSION, corpus.dim, corpus.n_rows, len(corpus.sequences)
-        ),
-        corpus.matrix.astype("<f8", copy=False).tobytes(order="C"),
-    ]
+    parts = []
     for seq in corpus.sequences:
         raw_id = seq.id.encode("utf-8")
         if len(raw_id) > 0xFFFF:
@@ -152,7 +148,13 @@ def save_corpus(corpus: EmbeddingCorpus, path) -> None:
         parts.append(
             struct.pack("<BQI", _KIND_CODES[seq.kind], seq.row_offset, seq.token_count)
         )
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
+        fh.write(
+            _HEADER.pack(
+                MAGIC, FORMAT_VERSION, corpus.dim, corpus.n_rows, len(corpus.sequences)
+            )
+        )
+        fh.write(np.ascontiguousarray(corpus.matrix, dtype="<f8"))
         fh.write(b"".join(parts))
 
 

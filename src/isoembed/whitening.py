@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CorpusFormatError, InsufficientDataError, ShapeError
 from .store import as_matrix
 
@@ -97,22 +98,18 @@ _HEADER = struct.Struct("<4sIIdQ")
 
 
 def save_whitening(transform: WhiteningTransform, path) -> None:
-    blob = b"".join(
-        (
+    with atomic_write(path) as fh:
+        fh.write(
             _HEADER.pack(
                 MAGIC,
                 FORMAT_VERSION,
                 transform.dim,
                 transform.eps_rel,
                 transform.fitted_on,
-            ),
-            transform.mu.astype("<f8").tobytes(),
-            transform.eigenvalues.astype("<f8").tobytes(),
-            transform.rotation.astype("<f8").tobytes(order="C"),
+            )
         )
-    )
-    with open(path, "wb") as fh:
-        fh.write(blob)
+        for array in (transform.mu, transform.eigenvalues, transform.rotation):
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def load_whitening(path) -> WhiteningTransform:

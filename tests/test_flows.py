@@ -2,12 +2,17 @@
 Jacobians, gradients against finite differences, and training contracts."""
 
 import math
+import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoembed import autodiff as ad
-from isoembed.errors import CorpusFormatError, ShapeError, TrainingError
+from isoembed.errors import CorpusFormatError, IsoembedError, ShapeError, TrainingError
 from isoembed.flows import training
 from isoembed.flows import (
     CLAMP,
@@ -22,11 +27,13 @@ from isoembed.flows import (
     flow_inverse,
     flow_to_bytes,
     load_flow,
+    model_checksum,
     nll,
     nll_gradient,
     save_flow,
     train_flow,
 )
+from isoembed.rng import PinnedRng
 
 SMALL_NICE = NiceSpec(couplings=2, hidden=(8, 8))
 SMALL_GLOW = GlowSpec(levels=2, depth=2, hidden=(8,))
@@ -364,3 +371,166 @@ class TestSerialization:
         model = build_model(6, SMALL_NICE, seed=0)
         with pytest.raises(CorpusFormatError, match="trailing"):
             flow_from_bytes(flow_to_bytes(model) + b"\0")
+
+
+# FLW1 offset of step 0's permutation (u32 each) in a glow file: 13-byte
+# header, then levels, depth, n_hidden and the hidden widths (u32 each). The
+# step's signs (i8 each) and actnorm flag (u8) follow the permutation.
+GLOW_DIM = 8
+GLOW_STEP0 = 13 + 12 + 4 * len(SMALL_GLOW.hidden)
+
+
+def patched_glow(offset: int, raw: bytes) -> bytes:
+    blob = bytearray(flow_to_bytes(build_model(GLOW_DIM, SMALL_GLOW, seed=3)))
+    blob[offset : offset + len(raw)] = raw
+    return bytes(blob)
+
+
+class TestFormatValidation:
+    def test_permutation_entry_out_of_range(self):
+        perm = list(range(GLOW_DIM))
+        perm[3] = GLOW_DIM
+        blob = patched_glow(GLOW_STEP0, struct.pack(f"<{GLOW_DIM}I", *perm))
+        with pytest.raises(CorpusFormatError, match="permutation"):
+            flow_from_bytes(blob)
+
+    def test_duplicate_permutation(self):
+        blob = patched_glow(GLOW_STEP0, bytes(4 * GLOW_DIM))
+        with pytest.raises(CorpusFormatError, match="permutation"):
+            flow_from_bytes(blob)
+
+    def test_zero_sign(self):
+        blob = patched_glow(GLOW_STEP0 + 4 * GLOW_DIM + 2, b"\0")
+        with pytest.raises(CorpusFormatError, match="sign"):
+            flow_from_bytes(blob)
+
+    def test_actnorm_flag_not_boolean(self):
+        blob = patched_glow(GLOW_STEP0 + 5 * GLOW_DIM, b"\2")
+        with pytest.raises(CorpusFormatError, match="actnorm flag"):
+            flow_from_bytes(blob)
+
+    def test_negative_signs_and_flags_load(self):
+        model = build_model(GLOW_DIM, SMALL_GLOW, seed=3)
+        step = model.levels[0][1]
+        step.linear.signs = np.array([-1.0, 1.0] * (GLOW_DIM // 2))
+        step.actnorm.initialized = True
+        loaded = flow_from_bytes(flow_to_bytes(model))
+        np.testing.assert_array_equal(loaded.levels[0][1].linear.signs, step.linear.signs)
+        assert loaded.levels[0][1].actnorm.initialized
+        assert not loaded.levels[0][0].actnorm.initialized
+        x = np.random.default_rng(4).normal(size=(5, GLOW_DIM))
+        np.testing.assert_array_equal(flow_forward(loaded, x)[0], flow_forward(model, x)[0])
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            # NICE, 4 couplings of 5x1000 hidden: 16.3M parameters announced
+            struct.pack("<4sIBI", b"FLW1", 1, 0, 64)
+            + struct.pack("<II5I", 4, 5, *(1000,) * 5),
+            # glow 2x3 of 5x1000 hidden: 24.5M parameters announced
+            struct.pack("<4sIBI", b"FLW1", 1, 1, 64)
+            + struct.pack("<III5I", 2, 3, 5, *(1000,) * 5),
+            # glow with the largest u32 depth over tiny nets
+            struct.pack("<4sIBI", b"FLW1", 1, 1, 4) + struct.pack("<III1I", 1, 2**32 - 1, 1, 1),
+            # glow with the largest u32 level count
+            struct.pack("<4sIBI", b"FLW1", 1, 1, 2**32 - 1)
+            + struct.pack("<III1I", 2**32 - 1, 1, 1, 1),
+            # NICE announcing the largest u32 number of hidden widths
+            struct.pack("<4sIBI", b"FLW1", 1, 0, 64) + struct.pack("<II", 4, 2**32 - 1),
+        ],
+        ids=["nice-paper-width", "glow-paper-width", "huge-depth", "huge-levels", "huge-n-hidden"],
+    )
+    def test_wide_header_with_short_payload_rejected_before_allocating(self, arch):
+        blob = arch + bytes(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorpusFormatError):
+                flow_from_bytes(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            struct.pack("<4sIBI", b"FLW1", 1, 0, 8) + struct.pack("<II", 0, 0),
+            struct.pack("<4sIBI", b"FLW1", 1, 0, 8) + struct.pack("<II1I", 1, 1, 0),
+            struct.pack("<4sIBI", b"FLW1", 1, 0, 1) + struct.pack("<II", 1, 0),
+            struct.pack("<4sIBI", b"FLW1", 1, 1, 8) + struct.pack("<III", 0, 1, 0),
+            struct.pack("<4sIBI", b"FLW1", 1, 1, 8) + struct.pack("<III", 1, 0, 0),
+            struct.pack("<4sIBI", b"FLW1", 1, 1, 3) + struct.pack("<III", 2, 1, 0),
+        ],
+        ids=["no-couplings", "zero-width", "nice-dim-1", "no-levels", "no-depth", "too-many-levels"],
+    )
+    def test_invalid_architecture(self, arch):
+        with pytest.raises(CorpusFormatError, match="invalid architecture"):
+            flow_from_bytes(arch + bytes(64))
+
+
+@st.composite
+def small_flows(draw):
+    """A small NICE or glow model with random parameters, signs and flags."""
+    hidden = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    if draw(st.booleans()):
+        spec = NiceSpec(couplings=draw(st.integers(1, 3)), hidden=hidden)
+        dim = draw(st.integers(2, 7))
+    else:
+        levels = draw(st.integers(1, 2))
+        spec = GlowSpec(levels=levels, depth=draw(st.integers(1, 3)), hidden=hidden)
+        dim = draw(st.integers(2 * levels, 7))
+    model = build_model(dim, spec, seed=draw(st.integers(0, 2**32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    for p in model.parameters():
+        p.data = rng.normal(size=p.data.shape)
+    if isinstance(model, GlowModel):
+        for steps in model.levels:
+            for step in steps:
+                step.linear.signs = rng.choice([-1.0, 1.0], size=step.linear.dim)
+                step.actnorm.initialized = bool(rng.integers(2))
+    return model
+
+
+class TestFormatProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_flows())
+    def test_round_trip_is_byte_exact(self, model):
+        blob = flow_to_bytes(model)
+        loaded = flow_from_bytes(blob)
+        assert flow_to_bytes(loaded) == blob
+        assert model_checksum(loaded) == model_checksum(model)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_flows())
+    def test_every_truncation_and_trailing_byte_rejected(self, model):
+        blob = flow_to_bytes(model)
+        for cut in range(len(blob)):
+            with pytest.raises(CorpusFormatError):
+                flow_from_bytes(blob[:cut])
+        with pytest.raises(CorpusFormatError, match="trailing"):
+            flow_from_bytes(blob + b"\0")
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_flows(), st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3))
+    def test_byte_flips_load_or_raise_typed_errors(self, model, flips):
+        blob = bytearray(flow_to_bytes(model))
+        for position, mask in flips:
+            # Half of the flips land in the first 64 bytes: header and widths.
+            span = min(64, len(blob)) if position % 2 else len(blob)
+            blob[position % span] ^= mask
+        try:
+            loaded = flow_from_bytes(bytes(blob))
+        except IsoembedError:
+            return
+        assert flow_to_bytes(loaded) == bytes(blob)
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_flows())
+    def test_loading_draws_nothing(self, model):
+        blob = flow_to_bytes(model)
+        no_draws = AssertionError("a load drew from the seeded stream")
+        with mock.patch.object(PinnedRng, "gaussians", side_effect=no_draws), mock.patch.object(
+            PinnedRng, "u64", side_effect=no_draws
+        ):
+            loaded = flow_from_bytes(blob)
+        assert flow_to_bytes(loaded) == blob

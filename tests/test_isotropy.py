@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from isoembed import (
     measure,
     partition_ratio,
 )
+from isoembed import isotropy
 from isoembed.errors import EmptyInputError
 from isoembed.pipeline import run
 from isoembed.store import KIND_DOCUMENT, save_corpus
@@ -109,6 +111,29 @@ class TestAvgPairwiseCosine:
         assert sampled == pytest.approx(exact, abs=0.01)
         again = avg_pairwise_cosine(w, mode="sampled", pairs=200_000, seed=3)
         assert sampled == again
+
+    @pytest.mark.parametrize("block_pairs", [7, 64, None])
+    def test_sampled_blocks_bitwise_equal_to_one_gather(self, monkeypatch, block_pairs):
+        """1,000 pairs in blocks of 7 or 64 (neither divides 1,000), and in the
+        default block size, give the value of gathering all pairs at once."""
+        w = np.random.default_rng(8).normal(size=(300, 6)) + 0.2
+        if block_pairs is not None:
+            monkeypatch.setattr(isotropy, "COSINE_BLOCK_BYTES", 8 * 6 * block_pairs)
+        unit = w / np.linalg.norm(w, axis=1)[:, None]
+        i, j = PinnedRng(5).index_pairs(1000, 300)
+        expected = float(np.clip(np.einsum("ij,ij->i", unit[i], unit[j]).mean(), -1.0, 1.0))
+        assert avg_pairwise_cosine(w, mode="sampled", pairs=1000, seed=5) == expected
+
+    def test_sampled_memory_is_bounded(self):
+        """10^6 pairs over 50,000 x 64 rows without gathering 2 x 10^6 rows."""
+        w = np.random.default_rng(9).normal(size=(50_000, 64)) + 0.5
+        tracemalloc.start()
+        try:
+            avg_pairwise_cosine(w, mode="sampled", pairs=1_000_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000_000
 
     def test_zero_norm_row_named(self):
         with pytest.raises(ValueError, match="row 1"):

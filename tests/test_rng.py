@@ -51,7 +51,25 @@ class TestUniforms:
         assert np.array_equal(PinnedRng(11).uniforms(64), PinnedRng(11).uniforms(64))
 
 
+def reference_gaussians(seed: int, n: int) -> np.ndarray:
+    """Box-Muller over the uniform stream, written with fresh arrays."""
+    n_pairs = (n + 1) // 2
+    u = PinnedRng(seed).uniforms(2 * n_pairs)
+    u_radius = np.where(u[0::2] == 0.0, 2.0**-53, u[0::2])
+    radius = np.sqrt(-2.0 * np.log(u_radius))
+    theta = (2.0 * np.pi) * u[1::2]
+    out = np.empty(2 * n_pairs)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out[:n]
+
+
 class TestGaussians:
+    def test_bitwise_equal_to_reference(self):
+        for seed in (0, 3, 2**63, MASK):
+            for n in (0, 1, 2, 5, 4096, 100_001):
+                got = PinnedRng(seed).gaussians(n)
+                assert got.tobytes() == reference_gaussians(seed, n).tobytes()
     def test_box_muller_pair_convention(self):
         """First pair: radius from u0, angle from u1."""
         u = PinnedRng(3).uniforms(2)
@@ -87,6 +105,17 @@ class TestDerivedDraws:
         idx = PinnedRng(4).indices(10_000, 7)
         assert idx.min() >= 0 and idx.max() <= 6
         assert len(np.unique(idx)) == 7
+
+    def test_indices_and_pairs_bitwise_equal_to_reference(self):
+        for n, bound in ((1, 1), (999, 7), (50_000, 1_000_003)):
+            u = PinnedRng(8).uniforms(2 * n)
+            expected_i = np.minimum(np.floor(u[:n] * bound).astype(np.int64), bound - 1)
+            expected_j = np.minimum(np.floor(u[n:] * (bound - 1)).astype(np.int64), bound - 2)
+            assert np.array_equal(PinnedRng(8).indices(n, bound), expected_i)
+            if bound >= 2:
+                i, j = PinnedRng(8).index_pairs(n, bound)
+                assert np.array_equal(i, expected_i)
+                assert np.array_equal(j, expected_j + (expected_j >= expected_i))
 
     def test_index_pairs_distinct(self):
         i, j = PinnedRng(6).index_pairs(5_000, 13)
