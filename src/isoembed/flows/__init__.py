@@ -1,13 +1,12 @@
 """Invertible flow models, exact likelihoods, gradients, and training."""
 
-from .coupling import CouplingNet, parity_indices
+from .coupling import CouplingNet
 from .glow import CLAMP, AffineCoupling, ActNorm, GlowModel, GlowSpec, LuLinear
 from .nice import NiceModel, NiceSpec
 from .serialize import flow_from_bytes, flow_to_bytes, load_flow, save_flow
 from .training import (
     Adam,
     FlowModel,
-    FlowSpec,
     FlowTrainConfig,
     TrainReport,
     apply_flow,
@@ -28,7 +27,6 @@ __all__ = [
     "CLAMP",
     "CouplingNet",
     "FlowModel",
-    "FlowSpec",
     "FlowTrainConfig",
     "GlowModel",
     "GlowSpec",
@@ -47,7 +45,6 @@ __all__ = [
     "model_checksum",
     "nll",
     "nll_gradient",
-    "parity_indices",
     "save_flow",
     "train_flow",
 ]

@@ -5,32 +5,29 @@ only the source corpus, re-ranking applies a persisted transform to the
 target corpus, and every written artifact embeds the resolved-config hash
 and seed so runs are attributable and byte-reproducible.
 
-Settings resolve with precedence: command-line flags > --config JSON file >
-built-in defaults.
+Every setting of every command is declared once, in ``COMMANDS``: its
+default and its command-line flag, if it has one. Settings resolve with
+precedence: command-line flags > --config JSON file > built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..atomic import atomic_write
 from ..errors import (
     ConfigurationError,
-    CorpusFormatError,
     DegenerateVarianceError,
-    EmptyInputError,
-    InsufficientDataError,
-    IntegrityError,
     IsoembedError,
     NumericError,
-    ParseError,
-    ShapeError,
     TrainingError,
 )
 from ..evaluation import (
@@ -108,6 +105,12 @@ def config_hash(settings: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _stamp(settings: dict) -> dict:
+    """The run identity every JSON artifact carries. Commands without a
+    ``seed`` setting record ``"seed": null``."""
+    return {"config_sha256": config_hash(settings), "seed": settings.get("seed")}
+
+
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -122,28 +125,9 @@ def write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _resolve(defaults: dict, config_path, flags: dict, required: tuple[str, ...]) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    settings = dict(defaults)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{config_path}: invalid JSON ({exc.msg})") from None
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ConfigurationError(
-                f"{config_path}: unknown config keys {sorted(unknown)}"
-            )
-        settings.update(loaded)
-    for key, value in flags.items():
-        if value is not None:
-            settings[key] = value
-    missing = [k for k in required if settings.get(k) is None]
-    if missing:
-        raise ConfigurationError(f"missing required settings: {sorted(missing)}")
-    return settings
+def _fields_of(cls, settings: dict) -> dict:
+    """The settings whose keys name fields of the dataclass ``cls``."""
+    return {f.name: settings[f.name] for f in dataclasses.fields(cls) if f.name in settings}
 
 
 def _parse_widths(text) -> tuple[int, ...]:
@@ -156,162 +140,44 @@ def _parse_widths(text) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the resolved settings of its ``COMMANDS`` entry
 # ---------------------------------------------------------------------------
 
-_GEN_DEFAULTS = {
-    "n_queries": 64,
-    "n_docs": 448,
-    "tokens_per_query": 8,
-    "tokens_per_doc": 8,
-    "dim": 64,
-    "offset_magnitude": 10.0,
-    "outlier_dims": 4,
-    "outlier_scale": 20.0,
-    "axis_scales": None,
-    "seed": 0,
-    "out": None,
-}
 
-
-def cmd_gen(args) -> int:
-    settings = _resolve(
-        _GEN_DEFAULTS,
-        args.config,
-        {
-            "n_queries": args.n_queries,
-            "n_docs": args.n_docs,
-            "tokens_per_query": args.tokens_per_query,
-            "tokens_per_doc": args.tokens_per_doc,
-            "dim": args.dim,
-            "offset_magnitude": args.offset_magnitude,
-            "outlier_dims": args.outlier_dims,
-            "outlier_scale": args.outlier_scale,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        required=("out",),
-    )
-    axis_scales = settings["axis_scales"]
-    params = SynthParams(
-        n_queries=settings["n_queries"],
-        n_docs=settings["n_docs"],
-        tokens_per_query=settings["tokens_per_query"],
-        tokens_per_doc=settings["tokens_per_doc"],
-        dim=settings["dim"],
-        offset_magnitude=settings["offset_magnitude"],
-        axis_scales=tuple(axis_scales) if axis_scales else None,
-        outlier_dims=settings["outlier_dims"],
-        outlier_scale=settings["outlier_scale"],
-        seed=settings["seed"],
-    )
-    save_corpus(generate_anisotropic(params), settings["out"])
+def cmd_gen(settings: dict) -> int:
+    fields = _fields_of(SynthParams, settings)
+    fields["axis_scales"] = fields["axis_scales"] or None  # an empty list scales no axis
+    save_corpus(generate_anisotropic(SynthParams(**fields)), settings["out"])
     write_json(
-        {
-            "config_sha256": config_hash(settings),
-            "seed": settings["seed"],
-            "settings": experiment_settings(settings),
-        },
+        {**_stamp(settings), "settings": experiment_settings(settings)},
         str(settings["out"]) + ".manifest.json",
     )
     print(f"wrote corpus {settings['out']} (config {config_hash(settings)[:12]})")
     return EXIT_OK
 
 
-_SCENARIO_DEFAULTS = {
-    "n_queries": 64,
-    "n_docs": 20,
-    "dim": 64,
-    "tokens_per_query": 4,
-    "tokens_per_doc": 6,
-    "dominant_dims": 8,
-    "dominant_scale": 15.0,
-    "offset_magnitude": 6.0,
-    "signal_strength": 1.0,
-    "token_noise": 0.25,
-    "offset_tilt": 0.0,
-    "scale_factor": 1.0,
-    "seed": 0,
-    "out_dir": None,
-}
-
-
-def cmd_scenario(args) -> int:
-    settings = _resolve(
-        _SCENARIO_DEFAULTS,
-        args.config,
-        {
-            "n_queries": args.n_queries,
-            "n_docs": args.n_docs,
-            "dim": args.dim,
-            "offset_tilt": args.offset_tilt,
-            "scale_factor": args.scale_factor,
-            "seed": args.seed,
-            "out_dir": args.out_dir,
-        },
-        required=("out_dir",),
-    )
+def cmd_scenario(settings: dict) -> int:
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = ScenarioParams(
-        tokens_per_query=settings["tokens_per_query"],
-        tokens_per_doc=settings["tokens_per_doc"],
-        dominant_dims=settings["dominant_dims"],
-        dominant_scale=settings["dominant_scale"],
-        offset_magnitude=settings["offset_magnitude"],
-        signal_strength=settings["signal_strength"],
-        token_noise=settings["token_noise"],
-        offset_tilt=settings["offset_tilt"],
-        scale_factor=settings["scale_factor"],
-    )
     corpus, qrels, candidates = build_designed_scenario(
         seed=settings["seed"],
         n_queries=settings["n_queries"],
         n_docs=settings["n_docs"],
         dim=settings["dim"],
-        params=params,
+        params=ScenarioParams(**_fields_of(ScenarioParams, settings)),
     )
     save_corpus(corpus, out_dir / "corpus.emb")
     save_qrels(qrels, out_dir / "qrels.txt")
     save_candidates(candidates, out_dir / "candidates.jsonl")
     write_json(
-        {
-            "config_sha256": config_hash(settings),
-            "seed": settings["seed"],
-            "settings": experiment_settings(settings),
-        },
+        {**_stamp(settings), "settings": experiment_settings(settings)},
         out_dir / "manifest.json",
     )
     print(f"wrote scenario to {out_dir} (config {config_hash(settings)[:12]})")
     return EXIT_OK
 
 
-_MEASURE_DEFAULTS = {
-    "corpus": None,
-    "batch_size": FULL_BATCH,
-    "cosine_mode": "auto",
-    "outlier_factor": 5.0,
-    "seed": 0,
-    "out": None,
-    "csv": None,
-}
-
-
-def cmd_measure(args) -> int:
-    settings = _resolve(
-        _MEASURE_DEFAULTS,
-        args.config,
-        {
-            "corpus": args.corpus,
-            "batch_size": args.batch_size,
-            "cosine_mode": args.cosine_mode,
-            "outlier_factor": args.outlier_factor,
-            "seed": args.seed,
-            "out": args.out,
-            "csv": args.csv,
-        },
-        required=("corpus", "out"),
-    )
+def cmd_measure(settings: dict) -> int:
     corpus = load_corpus(settings["corpus"])
     batch_size = settings["batch_size"]
     if batch_size != FULL_BATCH:
@@ -324,8 +190,7 @@ def cmd_measure(args) -> int:
     )
     profile = dimension_profile(corpus.matrix, outlier_factor=settings["outlier_factor"])
     payload = {
-        "config_sha256": config_hash(settings),
-        "seed": settings["seed"],
+        **_stamp(settings),
         "i_w": report.i_w,
         "avg_cos": report.avg_cos,
         "n_rows": report.n_rows,
@@ -352,8 +217,7 @@ def _write_provenance(out_path, source_path, settings: dict) -> None:
         {
             "source_corpus": str(source_path),
             "source_sha256": file_sha256(source_path),
-            "config_sha256": config_hash(settings),
-            "seed": settings.get("seed"),
+            **_stamp(settings),
         },
         str(out_path) + ".provenance.json",
     )
@@ -370,35 +234,10 @@ def _fit_matrix(corpus, fit_on: str) -> np.ndarray:
     """
     if fit_on == "all":
         return corpus.matrix
-    if fit_on == "queries":
-        return rows_of_kind(corpus, KIND_QUERY)
-    if fit_on == "documents":
-        return rows_of_kind(corpus, KIND_DOCUMENT)
-    raise ConfigurationError(f"fit_on must be one of {FIT_ON_CHOICES}, got {fit_on!r}")
+    return rows_of_kind(corpus, KIND_QUERY if fit_on == "queries" else KIND_DOCUMENT)
 
 
-_FIT_WHITEN_DEFAULTS = {
-    "source_corpus": None,
-    "eps_rel": 1e-8,
-    "fit_on": "all",
-    "seed": 0,
-    "out": None,
-}
-
-
-def cmd_fit_whiten(args) -> int:
-    settings = _resolve(
-        _FIT_WHITEN_DEFAULTS,
-        args.config,
-        {
-            "source_corpus": args.source_corpus,
-            "eps_rel": args.eps_rel,
-            "fit_on": args.fit_on,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        required=("source_corpus", "out"),
-    )
+def cmd_fit_whiten(settings: dict) -> int:
     corpus = load_corpus(settings["source_corpus"])
     transform = fit_whitening(
         _fit_matrix(corpus, settings["fit_on"]), eps_rel=settings["eps_rel"]
@@ -409,65 +248,20 @@ def cmd_fit_whiten(args) -> int:
     return EXIT_OK
 
 
-_FIT_FLOW_DEFAULTS = {
-    "source_corpus": None,
-    "arch": "nice",
-    "epochs": 10,
-    "learning_rate": 1e-4,
-    "batch_size": 256,
-    "hidden": "1000,1000,1000,1000,1000",
-    "couplings": 4,
-    "levels": 2,
-    "depth": 3,
-    "shuffle": True,
-    "fit_on": "all",
-    "seed": 0,
-    "out": None,
-}
-
-
-def cmd_fit_flow(args) -> int:
-    settings = _resolve(
-        _FIT_FLOW_DEFAULTS,
-        args.config,
-        {
-            "source_corpus": args.source_corpus,
-            "arch": args.arch,
-            "epochs": args.epochs,
-            "learning_rate": args.learning_rate,
-            "batch_size": args.batch_size,
-            "hidden": args.hidden,
-            "couplings": args.couplings,
-            "levels": args.levels,
-            "depth": args.depth,
-            "fit_on": args.fit_on,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        required=("source_corpus", "out"),
-    )
+def cmd_fit_flow(settings: dict) -> int:
     hidden = _parse_widths(settings["hidden"])
     if settings["arch"] == POST_NICE:
         spec = NiceSpec(couplings=settings["couplings"], hidden=hidden)
-    elif settings["arch"] == POST_GLOW:
-        spec = GlowSpec(levels=settings["levels"], depth=settings["depth"], hidden=hidden)
     else:
-        raise ConfigurationError(f"unknown flow arch {settings['arch']!r}")
+        spec = GlowSpec(levels=settings["levels"], depth=settings["depth"], hidden=hidden)
     corpus = load_corpus(settings["source_corpus"])
-    cfg = FlowTrainConfig(
-        epochs=settings["epochs"],
-        learning_rate=settings["learning_rate"],
-        batch_size=settings["batch_size"],
-        seed=settings["seed"],
-        shuffle=bool(settings["shuffle"]),
-    )
+    cfg = FlowTrainConfig(**_fields_of(FlowTrainConfig, settings))
     model, report = train_flow(_fit_matrix(corpus, settings["fit_on"]), spec, cfg)
     save_flow(model, settings["out"])
     _write_provenance(settings["out"], settings["source_corpus"], settings)
     write_json(
         {
-            "config_sha256": config_hash(settings),
-            "seed": settings["seed"],
+            **_stamp(settings),
             "initial_nll": report.initial_nll,
             "epoch_nll": list(report.epoch_nll),
             "steps": report.steps,
@@ -480,19 +274,6 @@ def cmd_fit_flow(args) -> int:
         f"(nll {report.initial_nll:.3f} -> {report.epoch_nll[-1]:.3f}) -> {settings['out']}"
     )
     return EXIT_OK
-
-
-_RERANK_DEFAULTS = {
-    "target_corpus": None,
-    "candidates": None,
-    "scorer": SCORER_COLBERT,
-    "post": POST_NONE,
-    "post_path": "",
-    "post_path_docs": "",
-    "granularity": TOKEN_WISE,
-    "seed": 0,
-    "out": None,
-}
 
 
 def _load_fitted(post: str, path):
@@ -513,8 +294,6 @@ def _load_post(settings) -> PostProcessor:
     granularity = settings["granularity"]
     if post == POST_NONE:
         return PostProcessor(None, granularity)
-    if post not in (POST_WHITEN, POST_NICE, POST_GLOW):
-        raise ConfigurationError(f"unknown post {post!r}")
     if not settings["post_path"]:
         raise ConfigurationError(f"post={post!r} requires post_path")
     transform = _load_fitted(post, settings["post_path"])
@@ -524,25 +303,7 @@ def _load_post(settings) -> PostProcessor:
     return PostProcessor(transform, granularity, doc_transform=doc_transform)
 
 
-def cmd_rerank(args) -> int:
-    settings = _resolve(
-        _RERANK_DEFAULTS,
-        args.config,
-        {
-            "target_corpus": args.target_corpus,
-            "candidates": args.candidates,
-            "scorer": args.scorer,
-            "post": args.post,
-            "post_path": args.post_path,
-            "post_path_docs": args.post_path_docs,
-            "granularity": args.granularity,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        required=("target_corpus", "candidates", "out"),
-    )
-    if settings["scorer"] not in (SCORER_COLBERT, SCORER_REPBERT):
-        raise ConfigurationError(f"unknown scorer {settings['scorer']!r}")
+def cmd_rerank(settings: dict) -> int:
     if settings["scorer"] == SCORER_COLBERT and settings["granularity"] != TOKEN_WISE:
         raise ConfigurationError(
             "colbert requires token_wise granularity; sequence_wise applies "
@@ -562,20 +323,11 @@ def cmd_rerank(args) -> int:
     return EXIT_OK
 
 
-_EVAL_DEFAULTS = {"run": None, "qrels": None, "out": None}
-
-
-def cmd_eval(args) -> int:
-    settings = _resolve(
-        _EVAL_DEFAULTS,
-        args.config,
-        {"run": args.run, "qrels": args.qrels, "out": args.out},
-        required=("run", "qrels", "out"),
-    )
+def cmd_eval(settings: dict) -> int:
     run = load_run(settings["run"])
     qrels = load_qrels(settings["qrels"])
     report = evaluate(run, qrels)
-    payload = {"config_sha256": config_hash(settings), "seed": None, "run_tag": run.tag}
+    payload = {**_stamp(settings), "run_tag": run.tag}
     payload.update(report.to_dict())
     write_json(payload, settings["out"])
     print(
@@ -607,23 +359,13 @@ def _metric_comparison(name, baseline, candidate) -> dict:
     return result
 
 
-_COMPARE_DEFAULTS = {"baseline": None, "candidate": None, "out": None}
-
-
-def cmd_compare(args) -> int:
-    settings = _resolve(
-        _COMPARE_DEFAULTS,
-        args.config,
-        {"baseline": args.baseline, "candidate": args.candidate, "out": args.out},
-        required=("baseline", "candidate", "out"),
-    )
+def cmd_compare(settings: dict) -> int:
     with open(settings["baseline"], "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
     with open(settings["candidate"], "r", encoding="utf-8") as fh:
         candidate = json.load(fh)
     payload = {
-        "config_sha256": config_hash(settings),
-        "seed": None,
+        **_stamp(settings),
         "baseline_run": baseline.get("run_tag"),
         "candidate_run": candidate.get("run_tag"),
         "p_at_20": _metric_comparison("p", baseline, candidate),
@@ -641,8 +383,122 @@ def cmd_compare(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Settings table, argument parsing and resolution
 # ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One subcommand. ``settings`` maps each key to ``(default, flag)``:
+    ``flag`` holds the argparse keyword arguments of ``--<key>`` (with
+    ``_`` spelled ``-``), or is None for a key that only a --config file
+    can set. The keys and the types of the resolved values are part of
+    every run's config hash."""
+
+    handler: Callable[[dict], int]
+    help: str
+    required: tuple[str, ...]
+    settings: dict
+
+
+INT = {"type": int}
+FLOAT = {"type": float}
+TEXT = {}
+CONFIG_ONLY = None
+
+# The order of each command's keys is the order of its flags in --help.
+COMMANDS = {
+    "gen": Command(cmd_gen, "generate a synthetic anisotropic corpus", ("out",), {
+        "seed": (0, INT),
+        "out": (None, TEXT),
+        "n_queries": (64, INT),
+        "n_docs": (448, INT),
+        "tokens_per_query": (8, INT),
+        "tokens_per_doc": (8, INT),
+        "dim": (64, INT),
+        "offset_magnitude": (10.0, FLOAT),
+        "outlier_dims": (4, INT),
+        "outlier_scale": (20.0, FLOAT),
+        "axis_scales": (None, CONFIG_ONLY),
+    }),
+    "scenario": Command(cmd_scenario, "generate the designed re-ranking scenario", ("out_dir",), {
+        "seed": (0, INT),
+        "out_dir": (None, TEXT),
+        "n_queries": (64, INT),
+        "n_docs": (20, {"type": int, "help": "candidates per query"}),
+        "dim": (64, INT),
+        "offset_tilt": (0.0, FLOAT),
+        "scale_factor": (1.0, FLOAT),
+        "tokens_per_query": (4, CONFIG_ONLY),
+        "tokens_per_doc": (6, CONFIG_ONLY),
+        "dominant_dims": (8, CONFIG_ONLY),
+        "dominant_scale": (15.0, CONFIG_ONLY),
+        "offset_magnitude": (6.0, CONFIG_ONLY),
+        "signal_strength": (1.0, CONFIG_ONLY),
+        "token_noise": (0.25, CONFIG_ONLY),
+    }),
+    "measure": Command(cmd_measure, "isotropy metrics and dimension profile", ("corpus", "out"), {
+        "seed": (0, INT),
+        "corpus": (None, TEXT),
+        # "full" or a row count; the flag keeps it a string, as the
+        # config hash of every measure run has recorded it.
+        "batch_size": (FULL_BATCH, TEXT),
+        "cosine_mode": ("auto", {"choices": ("exact", "sampled", "auto")}),
+        "outlier_factor": (5.0, FLOAT),
+        "out": (None, TEXT),
+        "csv": (None, TEXT),
+    }),
+    "fit-whiten": Command(
+        cmd_fit_whiten, "fit whitening on the source corpus", ("source_corpus", "out"), {
+            "seed": (0, INT),
+            "source_corpus": (None, TEXT),
+            "eps_rel": (1e-8, FLOAT),
+            "fit_on": ("all", {"choices": FIT_ON_CHOICES}),
+            "out": (None, TEXT),
+        }),
+    "fit-flow": Command(
+        cmd_fit_flow, "train a flow on the source corpus", ("source_corpus", "out"), {
+            "seed": (0, INT),
+            "source_corpus": (None, TEXT),
+            "arch": (POST_NICE, {"choices": (POST_NICE, POST_GLOW)}),
+            "epochs": (10, INT),
+            "learning_rate": (1e-4, FLOAT),
+            "batch_size": (256, INT),
+            "hidden": ("1000,1000,1000,1000,1000",
+                       {"help": "comma-separated hidden widths, e.g. 64,64"}),
+            "couplings": (4, INT),
+            "levels": (2, INT),
+            "depth": (3, INT),
+            "fit_on": ("all", {"choices": FIT_ON_CHOICES}),
+            "out": (None, TEXT),
+            "shuffle": (True, CONFIG_ONLY),
+        }),
+    "rerank": Command(
+        cmd_rerank, "apply a post-processor and rank candidates",
+        ("target_corpus", "candidates", "out"), {
+            "seed": (0, INT),
+            "target_corpus": (None, TEXT),
+            "candidates": (None, TEXT),
+            "scorer": (SCORER_COLBERT, {"choices": (SCORER_COLBERT, SCORER_REPBERT)}),
+            "post": (POST_NONE, {"choices": (POST_NONE, POST_WHITEN, POST_NICE, POST_GLOW)}),
+            "post_path": ("", TEXT),
+            "post_path_docs": ("", {
+                "help": "separately fitted transform for documents (queries use --post-path)"}),
+            "granularity": (TOKEN_WISE, {"choices": (TOKEN_WISE, SEQUENCE_WISE)}),
+            "out": (None, TEXT),
+        }),
+    "eval": Command(cmd_eval, "score a run file against qrels", ("run", "qrels", "out"), {
+        "run": (None, TEXT),
+        "qrels": (None, TEXT),
+        "out": (None, TEXT),
+    }),
+    "compare": Command(
+        cmd_compare, "percent deltas and t-test between two reports",
+        ("baseline", "candidate", "out"), {
+            "baseline": (None, TEXT),
+            "candidate": (None, TEXT),
+            "out": (None, TEXT),
+        }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -652,127 +508,84 @@ def build_parser() -> argparse.ArgumentParser:
         "dense-retrieval embeddings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("gen", help="generate a synthetic anisotropic corpus")
-    add_common(p)
-    p.add_argument("--out", required=False)
-    p.add_argument("--n-queries", type=int, dest="n_queries")
-    p.add_argument("--n-docs", type=int, dest="n_docs")
-    p.add_argument("--tokens-per-query", type=int, dest="tokens_per_query")
-    p.add_argument("--tokens-per-doc", type=int, dest="tokens_per_doc")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--offset-magnitude", type=float, dest="offset_magnitude")
-    p.add_argument("--outlier-dims", type=int, dest="outlier_dims")
-    p.add_argument("--outlier-scale", type=float, dest="outlier_scale")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("scenario", help="generate the designed re-ranking scenario")
-    add_common(p)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-queries", type=int, dest="n_queries")
-    p.add_argument("--n-docs", type=int, dest="n_docs", help="candidates per query")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--offset-tilt", type=float, dest="offset_tilt")
-    p.add_argument("--scale-factor", type=float, dest="scale_factor")
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser("measure", help="isotropy metrics and dimension profile")
-    add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--batch-size", dest="batch_size")
-    p.add_argument("--cosine-mode", choices=["exact", "sampled", "auto"], dest="cosine_mode")
-    p.add_argument("--outlier-factor", type=float, dest="outlier_factor")
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("fit-whiten", help="fit whitening on the source corpus")
-    add_common(p)
-    p.add_argument("--source-corpus", dest="source_corpus")
-    p.add_argument("--eps-rel", type=float, dest="eps_rel")
-    p.add_argument("--fit-on", choices=list(FIT_ON_CHOICES), dest="fit_on")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fit_whiten)
-
-    p = sub.add_parser("fit-flow", help="train a flow on the source corpus")
-    add_common(p)
-    p.add_argument("--source-corpus", dest="source_corpus")
-    p.add_argument("--arch", choices=[POST_NICE, POST_GLOW])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--hidden", help="comma-separated hidden widths, e.g. 64,64")
-    p.add_argument("--couplings", type=int)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--fit-on", choices=list(FIT_ON_CHOICES), dest="fit_on")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fit_flow)
-
-    p = sub.add_parser("rerank", help="apply a post-processor and rank candidates")
-    add_common(p)
-    p.add_argument("--target-corpus", dest="target_corpus")
-    p.add_argument("--candidates")
-    p.add_argument("--scorer", choices=[SCORER_COLBERT, SCORER_REPBERT])
-    p.add_argument("--post", choices=[POST_NONE, POST_WHITEN, POST_NICE, POST_GLOW])
-    p.add_argument("--post-path", dest="post_path")
-    p.add_argument(
-        "--post-path-docs",
-        dest="post_path_docs",
-        help="separately fitted transform for documents (queries use --post-path)",
-    )
-    p.add_argument("--granularity", choices=[TOKEN_WISE, SEQUENCE_WISE])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_rerank)
-
-    p = sub.add_parser("eval", help="score a run file against qrels")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--run")
-    p.add_argument("--qrels")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("compare", help="percent deltas and t-test between two reports")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--baseline")
-    p.add_argument("--candidate")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
-
+        for key, (_, flag) in command.settings.items():
+            if flag is not CONFIG_ONLY:
+                p.add_argument("--" + key.replace("_", "-"), **flag)
     return parser
+
+
+def _check_value(config_path, key: str, value, default, flag) -> None:
+    """Reject a config value whose type or choice the setting cannot take.
+
+    Keys whose default is None or a string are not checked: paths, widths
+    given as text or a list, and batch sizes that may be "full".
+    """
+    if isinstance(default, (bool, int, float)):
+        kinds = (int, float) if isinstance(default, float) else (type(default),)
+        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+            raise ConfigurationError(
+                f"{config_path}: {key} must be a {type(default).__name__}, got {value!r}"
+            )
+    choices = (flag or {}).get("choices")
+    if choices and value not in choices:
+        raise ConfigurationError(
+            f"{config_path}: {key} must be one of {list(choices)}, got {value!r}"
+        )
+
+
+def _read_config(config_path, table: dict) -> dict:
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"{config_path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ConfigurationError(f"{config_path}: invalid JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        raise ConfigurationError(
+            f"{config_path}: expected a JSON object of settings, got {type(loaded).__name__}"
+        )
+    unknown = set(loaded) - set(table)
+    if unknown:
+        raise ConfigurationError(f"{config_path}: unknown config keys {sorted(unknown)}")
+    for key, value in loaded.items():
+        _check_value(config_path, key, value, *table[key])
+    return loaded
+
+
+def _resolve(command: Command, args: argparse.Namespace) -> dict:
+    """Merge defaults < config file < explicit flags."""
+    settings = {key: default for key, (default, _) in command.settings.items()}
+    if args.config:
+        settings.update(_read_config(args.config, command.settings))
+    for key, (_, flag) in command.settings.items():
+        value = None if flag is CONFIG_ONLY else getattr(args, key)
+        if value is not None:
+            settings[key] = value
+    missing = [k for k in command.required if settings[k] is None]
+    if missing:
+        raise ConfigurationError(f"missing required settings: {sorted(missing)}")
+    return settings
 
 
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command.handler(_resolve(command, args))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        CorpusFormatError,
-        IntegrityError,
-        ParseError,
-        EmptyInputError,
-        InsufficientDataError,
-        ShapeError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-    ) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (NumericError, TrainingError, DegenerateVarianceError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except IsoembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # Every other package error is a data/format error (errors.py).
+    except (IsoembedError, OSError, KeyError, ValueError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -8,7 +8,7 @@ consecutive, disjoint spans.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -304,12 +304,3 @@ def pool_sequences(corpus: EmbeddingCorpus) -> np.ndarray:
         pooled[i] = corpus.matrix[seq.rows].mean(axis=0)
     return pooled
 
-
-def pooled_corpus(corpus: EmbeddingCorpus) -> EmbeddingCorpus:
-    """Corpus of pooled sequence vectors (one single-token span per sequence)."""
-    pooled = pool_sequences(corpus)
-    sequences = tuple(
-        replace(seq, row_offset=i, token_count=1)
-        for i, seq in enumerate(corpus.sequences)
-    )
-    return EmbeddingCorpus(pooled, sequences)

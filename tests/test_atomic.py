@@ -112,9 +112,8 @@ def test_measure_csv_failure_keeps_previous_profile(tmp_path, monkeypatch):
     csv_path = tmp_path / "profile.csv"
     csv_path.write_text("previous profile\n")
     fail_writes(monkeypatch, "profile.csv")
-    with pytest.raises(OSError, match="no space"):
-        run(["measure", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.json"),
-             "--csv", str(csv_path)])
+    assert run(["measure", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.json"),
+                "--csv", str(csv_path)]) == 3
     assert csv_path.read_text() == "previous profile\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.emb", "m.json", "profile.csv"]
 
@@ -129,6 +128,5 @@ def test_provenance_follows_its_artifact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "save_whitening", fail)
     out = tmp_path / "white.wht"
-    with pytest.raises(OSError, match="no space"):
-        run(["fit-whiten", "--source-corpus", str(corpus_path), "--out", str(out)])
+    assert run(["fit-whiten", "--source-corpus", str(corpus_path), "--out", str(out)]) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.emb"]

@@ -245,6 +245,61 @@ class TestCli:
         cfg.write_text(json.dumps({"mystery_knob": 1}))
         assert run(["rerank", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("content", [None, "5", '["corpus"]', "{not json", b"\xff\xfe"])
+    def test_unusable_config_file_is_config_error(self, workspace, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(content, str):
+            cfg.write_text(content)
+        elif content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "m.json"
+        code = run(["measure", "--config", str(cfg),
+                    "--corpus", str(workspace / "src" / "corpus.emb"), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,values", [
+        ("fit-flow", {"epochs": "2"}),
+        ("fit-flow", {"epochs": True}),
+        ("fit-flow", {"epochs": 2.0}),
+        ("fit-flow", {"shuffle": "no"}),
+        ("fit-flow", {"shuffle": 0}),
+        ("fit-flow", {"learning_rate": False}),
+        ("fit-flow", {"arch": "realnvp"}),
+        ("fit-flow", {"batch_size": None}),
+        ("scenario", {"n_queries": "x"}),
+        ("scenario", {"token_noise": "0.5"}),
+        ("measure", {"cosine_mode": "bogus"}),
+        ("fit-whiten", {"fit_on": "rows"}),
+        ("rerank", {"granularity": 1}),
+    ])
+    def test_config_value_of_wrong_type_or_choice_is_config_error(
+        self, workspace, tmp_path, command, values
+    ):
+        corpus = str(workspace / "src" / "corpus.emb")
+        inputs = {
+            "fit-flow": {"source_corpus": corpus},
+            "scenario": {},
+            "measure": {"corpus": corpus},
+            "fit-whiten": {"source_corpus": corpus},
+            "rerank": {"target_corpus": corpus,
+                       "candidates": str(workspace / "src" / "candidates.jsonl")},
+        }[command]
+        out_key = "out_dir" if command == "scenario" else "out"
+        out = tmp_path / "never"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**inputs, **values, out_key: str(out)}))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_output_under_a_file_is_data_error(self, workspace, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = run(["measure", "--corpus", str(workspace / "src" / "corpus.emb"),
+                    "--out", str(blocker / "x.json")])
+        assert code == 3
+        assert blocker.read_text() == "not a directory"
+
     def test_run_tag_embeds_config_hash_and_seed(self, workspace):
         from isoembed import load_run
 

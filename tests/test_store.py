@@ -16,7 +16,7 @@ from isoembed import (
     save_corpus,
 )
 from isoembed.errors import CorpusFormatError, IntegrityError
-from isoembed.store import KIND_DOCUMENT, KIND_QUERY, pooled_corpus
+from isoembed.store import KIND_DOCUMENT, KIND_QUERY
 
 
 def tiny_corpus() -> EmbeddingCorpus:
@@ -218,13 +218,6 @@ class TestPooling:
         pooled = pool_sequences(corpus)
         assert pooled.shape[0] == len(corpus.sequences)
         np.testing.assert_array_equal(pooled, corpus.matrix)
-
-    def test_pooled_corpus_records(self):
-        corpus = tiny_corpus()
-        pooled = pooled_corpus(corpus)
-        assert [s.token_count for s in pooled.sequences] == [1, 1]
-        assert [s.id for s in pooled.sequences] == ["q0", "d0"]
-        np.testing.assert_allclose(pooled.matrix[0], corpus.matrix[:2].mean(axis=0))
 
 
 class TestRowsOfKind:
