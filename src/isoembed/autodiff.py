@@ -236,15 +236,16 @@ def assemble_cols(n_cols: int, parts: list[tuple[np.ndarray, Tensor]]) -> Tensor
     return Tensor(data, parents=tuple(t for _, t in parts), backward=backward)
 
 
-def scatter_matrix(vec, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> Tensor:
-    """Place a parameter vector at fixed (row, col) positions of a zero matrix."""
+def scatter_matrix(vec, flat: np.ndarray, shape: tuple[int, int]) -> Tensor:
+    """Place a parameter vector at fixed row-major flat positions of a zero
+    matrix; the gradient gathers the same positions in the same order."""
     vec = _as_tensor(vec)
     data = np.zeros(shape, dtype=np.float64)
-    data[rows, cols] = vec.data
+    data.ravel()[flat] = vec.data
 
     def backward(grad):
         if vec.requires_grad:
-            vec._accumulate(grad[rows, cols])
+            vec._accumulate(grad.take(flat))
 
     return Tensor(data, parents=(vec,), backward=backward)
 

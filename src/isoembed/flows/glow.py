@@ -72,11 +72,14 @@ class ActNorm:
         return layer
 
     def data_init(self, x: np.ndarray) -> None:
-        """Set shift/scale so this batch leaves with zero mean, unit variance."""
+        """Set shift/scale so this batch leaves with zero mean, unit variance.
+
+        Writes in place, so parameters that view an optimizer's slab keep
+        viewing it."""
         std = x.std(axis=0)
         std = np.maximum(std, 1e-8)
-        self.shift.data = -x.mean(axis=0)
-        self.log_scale.data = -np.log(std)
+        self.shift.data[...] = -x.mean(axis=0)
+        self.log_scale.data[...] = -np.log(std)
         self.initialized = True
 
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):
@@ -124,8 +127,13 @@ class LuLinear:
         self.dim = dim
         self.permutation = permutation
         self.signs = signs
-        self._lower_rows, self._lower_cols = np.tril_indices(dim, k=-1)
-        self._upper_rows, self._upper_cols = np.triu_indices(dim, k=1)
+        # Row-major flat positions of the strict-lower, strict-upper and
+        # diagonal entries of a (dim, dim) matrix.
+        rows, cols = np.tril_indices(dim, k=-1)
+        self._lower_flat = rows * dim + cols
+        rows, cols = np.triu_indices(dim, k=1)
+        self._upper_flat = rows * dim + cols
+        self._diag_flat = np.arange(dim) * (dim + 1)
         self.lower = lower
         self.upper = upper
         self.log_diag = log_diag
@@ -136,27 +144,20 @@ class LuLinear:
         return [self.lower, self.log_diag, self.upper]
 
     def matrix_tensor(self) -> ad.Tensor:
-        d = self.dim
-        lower = ad.add(
-            ad.scatter_matrix(self.lower, self._lower_rows, self._lower_cols, (d, d)),
-            self._eye,
-        )
-        diag_idx = np.arange(d)
+        shape = (self.dim, self.dim)
+        lower = ad.add(ad.scatter_matrix(self.lower, self._lower_flat, shape), self._eye)
         upper = ad.add(
-            ad.scatter_matrix(self.upper, self._upper_rows, self._upper_cols, (d, d)),
-            ad.scatter_matrix(
-                ad.mul(ad.exp(self.log_diag), self.signs), diag_idx, diag_idx, (d, d)
-            ),
+            ad.scatter_matrix(self.upper, self._upper_flat, shape),
+            ad.scatter_matrix(ad.mul(ad.exp(self.log_diag), self.signs), self._diag_flat, shape),
         )
         return ad.matmul(ad.constant(self._perm_matrix), ad.matmul(lower, upper))
 
     def matrix(self) -> np.ndarray:
-        d = self.dim
         lower = self._eye.copy()
-        lower[self._lower_rows, self._lower_cols] = self.lower.data
-        upper = np.zeros((d, d))
-        upper[self._upper_rows, self._upper_cols] = self.upper.data
-        upper[np.arange(d), np.arange(d)] = self.signs * np.exp(self.log_diag.data)
+        lower.ravel()[self._lower_flat] = self.lower.data
+        upper = np.zeros((self.dim, self.dim))
+        upper.ravel()[self._upper_flat] = self.upper.data
+        upper.ravel()[self._diag_flat] = self.signs * np.exp(self.log_diag.data)
         return self._perm_matrix @ lower @ upper
 
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):

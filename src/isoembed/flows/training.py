@@ -31,6 +31,9 @@ FlowSpec = NiceSpec | GlowSpec
 ADAM_BETA_1 = 0.9
 ADAM_BETA_2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per in-place Adam pass: the block's slices of the four slabs and
+# its two scratch buffers together take 1.5 MB.
+ADAM_BLOCK = 32768
 # Rows per forward call when transforming without a graph: bounds the hidden
 # activations of wide coupling nets (5x1000 widths: 8 KB per row and layer).
 FORWARD_CHUNK_ROWS = 4096
@@ -62,26 +65,73 @@ class TrainReport:
 
 
 class Adam:
+    """Adaptive-moment updates over flat float64 state.
+
+    Construction moves the parameters into one slab: each parameter's
+    ``.data`` and ``.grad`` become views of the parameter and gradient slabs,
+    in parameter-traversal order, next to slabs for the first and second
+    moments. Backward then accumulates straight into the gradient slab, and
+    ``step`` updates every parameter in one pass over the slabs in blocks of
+    ADAM_BLOCK elements. A parameter that receives no gradient sees zeros.
+    While the optimizer is in use, parameter values must be written in place
+    (``p.data[...] = value``): rebinding ``.data`` detaches it from the slab.
+    """
+
     def __init__(self, params: list[ad.Tensor], learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        size = sum(p.data.size for p in params)
+        self.data = np.empty(size)
+        self.grad = np.zeros(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        offset = 0
+        for p in params:
+            shape, stop = p.data.shape, offset + p.data.size
+            data = self.data[offset:stop].reshape(shape)
+            data[...] = p.data
+            p.data = data
+            p.grad = self.grad[offset:stop].reshape(shape)
+            offset = stop
+        self._grad_views = [p.grad for p in params]
+        block = min(ADAM_BLOCK, size)
+        self._scratch = (np.empty(block), np.empty(block))
         self.t = 0
 
     def step(self) -> None:
+        """One update of every parameter; per element the same operations in
+        the same order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+        ``p -= lr * (m/bias_1) / (sqrt(v/bias_2) + eps)``."""
         self.t += 1
         bias_1 = 1.0 - ADAM_BETA_1**self.t
         bias_2 = 1.0 - ADAM_BETA_2**self.t
-        for i, p in enumerate(self.params):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = ADAM_BETA_1 * self.m[i] + (1 - ADAM_BETA_1) * grad
-            self.v[i] = ADAM_BETA_2 * self.v[i] + (1 - ADAM_BETA_2) * grad**2
-            m_hat = self.m[i] / bias_1
-            v_hat = self.v[i] / bias_2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for start in range(0, self.data.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            p, g, m, v = self.data[block], self.grad[block], self.m[block], self.v[block]
+            a, b = (buf[: p.size] for buf in self._scratch)
+            np.multiply(m, ADAM_BETA_1, out=m)
+            np.multiply(g, 1 - ADAM_BETA_1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, ADAM_BETA_2, out=v)
+            np.multiply(g, g, out=a)
+            np.multiply(a, 1 - ADAM_BETA_2, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, bias_1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, bias_2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, ADAM_EPS, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
 
     def zero_grad(self) -> None:
+        """Zero the gradient slab and point every ``.grad`` back at its view."""
+        self.grad.fill(0.0)
+        for p, grad in zip(self.params, self._grad_views):
+            p.grad = grad
+
+    def release(self) -> None:
+        """Detach the gradient views; parameters keep their slab views."""
         for p in self.params:
             p.grad = None
 
@@ -214,10 +264,14 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
             if not math.isfinite(value):
                 raise TrainingError(f"step {step}: nll is not finite")
             loss.backward()
+            # Free the step's activations and intermediate gradients before
+            # the update and the next forward pass.
+            del loss
             optimizer.step()
             batch_losses.append(value)
             step += 1
         epoch_nll.append(float(np.mean(batch_losses)))
+    optimizer.release()
     report = TrainReport(
         epoch_nll=tuple(epoch_nll),
         steps=step,

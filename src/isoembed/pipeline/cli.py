@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -139,6 +140,41 @@ def _parse_widths(text) -> tuple[int, ...]:
         raise ConfigurationError(f"bad hidden widths {text!r}; expected e.g. '64,64'") from None
 
 
+def _is_positive_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
+def _parse_axis_scales(value) -> list | None:
+    """gen's per-axis scales: a list of positive numbers; None or an empty
+    list scales no axis."""
+    if value is not None and not (
+        isinstance(value, list) and all(_is_positive_number(v) for v in value)
+    ):
+        raise ConfigurationError(f"axis_scales must be a list of positive numbers, got {value!r}")
+    return value or None
+
+
+def _parse_batch_size(value) -> int | str:
+    """measure's batch size: "full", or a positive row count given as an
+    int or as its digits (the flag's text)."""
+    if value == FULL_BATCH:
+        return value
+    try:
+        rows = int(value) if isinstance(value, str) else value
+    except ValueError:
+        rows = None
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+        raise ConfigurationError(
+            f"batch_size must be {FULL_BATCH!r} or a positive int, got {value!r}"
+        )
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the resolved settings of its ``COMMANDS`` entry
 # ---------------------------------------------------------------------------
@@ -146,7 +182,7 @@ def _parse_widths(text) -> tuple[int, ...]:
 
 def cmd_gen(settings: dict) -> int:
     fields = _fields_of(SynthParams, settings)
-    fields["axis_scales"] = fields["axis_scales"] or None  # an empty list scales no axis
+    fields["axis_scales"] = _parse_axis_scales(fields["axis_scales"])
     save_corpus(generate_anisotropic(SynthParams(**fields)), settings["out"])
     write_json(
         {**_stamp(settings), "settings": experiment_settings(settings)},
@@ -178,10 +214,8 @@ def cmd_scenario(settings: dict) -> int:
 
 
 def cmd_measure(settings: dict) -> int:
+    batch_size = _parse_batch_size(settings["batch_size"])
     corpus = load_corpus(settings["corpus"])
-    batch_size = settings["batch_size"]
-    if batch_size != FULL_BATCH:
-        batch_size = int(batch_size)
     report = measure(
         corpus.matrix,
         batch_size,
@@ -520,8 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_value(config_path, key: str, value, default, flag) -> None:
     """Reject a config value whose type or choice the setting cannot take.
 
-    Keys whose default is None or a string are not checked: paths, widths
-    given as text or a list, and batch sizes that may be "full".
+    Keys whose default is None or a string are not checked here: paths,
+    widths given as text or a list, and the values their command parses
+    (gen's ``axis_scales``, measure's ``batch_size``).
     """
     if isinstance(default, (bool, int, float)):
         kinds = (int, float) if isinstance(default, float) else (type(default),)

@@ -87,10 +87,10 @@ class TestOps:
 
     def test_scatter_matrix(self):
         v = RNG.normal(size=3)
-        rows, cols = np.array([0, 1, 2]), np.array([1, 2, 0])
+        flat = np.array([0, 1, 2]) * 3 + np.array([1, 2, 0])
 
         def build(t):
-            m = ad.scatter_matrix(t[0], rows, cols, (3, 3))
+            m = ad.scatter_matrix(t[0], flat, (3, 3))
             return ad.total(ad.mul(m, m))
 
         check(build, [v])
@@ -152,7 +152,7 @@ def every_op(p: list[ad.Tensor]) -> list[ad.Tensor]:
     right = ad.take_cols(outs[-1], slice(1, 2))
     outs += [left, right]
     outs.append(ad.assemble_cols(3, [(np.array([0, 2]), left), (np.array([1]), right)]))
-    outs.append(ad.scatter_matrix(v, np.array([0, 1, 2]), np.array([2, 0, 1]), (3, 3)))
+    outs.append(ad.scatter_matrix(v, np.array([0, 1, 2]) * 3 + np.array([2, 0, 1]), (3, 3)))
     outs.append(ad.matmul(outs[-2], outs[-1]))
     outs.append(ad.sum_rows(outs[-1]))
     outs.append(ad.total(outs[-1]))

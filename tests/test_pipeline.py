@@ -272,6 +272,21 @@ class TestCli:
         ("measure", {"cosine_mode": "bogus"}),
         ("fit-whiten", {"fit_on": "rows"}),
         ("rerank", {"granularity": 1}),
+        ("gen", {"axis_scales": 5}),
+        ("gen", {"axis_scales": "1,2"}),
+        ("gen", {"axis_scales": [1, 2, 0, 4]}),
+        ("gen", {"axis_scales": [1, 2, -3, 4]}),
+        ("gen", {"axis_scales": [1, 2, "3", 4]}),
+        ("gen", {"axis_scales": [1, 2, True, 4]}),
+        ("gen", {"axis_scales": [1, 2, float("nan"), 4]}),
+        ("gen", {"axis_scales": [1, 2, float("inf"), 4]}),
+        ("measure", {"batch_size": [16]}),
+        ("measure", {"batch_size": 0}),
+        ("measure", {"batch_size": -4}),
+        ("measure", {"batch_size": 16.0}),
+        ("measure", {"batch_size": True}),
+        ("measure", {"batch_size": "sixteen"}),
+        ("measure", {"batch_size": None}),
     ])
     def test_config_value_of_wrong_type_or_choice_is_config_error(
         self, workspace, tmp_path, command, values
@@ -279,6 +294,7 @@ class TestCli:
         corpus = str(workspace / "src" / "corpus.emb")
         inputs = {
             "fit-flow": {"source_corpus": corpus},
+            "gen": {"n_queries": 2, "n_docs": 2, "dim": 4},
             "scenario": {},
             "measure": {"corpus": corpus},
             "fit-whiten": {"source_corpus": corpus},
@@ -291,6 +307,32 @@ class TestCli:
         cfg.write_text(json.dumps({**inputs, **values, out_key: str(out)}))
         assert run([command, "--config", str(cfg)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0", "-1", "sixteen", ""])
+    def test_bad_measure_batch_size_flag_is_config_error(self, workspace, tmp_path, text):
+        out = tmp_path / "m.json"
+        code = run(["measure", "--corpus", str(workspace / "src" / "corpus.emb"),
+                    "--batch-size", text, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,values", [
+        ("gen", {"axis_scales": []}),
+        ("measure", {"batch_size": "full"}),
+        ("measure", {"batch_size": "16"}),
+    ])
+    def test_config_value_its_command_parses_is_accepted(
+        self, workspace, tmp_path, command, values
+    ):
+        inputs = {
+            "gen": {"n_queries": 2, "n_docs": 2, "dim": 4},
+            "measure": {"corpus": str(workspace / "src" / "corpus.emb")},
+        }[command]
+        out = tmp_path / "written"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**inputs, **values, "out": str(out)}))
+        assert run([command, "--config", str(cfg)]) == 0
+        assert out.exists()
 
     def test_output_under_a_file_is_data_error(self, workspace, tmp_path):
         blocker = tmp_path / "file"
