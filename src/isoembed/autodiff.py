@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Exactly the operation set the flow models need: broadcast add/mul, matmul,
-rectifier, exp, clamp, column gather/assembly, axis sums, and scalar mean.
-Each op whose output needs a gradient records its parents and a closure
-that routes the upstream gradient to them; ``Tensor.backward`` runs the
-closures in reverse topological order. Inside ``with no_grad():`` ops record
-neither, so intermediates are freed as soon as nothing refers to them and
-a forward pass costs only its arithmetic. All data is float64 and
-reductions run in fixed index order, so gradients are deterministic for a
-given graph.
+Two kinds of graph node. Generic ops (broadcast add/mul, exp, column
+slices side by side, sums) build the likelihood around a flow. ``fused``
+runs a whole flow layer as one node: the layer's numpy kernel computes
+the output and keeps a small cache, and its hand-written backward routes
+the upstream gradient to the layer's parameters and input. Each node
+whose output needs a gradient records its parents and a closure;
+``Tensor.backward`` runs the closures in reverse topological order. Inside
+``with no_grad():`` nodes record neither, layers keep no cache, and a
+forward pass costs only its arithmetic. All data is float64 and reductions
+run in fixed index order, so gradients are deterministic for a given graph.
 """
 
 from __future__ import annotations
@@ -58,15 +59,11 @@ class Tensor:
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accumulate(self, grad: np.ndarray) -> None:
-        # Copy on first touch: a backward closure may hand the same array to
-        # several parents, and later accumulation writes in place.
+        # The first gradient is kept as given and later ones are added in
+        # place, so a closure must not hand one array to two receivers.
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
             self.grad += grad
 
@@ -93,30 +90,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # -- operators ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -130,6 +103,43 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
+def fused(layer, x: Tensor, logdet: Tensor | None = None):
+    """Run a flow layer as one graph node; returns ``(y, logdet)``.
+
+    ``layer.kernel(x, keep)`` returns the output, the layer's log-det
+    contribution (None for a layer without one) and, when ``keep``, the
+    cache its backward needs. ``layer.backward(cache, grad, logdet_grad,
+    need_dx)`` accumulates the gradients of ``layer.parameters()`` and
+    returns the input's gradient when ``need_dx``. With ``logdet``, the
+    updated log-det is a second node whose closure hands its gradient to the
+    layer's node; an output the loss does not reach has zero gradient.
+    Under ``no_grad`` the kernel keeps no cache.
+    """
+    if not _grad_enabled:
+        y, contribution, _ = layer.kernel(x.data)
+        return Tensor(y), None if logdet is None else Tensor(logdet.data + contribution)
+    y, contribution, cache = layer.kernel(x.data, keep=True)
+    logdet_grad = []
+
+    def backward(grad):
+        grad = np.zeros_like(y) if grad is None else grad
+        grad_of_logdet = logdet_grad[0] if logdet_grad else np.zeros(len(y))
+        dx = layer.backward(cache, grad, grad_of_logdet, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
+
+    node = Tensor(y, parents=(x, *layer.parameters()), backward=backward)
+    if logdet is None:
+        return node, None
+
+    def logdet_back(grad):
+        if logdet.requires_grad:
+            logdet._accumulate(grad.copy())
+        logdet_grad.append(grad)
+
+    return node, Tensor(logdet.data + contribution, parents=(logdet, node), backward=logdet_back)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
@@ -137,7 +147,8 @@ def add(a, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(grad, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(grad, b.data.shape))
+            # ``a`` may hold ``grad`` itself; ``b`` gets an array of its own.
+            b._accumulate(_unbroadcast(grad, b.data.shape).copy())
 
     return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
@@ -154,29 +165,6 @@ def mul(a, b) -> Tensor:
     return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ grad)
-
-    return Tensor(a.data @ b.data, parents=(a, b), backward=backward)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * mask)
-
-    return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=backward)
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     value = np.exp(a.data)
@@ -188,66 +176,21 @@ def exp(a) -> Tensor:
     return Tensor(value, parents=(a,), backward=backward)
 
 
-def clamp(a, low: float, high: float) -> Tensor:
-    """Hard clamp; gradient is 1 strictly inside [low, high], else 0."""
-    a = _as_tensor(a)
-    inside = (a.data > low) & (a.data < high)
+def columns(parts: list[tuple[Tensor, slice]]) -> Tensor:
+    """Side by side, a slice of the columns of each ``(tensor, slice)`` part."""
+    blocks = [t.data[:, cols] for t, cols in parts]
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * inside)
-
-    return Tensor(np.clip(a.data, low, high), parents=(a,), backward=backward)
-
-
-def take_cols(a, index) -> Tensor:
-    """Gather columns of a 2-D tensor; ``index`` is an integer array or slice."""
-    a = _as_tensor(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, index] = grad
-            a._accumulate(full)
-
-    return Tensor(a.data[:, index], parents=(a,), backward=backward)
-
-
-def assemble_cols(n_cols: int, parts: list[tuple[np.ndarray, Tensor]]) -> Tensor:
-    """Build (n, n_cols) by placing each part's columns at its indices.
-
-    Parts must jointly cover all columns exactly once.
-    """
-    parts = [(np.asarray(idx), _as_tensor(t)) for idx, t in parts]
-    n = parts[0][1].data.shape[0]
-    data = np.empty((n, n_cols), dtype=np.float64)
-    covered = 0
-    for idx, t in parts:
-        data[:, idx] = t.data
-        covered += len(idx)
-    if covered != n_cols:
-        raise ValueError("assemble_cols parts do not cover all columns")
-
-    def backward(grad):
-        for idx, t in parts:
+        stop = 0
+        for (t, cols), block in zip(parts, blocks):
+            start, stop = stop, stop + block.shape[1]
             if t.requires_grad:
-                t._accumulate(grad[:, idx])
+                full = np.zeros_like(t.data)
+                full[:, cols] = grad[:, start:stop]
+                t._accumulate(full)
 
-    return Tensor(data, parents=tuple(t for _, t in parts), backward=backward)
-
-
-def scatter_matrix(vec, flat: np.ndarray, shape: tuple[int, int]) -> Tensor:
-    """Place a parameter vector at fixed row-major flat positions of a zero
-    matrix; the gradient gathers the same positions in the same order."""
-    vec = _as_tensor(vec)
-    data = np.zeros(shape, dtype=np.float64)
-    data.ravel()[flat] = vec.data
-
-    def backward(grad):
-        if vec.requires_grad:
-            vec._accumulate(grad.take(flat))
-
-    return Tensor(data, parents=(vec,), backward=backward)
+    data = np.concatenate(blocks, axis=1)
+    return Tensor(data, parents=tuple(t for t, _ in parts), backward=backward)
 
 
 def sum_rows(a) -> Tensor:
@@ -270,9 +213,3 @@ def total(a) -> Tensor:
             a._accumulate(np.full_like(a.data, float(grad)))
 
     return Tensor(a.data.sum(), parents=(a,), backward=backward)
-
-
-def mean(a) -> Tensor:
-    """Mean of all entries -> scalar tensor."""
-    a = _as_tensor(a)
-    return mul(total(a), 1.0 / a.data.size)

@@ -24,7 +24,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..errors import NumericError
 from ..rng import PinnedRng
-from .coupling import CouplingNet, parity_indices
+from .coupling import Coupling, CouplingNet, parity_indices
 
 CLAMP = 5.0
 
@@ -83,8 +83,21 @@ class ActNorm:
         self.initialized = True
 
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):
-        y = ad.mul(ad.add(x, self.shift), ad.exp(self.log_scale))
-        return y, ad.add(logdet, ad.total(self.log_scale))
+        return ad.fused(self, x, logdet)
+
+    def kernel(self, x: np.ndarray, keep: bool = False):
+        """``(y, log-det contribution, cache)``: y = (x + shift) * exp(log_scale)."""
+        scale = np.exp(self.log_scale.data)
+        shifted = x + self.shift.data
+        return shifted * scale, self.log_scale.data.sum(), (shifted, scale) if keep else None
+
+    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
+        shifted, scale = cache
+        self.log_scale._accumulate(np.full_like(scale, float(logdet_grad.sum(axis=0))))
+        self.log_scale._accumulate((grad * shifted).sum(axis=0) * scale)
+        dx = grad * scale
+        self.shift._accumulate(dx.sum(axis=0))
+        return dx if need_dx else None
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return y * np.exp(-self.log_scale.data) - self.shift.data
@@ -137,46 +150,47 @@ class LuLinear:
         self.lower = lower
         self.upper = upper
         self.log_diag = log_diag
-        self._eye = np.eye(dim)
-        self._perm_matrix = self._eye[:, permutation]
+        self._perm_matrix = np.eye(dim)[:, permutation]
 
     def parameters(self):
         return [self.lower, self.log_diag, self.upper]
 
-    def matrix_tensor(self) -> ad.Tensor:
-        shape = (self.dim, self.dim)
-        lower = ad.add(ad.scatter_matrix(self.lower, self._lower_flat, shape), self._eye)
-        upper = ad.add(
-            ad.scatter_matrix(self.upper, self._upper_flat, shape),
-            ad.scatter_matrix(ad.mul(ad.exp(self.log_diag), self.signs), self._diag_flat, shape),
-        )
-        return ad.matmul(ad.constant(self._perm_matrix), ad.matmul(lower, upper))
-
-    def matrix(self) -> np.ndarray:
-        lower = self._eye.copy()
+    def _factors(self):
+        """(L, U, exp(log_diag), W = P (L U)) from the current parameters."""
+        lower = np.eye(self.dim)
         lower.ravel()[self._lower_flat] = self.lower.data
+        diag = np.exp(self.log_diag.data)
         upper = np.zeros((self.dim, self.dim))
         upper.ravel()[self._upper_flat] = self.upper.data
-        upper.ravel()[self._diag_flat] = self.signs * np.exp(self.log_diag.data)
-        return self._perm_matrix @ lower @ upper
+        upper.ravel()[self._diag_flat] = diag * self.signs
+        return lower, upper, diag, self._perm_matrix @ (lower @ upper)
 
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):
-        y = ad.matmul(x, self.matrix_tensor())
-        return y, ad.add(logdet, ad.total(self.log_diag))
+        return ad.fused(self, x, logdet)
+
+    def kernel(self, x: np.ndarray, keep: bool = False):
+        """``(x @ W, log-det contribution, cache)``."""
+        lower, upper, diag, matrix = self._factors()
+        cache = (x, lower, upper, diag, matrix) if keep else None
+        return x @ matrix, self.log_diag.data.sum(), cache
+
+    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
+        x, lower, upper, diag, matrix = cache
+        self.log_diag._accumulate(np.full_like(diag, float(logdet_grad.sum(axis=0))))
+        grad_lu = self._perm_matrix.T @ (x.T @ grad)
+        self.lower._accumulate((grad_lu @ upper.T).take(self._lower_flat))
+        grad_upper = lower.T @ grad_lu
+        self.upper._accumulate(grad_upper.take(self._upper_flat))
+        self.log_diag._accumulate(grad_upper.take(self._diag_flat) * self.signs * diag)
+        return grad @ matrix.T if need_dx else None
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         # y = x @ W  =>  x^T = solve(W^T, y^T)
-        return np.linalg.solve(self.matrix().T, y.T).T
+        return np.linalg.solve(self._factors()[3].T, y.T).T
 
 
-class AffineCoupling:
+class AffineCoupling(Coupling):
     """Transforms one parity half: y_b = x_b * exp(s) + t with s clamped."""
-
-    def __init__(self, dim: int, parity: int, net: CouplingNet):
-        self.dim = dim
-        self.parity = parity
-        self.net = net
-        self.cond_idx, self.moved_idx = parity_indices(dim, parity)
 
     @classmethod
     def build(cls, dim: int, parity: int, hidden: tuple[int, ...], rng: PinnedRng):
@@ -184,26 +198,27 @@ class AffineCoupling:
         net = CouplingNet.build(len(cond), 2 * len(moved), hidden, rng)
         return cls(dim, parity, net)
 
-    def parameters(self):
-        return self.net.parameters()
-
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):
-        m = len(self.moved_idx)
-        cond = ad.take_cols(x, self.cond_idx)
-        raw = self.net.tensor_apply(cond)
-        shift = ad.take_cols(raw, slice(0, m))
-        scale = ad.clamp(ad.take_cols(raw, slice(m, 2 * m)), -CLAMP, CLAMP)
-        moved = ad.add(ad.mul(ad.take_cols(x, self.moved_idx), ad.exp(scale)), shift)
-        y = ad.assemble_cols(self.dim, [(self.cond_idx, cond), (self.moved_idx, moved)])
-        return y, ad.add(logdet, ad.sum_rows(scale))
+        return ad.fused(self, x, logdet)
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        m = len(self.moved_idx)
-        raw = self.net.numpy_apply(y[:, self.cond_idx])
-        shift, scale = raw[:, :m], np.clip(raw[:, m : 2 * m], -CLAMP, CLAMP)
-        x = y.copy()
-        x[:, self.moved_idx] = (y[:, self.moved_idx] - shift) * np.exp(-scale)
-        return x
+    def _transform(self, x_moved: np.ndarray, raw: np.ndarray, keep: bool):
+        m = x_moved.shape[1]
+        pre = raw[:, m:]
+        scale = np.clip(pre, -CLAMP, CLAMP)
+        factor = np.exp(scale)
+        cache = (x_moved, factor, (pre > -CLAMP) & (pre < CLAMP)) if keep else None
+        return x_moved * factor + raw[:, :m], scale.sum(axis=1), cache
+
+    def _transform_backward(self, cache, grad_moved: np.ndarray, logdet_grad):
+        x_moved, factor, inside = cache
+        grad_scale = grad_moved * x_moved * factor
+        grad_scale += logdet_grad[:, None]
+        grad_raw = np.concatenate([grad_moved, grad_scale * inside], axis=1)
+        return grad_raw, grad_moved * factor
+
+    def _untransform(self, y_moved: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        m = y_moved.shape[1]
+        return (y_moved - raw[:, :m]) * np.exp(-np.clip(raw[:, m:], -CLAMP, CLAMP))
 
 
 class GlowStep:
@@ -279,41 +294,24 @@ class GlowModel:
                         step.actnorm.data_init(active.data)
                     active, logdet = step.forward(active, logdet, f"{li}.{si}")
                 if li < len(self.levels) - 1:
-                    active = ad.take_cols(active, slice(None, self.sizes[li + 1]))
+                    active = ad.columns([(active, slice(None, self.sizes[li + 1]))])
 
     def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        n = x.data.shape[0]
-        logdet = ad.constant(np.zeros(n))
+        logdet = ad.constant(np.zeros(x.data.shape[0]))
         active = x
-        factored: list[ad.Tensor] = []
+        factored = []
         for li, steps in enumerate(self.levels):
             for si, step in enumerate(steps):
                 active, logdet = step.forward(active, logdet, f"{li}.{si}")
             if li < len(self.levels) - 1:
                 keep = self.sizes[li + 1]
-                factored.append(ad.take_cols(active, slice(keep, None)))
-                active = ad.take_cols(active, slice(None, keep))
-        parts = [(np.arange(self.sizes[-1]), active)]
-        position = self.sizes[-1]
-        for chunk in reversed(factored):
-            width = chunk.data.shape[1]
-            parts.append((np.arange(position, position + width), chunk))
-            position += width
-        return ad.assemble_cols(self.dim, parts), logdet
+                factored.append((active, slice(keep, None)))
+                active = ad.columns([(active, slice(None, keep))])
+        return ad.columns([(active, slice(None)), *reversed(factored)]), logdet
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        n_levels = len(self.levels)
-        active = z[:, : self.sizes[-1]]
-        chunks: dict[int, np.ndarray] = {}
-        position = self.sizes[-1]
-        for li in reversed(range(n_levels - 1)):
-            width = self.sizes[li] - self.sizes[li + 1]
-            chunks[li] = z[:, position : position + width]
-            position += width
-        for li in reversed(range(n_levels)):
-            if li < n_levels - 1:
-                active = np.concatenate([active, chunks[li]], axis=1)
-            for step in reversed(self.levels[li]):
-                active = step.inverse(active)
-        return active
+        x = np.array(z, dtype=np.float64)
+        for size, steps in reversed(list(zip(self.sizes, self.levels))):
+            for step in reversed(steps):
+                x[:, :size] = step.inverse(x[:, :size])
+        return x

@@ -16,7 +16,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..errors import NumericError
 from ..rng import PinnedRng
-from .coupling import CouplingNet, parity_indices
+from .coupling import Coupling, CouplingNet, parity_indices
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,22 @@ class NiceSpec:
             raise ValueError("hidden widths must be >= 1")
 
 
+class AdditiveCoupling(Coupling):
+    """Shifts one parity half by a net of the other: y_b = x_b + t(x_a)."""
+
+    def forward(self, x: ad.Tensor) -> ad.Tensor:
+        return ad.fused(self, x)[0]
+
+    def _transform(self, x_moved: np.ndarray, shift: np.ndarray, keep: bool):
+        return x_moved + shift, None, None
+
+    def _transform_backward(self, cache, grad_moved: np.ndarray, logdet_grad):
+        return grad_moved, grad_moved
+
+    def _untransform(self, y_moved: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        return y_moved - shift
+
+
 class NiceModel:
     arch_tag = 0
 
@@ -41,7 +57,7 @@ class NiceModel:
             raise ValueError("flow dimension must be >= 2")
         self.dim = dim
         self.spec = spec
-        self.couplings = couplings  # list of (parity, CouplingNet)
+        self.couplings = couplings  # list of AdditiveCoupling
         self.log_scale = log_scale
 
     @classmethod
@@ -49,42 +65,33 @@ class NiceModel:
         rng = PinnedRng(seed)
         couplings = []
         for i in range(spec.couplings):
-            parity = i % 2
-            cond, moved = parity_indices(dim, parity)
+            cond, moved = parity_indices(dim, i % 2)
             net = CouplingNet.build(len(cond), len(moved), spec.hidden, rng)
-            couplings.append((parity, net))
+            couplings.append(AdditiveCoupling(dim, i % 2, net))
         return cls(dim, spec, couplings, ad.parameter(np.zeros(dim)))
 
     def parameters(self) -> list[ad.Tensor]:
         params = []
-        for _, net in self.couplings:
-            params.extend(net.parameters())
+        for coupling in self.couplings:
+            params.extend(coupling.parameters())
         params.append(self.log_scale)
         return params
 
     def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        n = x.data.shape[0]
-        logdet = ad.constant(np.zeros(n))
         h = x
-        for i, (parity, net) in enumerate(self.couplings):
-            cond_idx, moved_idx = parity_indices(self.dim, parity)
-            cond = ad.take_cols(h, cond_idx)
-            moved = ad.add(ad.take_cols(h, moved_idx), net.tensor_apply(cond))
-            h = ad.assemble_cols(self.dim, [(cond_idx, cond), (moved_idx, moved)])
+        for i, coupling in enumerate(self.couplings):
+            h = coupling.forward(h)
             if not np.isfinite(h.data).all():
                 raise NumericError(f"nice coupling {i} produced non-finite values")
         z = ad.mul(h, ad.exp(self.log_scale))
         if not np.isfinite(z.data).all():
             raise NumericError("nice scaling layer produced non-finite values")
-        logdet = ad.add(logdet, ad.total(self.log_scale))
-        return z, logdet
+        return z, ad.add(np.zeros(x.data.shape[0]), ad.total(self.log_scale))
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
         h = np.asarray(z, dtype=np.float64) * np.exp(-self.log_scale.data)
-        for i, (parity, net) in reversed(list(enumerate(self.couplings))):
-            cond_idx, moved_idx = parity_indices(self.dim, parity)
-            shift = net.numpy_apply(h[:, cond_idx])
-            h[:, moved_idx] -= shift
+        for i, coupling in reversed(list(enumerate(self.couplings))):
+            h = coupling.inverse(h)
             if not np.isfinite(h).all():
                 raise NumericError(f"nice coupling {i} inverse produced non-finite values")
         return h

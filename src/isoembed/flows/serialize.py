@@ -40,7 +40,7 @@ from ..atomic import atomic_write
 from ..errors import CorpusFormatError
 from .coupling import CouplingNet, parity_indices
 from .glow import ActNorm, AffineCoupling, GlowModel, GlowSpec, GlowStep, LuLinear, active_sizes
-from .nice import NiceModel, NiceSpec
+from .nice import AdditiveCoupling, NiceModel, NiceSpec
 from .training import FlowModel
 
 MAGIC = b"FLW1"
@@ -225,7 +225,8 @@ def _assemble_nice(dim: int, spec: NiceSpec, params: _Parameters):
     couplings = []
     for i in range(spec.couplings):
         cond, moved = parity_indices(dim, i % 2)
-        couplings.append((i % 2, params.net((len(cond), *spec.hidden, len(moved)))))
+        net = params.net((len(cond), *spec.hidden, len(moved)))
+        couplings.append(AdditiveCoupling(dim, i % 2, net))
     return NiceModel(dim, spec, couplings, params.take(dim))
 
 

@@ -180,7 +180,8 @@ def apply_flow(model: FlowModel, matrix) -> np.ndarray:
 def nll_tensor(model: FlowModel, x: np.ndarray) -> ad.Tensor:
     z, logdet = model.forward_tensors(ad.constant(x))
     per_row = ad.add(ad.mul(ad.sum_rows(ad.mul(z, z)), 0.5), ad.mul(logdet, -1.0))
-    return ad.add(ad.mean(per_row), 0.5 * model.dim * math.log(2.0 * math.pi))
+    mean = ad.mul(ad.total(per_row), 1.0 / x.shape[0])
+    return ad.add(mean, 0.5 * model.dim * math.log(2.0 * math.pi))
 
 
 def nll(model: FlowModel, batch) -> float:

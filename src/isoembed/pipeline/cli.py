@@ -131,13 +131,22 @@ def _fields_of(cls, settings: dict) -> dict:
     return {f.name: settings[f.name] for f in dataclasses.fields(cls) if f.name in settings}
 
 
-def _parse_widths(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigurationError(f"bad hidden widths {text!r}; expected e.g. '64,64'") from None
+def _parse_widths(value) -> tuple[int, ...]:
+    """fit-flow's hidden widths: positive ints, as comma-separated text (the
+    flag's) or as a list from a config file."""
+    widths = value
+    if isinstance(value, str):
+        try:
+            widths = [int(part) for part in value.split(",") if part.strip()]
+        except ValueError:
+            widths = None
+    if not isinstance(widths, list) or not all(
+        isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in widths
+    ):
+        raise ConfigurationError(
+            f"hidden widths must be positive ints, e.g. '64,64' or [64, 64], got {value!r}"
+        )
+    return tuple(widths)
 
 
 def _is_positive_number(value) -> bool:
@@ -438,6 +447,9 @@ INT = {"type": int}
 FLOAT = {"type": float}
 TEXT = {}
 CONFIG_ONLY = None
+# Text-flag settings whose command parses the value: fit-flow's hidden
+# widths (text or a list) and measure's batch_size ("full" or an int).
+COMMAND_PARSED = ("hidden", "batch_size")
 
 # The order of each command's keys is the order of its flags in --help.
 COMMANDS = {
@@ -554,9 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_value(config_path, key: str, value, default, flag) -> None:
     """Reject a config value whose type or choice the setting cannot take.
 
-    Keys whose default is None or a string are not checked here: paths,
-    widths given as text or a list, and the values their command parses
-    (gen's ``axis_scales``, measure's ``batch_size``).
+    A setting whose flag is text takes a string (or null where its default
+    is None), except the values their command parses (COMMAND_PARSED).
     """
     if isinstance(default, (bool, int, float)):
         kinds = (int, float) if isinstance(default, float) else (type(default),)
@@ -564,6 +575,9 @@ def _check_value(config_path, key: str, value, default, flag) -> None:
             raise ConfigurationError(
                 f"{config_path}: {key} must be a {type(default).__name__}, got {value!r}"
             )
+    elif flag is not CONFIG_ONLY and "type" not in flag and key not in COMMAND_PARSED:
+        if not isinstance(value, str) and not (value is None and default is None):
+            raise ConfigurationError(f"{config_path}: {key} must be a string, got {value!r}")
     choices = (flag or {}).get("choices")
     if choices and value not in choices:
         raise ConfigurationError(

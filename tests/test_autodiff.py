@@ -1,9 +1,13 @@
-"""Gradient engine: every op checked against central finite differences."""
+"""Gradient engine: every op and the fused-layer node checked against
+central finite differences."""
 
 import numpy as np
 import pytest
 
 from isoembed import autodiff as ad
+from isoembed.flows import CLAMP, ActNorm, AffineCoupling, CouplingNet, LuLinear
+from isoembed.flows.nice import AdditiveCoupling
+from isoembed.rng import PinnedRng
 
 
 def finite_difference(fn, params: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
@@ -56,48 +60,23 @@ class TestOps:
         v, s = RNG.normal(size=5), RNG.normal(size=())
         check(lambda t: ad.total(ad.mul(ad.add(t[0], t[1]), ad.add(t[0], t[1]))), [v, s])
 
-    def test_matmul(self):
-        a, b = RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2))
-        check(lambda t: ad.total(ad.mul(ad.matmul(t[0], t[1]), 1.5)), [a, b])
-
-    def test_relu(self):
-        x = RNG.normal(size=(6, 3)) + 0.2
-        check(lambda t: ad.total(ad.mul(ad.relu(t[0]), ad.relu(t[0]))), [x])
-
     def test_exp(self):
         x = RNG.normal(size=(2, 3)) * 0.5
         check(lambda t: ad.total(ad.exp(t[0])), [x])
 
-    def test_clamp_inside_and_outside(self):
-        x = np.array([[-3.0, -0.5, 0.2, 2.5]])
-        check(lambda t: ad.total(ad.mul(ad.clamp(t[0], -1.0, 1.0), 2.0)), [x])
-
-    def test_take_and_assemble_cols(self):
-        x = RNG.normal(size=(3, 5))
+    def test_column_slices_side_by_side(self):
+        x, y = RNG.normal(size=(3, 5)), RNG.normal(size=(3, 2))
 
         def build(t):
-            left = ad.take_cols(t[0], np.array([0, 2, 4]))
-            right = ad.take_cols(t[0], np.array([1, 3]))
-            merged = ad.assemble_cols(
-                5, [(np.array([0, 2, 4]), ad.mul(left, 2.0)), (np.array([1, 3]), right)]
-            )
+            merged = ad.columns([(ad.mul(t[0], 2.0), slice(3, None)), (t[1], slice(None)),
+                                 (t[0], slice(None, 2))])
             return ad.total(ad.mul(merged, merged))
 
-        check(build, [x])
+        check(build, [x, y])
 
-    def test_scatter_matrix(self):
-        v = RNG.normal(size=3)
-        flat = np.array([0, 1, 2]) * 3 + np.array([1, 2, 0])
-
-        def build(t):
-            m = ad.scatter_matrix(t[0], flat, (3, 3))
-            return ad.total(ad.mul(m, m))
-
-        check(build, [v])
-
-    def test_sum_rows_and_mean(self):
+    def test_sum_rows_and_total(self):
         x = RNG.normal(size=(4, 3))
-        check(lambda t: ad.mean(ad.sum_rows(ad.mul(t[0], t[0]))), [x])
+        check(lambda t: ad.total(ad.sum_rows(ad.mul(t[0], t[0]))), [x])
 
     def test_reused_node_accumulates(self):
         """A tensor consumed by two branches must sum both gradients."""
@@ -124,11 +103,6 @@ class TestBackwardContract:
         assert c.grad is None
         np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
-    def test_assemble_requires_full_cover(self):
-        x = ad.parameter(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            ad.assemble_cols(3, [(np.array([0, 1]), x)])
-
     def test_parents_of_add_get_distinct_gradient_arrays(self):
         """add routes one upstream array to both parents; each must store
         its own copy so that accumulating into one leaves the other alone."""
@@ -139,24 +113,137 @@ class TestBackwardContract:
         assert float(b.grad) == 1.0
 
 
+class Affine:
+    """Test layer for ``ad.fused``: y = x @ w + v, log-det contribution
+    sum(v) per row."""
+
+    def __init__(self, w: ad.Tensor, v: ad.Tensor):
+        self.w, self.v = w, v
+
+    def parameters(self):
+        return [self.w, self.v]
+
+    def kernel(self, x, keep=False):
+        return x @ self.w.data + self.v.data, self.v.data.sum(), x if keep else None
+
+    def backward(self, x, grad, logdet_grad, need_dx):
+        self.w._accumulate(x.T @ grad)
+        self.v._accumulate(grad.sum(axis=0))
+        self.v._accumulate(np.full_like(self.v.data, logdet_grad.sum()))
+        return grad @ self.w.data.T if need_dx else None
+
+
+class TestFused:
+    def test_gradients_through_output_and_logdet(self):
+        x, w, v, ld = (RNG.normal(size=s) for s in [(4, 3), (3, 3), 3, 4])
+
+        def build(t):
+            y, logdet = ad.fused(Affine(t[1], t[2]), t[0], t[3])
+            return ad.add(ad.total(ad.mul(y, y)), ad.total(ad.mul(logdet, logdet)))
+
+        check(build, [x, w, v, ld])
+
+    def test_logdet_alone_reaches_the_parameters(self):
+        w, v = ad.parameter(np.eye(2)), ad.parameter(np.ones(2))
+        _, logdet = ad.fused(Affine(w, v), ad.constant(np.ones((3, 2))), ad.constant(np.zeros(3)))
+        ad.total(logdet).backward()
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
+        np.testing.assert_array_equal(v.grad, np.full(2, 3.0))
+
+    def test_one_node_per_layer(self):
+        w, v = ad.parameter(np.eye(2)), ad.parameter(np.ones(2))
+        y, logdet = ad.fused(Affine(w, v), ad.constant(np.ones((3, 2))), ad.constant(np.zeros(3)))
+        assert y._parents[1:] == (w, v)
+        assert logdet._parents[1] is y
+        y, logdet = ad.fused(Affine(w, v), y)
+        assert logdet is None
+
+
+def check_layer(layer, forward, x: np.ndarray, scale: float = 0.3, atol: float = 1e-6):
+    """Gradients of a flow layer's fused node against central differences,
+    for its parameters (randomized by ``scale``) and its input, through its
+    output and, where it has one, its log-det."""
+    rng = np.random.default_rng(1)
+    for p in layer.parameters():
+        p.data[...] += rng.normal(0.0, scale, p.data.shape)
+    weight = rng.normal(size=x.shape[0])
+
+    def loss(inp, logdet_in):
+        y, logdet = forward(layer, inp, logdet_in)
+        out = ad.total(ad.mul(ad.mul(y, y), 0.5))
+        return out if logdet is None else ad.add(out, ad.total(ad.mul(logdet, weight)))
+
+    x_param, logdet_param = ad.parameter(x), ad.parameter(rng.normal(size=x.shape[0]))
+    loss(x_param, logdet_param).backward()
+    params = layer.parameters()
+    analytic = [p.grad for p in params] + [x_param.grad]
+
+    def value():
+        with ad.no_grad():
+            return float(loss(ad.constant(x), ad.constant(logdet_param.data)).data)
+
+    numeric = finite_difference(value, [p.data for p in params] + [x])
+    for got, want in zip(analytic, numeric):
+        np.testing.assert_allclose(got, want, atol=atol, rtol=1e-5)
+    if logdet_param.grad is not None:
+        np.testing.assert_array_equal(logdet_param.grad, weight)
+
+
+def with_logdet(layer, x, logdet):
+    return layer.forward(x, logdet)
+
+
+def without_logdet(layer, x, logdet):
+    return layer.forward(x), None
+
+
+class TestFusedFlowLayers:
+    def test_actnorm(self):
+        check_layer(ActNorm(5), with_logdet, RNG.normal(size=(6, 5)))
+
+    def test_lulinear_with_negative_signs(self):
+        layer = LuLinear.from_parameters(
+            np.array([2, 0, 4, 1, 3]), np.array([1.0, -1.0, -1.0, 1.0, -1.0]),
+            ad.parameter(np.zeros(10)), ad.parameter(np.zeros(5)), ad.parameter(np.zeros(10)),
+        )
+        check_layer(layer, with_logdet, RNG.normal(size=(6, 5)))
+
+    def test_affine_coupling_with_clamped_scales(self):
+        layer = AffineCoupling.build(6, 1, (4,), PinnedRng(3))
+        x = RNG.normal(size=(8, 6)) * 2.0
+        # Unclamped scales reach exp(5), so the loss is ~1e4 and its central
+        # differences carry absolute errors of ~1e-5.
+        check_layer(layer, with_logdet, x, scale=2.0, atol=1e-4)
+        pre = layer.net.kernel(x[:, layer.cond_idx])[0][:, 3:]
+        assert (np.abs(pre) > CLAMP).any() and (np.abs(pre) < CLAMP).any()
+
+    def test_coupling_net(self):
+        net = CouplingNet.build(3, 4, (5, 4), PinnedRng(4))
+        check_layer(net, lambda layer, x, _: (layer.tensor_apply(x), None), RNG.normal(size=(6, 3)))
+
+    def test_additive_coupling(self):
+        layer = AdditiveCoupling(5, 0, CouplingNet.build(3, 2, (4,), PinnedRng(5)))
+        check_layer(layer, without_logdet, RNG.normal(size=(6, 5)))
+
+    def test_constant_input_gets_no_gradient(self):
+        layer = AffineCoupling.build(4, 0, (3,), PinnedRng(6))
+        x = ad.constant(RNG.normal(size=(3, 4)))
+        y, logdet = layer.forward(x, ad.constant(np.zeros(3)))
+        ad.add(ad.total(ad.mul(y, y)), ad.total(logdet)).backward()
+        assert x.grad is None
+        assert all(p.grad is not None for p in layer.parameters())
+
+
 def every_op(p: list[ad.Tensor]) -> list[ad.Tensor]:
     """Apply each op once, chained; returns every intermediate output."""
     x, w, v = p
-    outs = [ad.matmul(x, w)]
-    outs.append(ad.add(outs[-1], v))
-    outs.append(ad.relu(outs[-1]))
-    outs.append(ad.clamp(outs[-1], -0.5, 0.5))
+    outs = list(ad.fused(Affine(w, v), x, ad.constant(np.zeros(4))))
+    outs.append(ad.add(outs[0], v))
     outs.append(ad.exp(outs[-1]))
     outs.append(ad.mul(outs[-1], x))
-    left = ad.take_cols(outs[-1], np.array([0, 2]))
-    right = ad.take_cols(outs[-1], slice(1, 2))
-    outs += [left, right]
-    outs.append(ad.assemble_cols(3, [(np.array([0, 2]), left), (np.array([1]), right)]))
-    outs.append(ad.scatter_matrix(v, np.array([0, 1, 2]) * 3 + np.array([2, 0, 1]), (3, 3)))
-    outs.append(ad.matmul(outs[-2], outs[-1]))
+    outs.append(ad.columns([(outs[-1], slice(1, None)), (outs[-2], slice(None, 1))]))
     outs.append(ad.sum_rows(outs[-1]))
     outs.append(ad.total(outs[-1]))
-    outs.append(ad.mean(outs[-2]))
     return outs
 
 

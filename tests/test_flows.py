@@ -230,6 +230,21 @@ class TestGradients:
         for a, b in zip(nll_gradient(model, batch), nll_gradient(model, doubled)):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_walkthrough_glow_graph_has_one_node_per_layer(self):
+        """Each flow layer and each log-det update is one node: 6 steps x 6,
+        3 for factoring the levels, 8 for the likelihood (227 as per-op
+        graph)."""
+        model = build_model(64, GlowSpec(levels=2, depth=3, hidden=(64, 64)), seed=0)
+        loss = training.nll_tensor(model, np.random.default_rng(9).normal(size=(64, 64)))
+        nodes, seen, stack = 0, set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes += node._backward is not None
+                stack.extend(node._parents)
+        assert nodes <= 60
+
 
 class TestTraining:
     def test_epochs_contract(self):
@@ -292,16 +307,25 @@ class TestTraining:
 
 
 def numpy_actnorm_init(model, batch: np.ndarray) -> None:
-    """Reference data-dependent init written with plain numpy layer maps."""
+    """Reference data-dependent init written with plain numpy layer maps,
+    independent of the layers' kernels."""
     active = batch
     for li, steps in enumerate(model.levels):
         for step in steps:
             step.actnorm.data_init(active)
             an, lu, cp = step.actnorm, step.linear, step.coupling
             active = (active + an.shift.data) * np.exp(an.log_scale.data)
-            active = active @ lu.matrix()
+            lower = np.eye(lu.dim)
+            lower[np.tril_indices(lu.dim, -1)] = lu.lower.data
+            upper = np.diag(np.exp(lu.log_diag.data) * lu.signs)
+            upper[np.triu_indices(lu.dim, 1)] = lu.upper.data
+            active = active @ (np.eye(lu.dim)[:, lu.permutation] @ (lower @ upper))
             m = len(cp.moved_idx)
-            raw = cp.net.numpy_apply(active[:, cp.cond_idx])
+            raw = active[:, cp.cond_idx]
+            for i, (w, b) in enumerate(zip(cp.net.weights, cp.net.biases)):
+                raw = raw @ w.data + b.data
+                if i < len(cp.net.weights) - 1:
+                    raw = np.maximum(raw, 0.0)
             moved = active[:, cp.moved_idx] * np.exp(np.clip(raw[:, m:], -CLAMP, CLAMP))
             active = active.copy()
             active[:, cp.moved_idx] = moved + raw[:, :m]

@@ -1,0 +1,51 @@
+"""The benchmark reaches into isoembed by name: its tracer patches functions
+and methods listed in ``perfbench/tracing.py``, and ``perfbench/layers.py``
+drives each flow layer's forward and backward. A rename that breaks either
+fails here."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from isoembed import autodiff as ad
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_target():
+    tracing = load("tracing")
+    entries = [t[:2] for t in tracing.TARGETS] + [c[:2] for c in tracing.COUNTED]
+    originals = {}
+    for module_name, attribute in entries:
+        owner, leaf = tracing._resolve(module_name, attribute)
+        originals[(module_name, attribute)] = owner.__dict__[leaf]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for module_name, attribute in entries:
+            owner, leaf = tracing._resolve(module_name, attribute)
+            assert owner.__dict__[leaf] is not originals[(module_name, attribute)]
+    finally:
+        tracer.uninstall()
+    for module_name, attribute in entries:
+        owner, leaf = tracing._resolve(module_name, attribute)
+        assert owner.__dict__[leaf] is originals[(module_name, attribute)]
+
+
+def test_layer_bench_runs_every_layer_forward_and_backward():
+    layers = load("layers")
+    batch = np.random.default_rng(0).normal(size=(3, layers.DIM))
+    for name, (layer, forward, in_dim) in layers._layers((4,)).items():
+        for p in layer.parameters():
+            p.grad = None
+        layers._reduce(*forward(layer, ad.constant(batch[:, :in_dim]))).backward()
+        for p in layer.parameters():
+            assert p.grad is not None and p.grad.shape == p.data.shape, name

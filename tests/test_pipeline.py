@@ -287,6 +287,18 @@ class TestCli:
         ("measure", {"batch_size": True}),
         ("measure", {"batch_size": "sixteen"}),
         ("measure", {"batch_size": None}),
+        ("fit-flow", {"source_corpus": 0}),
+        ("measure", {"corpus": 0}),
+        ("measure", {"csv": 5}),
+        ("fit-whiten", {"source_corpus": ["corpus.emb"]}),
+        ("rerank", {"post_path": 1}),
+        ("fit-flow", {"hidden": [1.7, 2.9]}),
+        ("fit-flow", {"hidden": [True]}),
+        ("fit-flow", {"hidden": ["a"]}),
+        ("fit-flow", {"hidden": [0]}),
+        ("fit-flow", {"hidden": [64, -1]}),
+        ("fit-flow", {"hidden": 64}),
+        ("fit-flow", {"hidden": "64,0"}),
     ])
     def test_config_value_of_wrong_type_or_choice_is_config_error(
         self, workspace, tmp_path, command, values
@@ -316,17 +328,31 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["0", "64,-1", "64,,x", "1.5", "a"])
+    def test_bad_hidden_flag_is_config_error(self, workspace, tmp_path, text):
+        out = tmp_path / "f.flw"
+        code = run(["fit-flow", "--source-corpus", str(workspace / "src" / "corpus.emb"),
+                    "--arch", "nice", "--couplings", "2", "--epochs", "1",
+                    "--hidden", text, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,values", [
         ("gen", {"axis_scales": []}),
         ("measure", {"batch_size": "full"}),
         ("measure", {"batch_size": "16"}),
+        ("measure", {"batch_size": 16, "csv": None}),
+        ("fit-flow", {"hidden": [4]}),
+        ("fit-flow", {"hidden": "4,4"}),
     ])
     def test_config_value_its_command_parses_is_accepted(
         self, workspace, tmp_path, command, values
     ):
+        corpus = str(workspace / "src" / "corpus.emb")
         inputs = {
             "gen": {"n_queries": 2, "n_docs": 2, "dim": 4},
-            "measure": {"corpus": str(workspace / "src" / "corpus.emb")},
+            "measure": {"corpus": corpus},
+            "fit-flow": {"source_corpus": corpus, "arch": "nice", "couplings": 2, "epochs": 1},
         }[command]
         out = tmp_path / "written"
         cfg = tmp_path / "cfg.json"
