@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import struct
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..atomic import atomic_write
+from ..bounded import BoundedReader, open_bounded
 from ..errors import CorpusFormatError
 from .coupling import CouplingNet, parity_indices
 from .glow import ActNorm, AffineCoupling, GlowModel, GlowSpec, GlowStep, LuLinear, active_sizes
@@ -48,6 +48,7 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIBI")
 _F64 = np.dtype("<f8")
+_NOUN = "flow file"
 
 
 def _arch_block(model: FlowModel) -> bytes:
@@ -88,41 +89,6 @@ def flow_to_bytes(model: FlowModel) -> bytes:
 def save_flow(model: FlowModel, path) -> None:
     with atomic_write(path) as fh:
         _write_flow(model, fh)
-
-
-class _Reader:
-    """Reads from a stream whose total size is known, so no read can ask
-    for more bytes than remain."""
-
-    def __init__(self, fh, size: int, label):
-        self.fh = fh
-        self.size = size
-        self.pos = 0
-        self.label = label
-
-    def _claim(self, n: int) -> None:
-        if n > self.size - self.pos:
-            raise CorpusFormatError(f"{self.label}: truncated flow file")
-        self.pos += n
-
-    def take(self, n: int) -> bytes:
-        self._claim(n)
-        chunk = self.fh.read(n)
-        if len(chunk) != n:
-            raise CorpusFormatError(f"{self.label}: truncated flow file")
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, count: int, dtype: str) -> np.ndarray:
-        dt = np.dtype(dtype)
-        return np.frombuffer(self.take(count * dt.itemsize), dtype=dt)
-
-    def read_into(self, out: np.ndarray) -> None:
-        self._claim(out.nbytes)
-        if self.fh.readinto(out) != out.nbytes:
-            raise CorpusFormatError(f"{self.label}: truncated flow file")
 
 
 def _net_size(widths: tuple[int, ...]) -> int:
@@ -183,7 +149,7 @@ class _Parameters:
         return CouplingNet(weights, biases)
 
 
-def _read_glow_steps(reader: _Reader, sizes: list[int], depth: int) -> list[tuple]:
+def _read_glow_steps(reader: BoundedReader, sizes: list[int], depth: int) -> list[tuple]:
     """Per step: (permutation, signs as float64, actnorm initialized)."""
     steps = []
     for k in range(len(sizes) * depth):
@@ -230,8 +196,8 @@ def _assemble_nice(dim: int, spec: NiceSpec, params: _Parameters):
     return NiceModel(dim, spec, couplings, params.take(dim))
 
 
-def _read_flow(fh, size: int, label) -> FlowModel:
-    reader = _Reader(fh, size, label)
+def _read_flow(reader: BoundedReader) -> FlowModel:
+    label, size = reader.label, reader.size
     magic, version, arch, dim = reader.unpack(_HEADER.format)
     if magic != MAGIC:
         raise CorpusFormatError(f"{label}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -272,11 +238,11 @@ def _read_flow(fh, size: int, label) -> FlowModel:
 
 def flow_from_bytes(data: bytes, label="<bytes>") -> FlowModel:
     """Decode FLW1 bytes; the parameters are copied out of ``data`` once."""
-    return _read_flow(io.BytesIO(data), len(data), label)
+    return _read_flow(BoundedReader(io.BytesIO(data), len(data), label, _NOUN))
 
 
 def load_flow(path) -> FlowModel:
     """Read an FLW1 file; the parameters are read straight into the model's
     arrays, without seeding a model first."""
-    with open(path, "rb") as fh:
-        return _read_flow(fh, os.fstat(fh.fileno()).st_size, str(path))
+    with open_bounded(path, _NOUN) as reader:
+        return _read_flow(reader)

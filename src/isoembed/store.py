@@ -7,6 +7,7 @@ consecutive, disjoint spans.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .atomic import atomic_write
+from .bounded import open_bounded
 from .errors import CorpusFormatError, IntegrityError
 from .rng import PinnedRng
 
@@ -134,6 +136,8 @@ def _check_partition(n_rows: int, sequences: tuple[SequenceRecord, ...]) -> None
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIIQQ")
+_ID_LEN = struct.Struct("<H")
+_RECORD = struct.Struct("<BQI")  # kind code, row_offset, token_count
 
 
 def save_corpus(corpus: EmbeddingCorpus, path) -> None:
@@ -143,11 +147,9 @@ def save_corpus(corpus: EmbeddingCorpus, path) -> None:
         raw_id = seq.id.encode("utf-8")
         if len(raw_id) > 0xFFFF:
             raise ValueError(f"sequence id too long to encode: {seq.id!r}")
-        parts.append(struct.pack("<H", len(raw_id)))
+        parts.append(_ID_LEN.pack(len(raw_id)))
         parts.append(raw_id)
-        parts.append(
-            struct.pack("<BQI", _KIND_CODES[seq.kind], seq.row_offset, seq.token_count)
-        )
+        parts.append(_RECORD.pack(_KIND_CODES[seq.kind], seq.row_offset, seq.token_count))
     with atomic_write(path) as fh:
         fh.write(
             _HEADER.pack(
@@ -158,50 +160,68 @@ def save_corpus(corpus: EmbeddingCorpus, path) -> None:
         fh.write(b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorpusFormatError(f"{self.path}: truncated file")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-
 def load_corpus(path) -> EmbeddingCorpus:
-    """Read an EMB1 file; validates format, spans, and payload finiteness."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    magic, version, dim, n_rows, n_sequences = _HEADER.unpack(
-        reader.take(_HEADER.size)
-    )
-    if magic != MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise CorpusFormatError(f"{path}: unsupported version {version}")
-    if dim < 1:
-        raise CorpusFormatError(f"{path}: dim must be >= 1, got {dim}")
-    payload = reader.take(n_rows * dim * 8)
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(n_rows, dim).copy()
+    """Read an EMB1 file; validates format, spans, and payload finiteness.
+
+    The header's sizes are checked against the file size before anything
+    is allocated. The matrix is read straight into its final array and the
+    sequence table with one read. Malformed bytes raise CorpusFormatError;
+    a non-finite payload or invalid spans raise IntegrityError.
+    """
+    with open_bounded(path, "file") as reader:
+        magic, version, dim, n_rows, n_sequences = reader.unpack(_HEADER.format)
+        if magic != MAGIC:
+            raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise CorpusFormatError(f"{path}: unsupported version {version}")
+        if dim < 1:
+            raise CorpusFormatError(f"{path}: dim must be >= 1, got {dim}")
+        min_record = _ID_LEN.size + _RECORD.size
+        if 8 * n_rows * dim + min_record * n_sequences > reader.remaining:
+            raise reader.truncated()
+        matrix = np.empty((n_rows, dim), dtype="<f8")
+        reader.read_into(matrix)
+        # The table goes into an anonymous map, which gives its memory back
+        # when closed. A heap buffer of its size (400 kB at 20k sequences)
+        # would leave the heap that much larger after the load. A map cannot
+        # be empty, so an empty table maps one unused byte.
+        end = reader.remaining
+        with mmap.mmap(-1, max(end, 1)) as table:
+            if end:
+                reader.read_into(table)
+            sequences = _parse_sequences(table, end, n_sequences, path)
+    # For a 2-D matrix with dim >= 1, the one ValueError left in building
+    # the corpus is as_matrix's finiteness check, the only one a load runs.
+    try:
+        return EmbeddingCorpus(matrix, sequences)
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
+
+
+def _parse_sequences(table, end: int, count: int, path) -> tuple[SequenceRecord, ...]:
+    """Decode ``count`` sequence records that must fill ``table[:end]``
+    exactly; ``table`` holds ``end`` bytes, or one unused byte if 0."""
     sequences = []
-    for _ in range(n_sequences):
-        (id_len,) = struct.unpack("<H", reader.take(2))
-        seq_id = reader.take(id_len).decode("utf-8")
-        kind_code, row_offset, token_count = struct.unpack("<BQI", reader.take(13))
-        if kind_code not in _CODE_KINDS:
-            raise CorpusFormatError(f"{path}: unknown sequence kind {kind_code}")
-        sequences.append(
-            SequenceRecord(seq_id, _CODE_KINDS[kind_code], row_offset, token_count)
-        )
-    if reader.pos != len(reader.data):
-        raise CorpusFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
-    if matrix.size and not np.isfinite(matrix).all():
-        raise ValueError(f"{path}: matrix payload contains NaN or Inf")
-    return EmbeddingCorpus(matrix, tuple(sequences))
+    pos = 0
+    try:
+        for _ in range(count):
+            (id_len,) = _ID_LEN.unpack_from(table, pos)
+            id_end = pos + _ID_LEN.size + id_len
+            kind_code, row_offset, token_count = _RECORD.unpack_from(table, id_end)
+            if kind_code not in _CODE_KINDS:
+                raise CorpusFormatError(f"{path}: unknown sequence kind {kind_code}")
+            seq_id = table[pos + _ID_LEN.size : id_end].decode("utf-8")
+            sequences.append(
+                SequenceRecord(seq_id, _CODE_KINDS[kind_code], row_offset, token_count)
+            )
+            pos = id_end + _RECORD.size
+    except struct.error:
+        raise CorpusFormatError(f"{path}: truncated file") from None
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: sequence id is not UTF-8 ({exc.reason})") from None
+    if pos != end:
+        raise CorpusFormatError(f"{path}: {end - pos} trailing bytes")
+    return tuple(sequences)
 
 
 # ---------------------------------------------------------------------------

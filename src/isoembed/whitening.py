@@ -8,13 +8,15 @@ x -> (x - mean) @ rotation @ diag(eigenvalues)^{-1/2}.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import CorpusFormatError, InsufficientDataError, ShapeError
+from .bounded import open_bounded
+from .errors import CorpusFormatError, InsufficientDataError, IntegrityError, ShapeError
 from .store import as_matrix
 
 MAGIC = b"WHT1"
@@ -33,9 +35,17 @@ class WhiteningTransform:
     floor_mask: np.ndarray  # True where the eigenvalue was raised to the floor
 
     def __post_init__(self):
+        for name in ("mu", "rotation", "eigenvalues"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} contains NaN or Inf")
+        if not math.isfinite(self.eps_rel):
+            raise ValueError(f"eps_rel {self.eps_rel} is not finite")
         dim = self.mu.shape[0]
-        identity_gap = np.abs(self.rotation.T @ self.rotation - np.eye(dim)).max()
-        if identity_gap > _ORTHONORMALITY_TOL:
+        # Finite entries far from [-1, 1] can overflow the product; the
+        # gap is then inf or NaN, and either fails the test below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            identity_gap = np.abs(self.rotation.T @ self.rotation - np.eye(dim)).max()
+        if not identity_gap <= _ORTHONORMALITY_TOL:
             raise ValueError(f"rotation is not orthogonal (max deviation {identity_gap:.2e})")
         if np.any(self.eigenvalues <= 0):
             raise ValueError("eigenvalues must be positive after flooring")
@@ -113,37 +123,35 @@ def save_whitening(transform: WhiteningTransform, path) -> None:
 
 
 def load_whitening(path) -> WhiteningTransform:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise CorpusFormatError(f"{path}: truncated whitening file")
-    magic, version, dim, eps_rel, fitted_on = _HEADER.unpack(data[: _HEADER.size])
-    if magic != MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise CorpusFormatError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 8 * (dim + dim + dim * dim)
-    if len(data) != expected:
-        raise CorpusFormatError(
-            f"{path}: expected {expected} bytes for dim {dim}, got {len(data)}"
-        )
-    pos = _HEADER.size
-    mu = np.frombuffer(data, dtype="<f8", count=dim, offset=pos).copy()
-    pos += 8 * dim
-    eigenvalues = np.frombuffer(data, dtype="<f8", count=dim, offset=pos).copy()
-    pos += 8 * dim
-    rotation = (
-        np.frombuffer(data, dtype="<f8", count=dim * dim, offset=pos)
-        .reshape(dim, dim)
-        .copy()
-    )
-    lam_max = float(eigenvalues[-1]) if dim else 0.0
+    """Read a WHT1 file. Malformed bytes raise CorpusFormatError; a
+    non-finite or otherwise invalid transform raises IntegrityError."""
+    with open_bounded(path, "whitening file") as reader:
+        magic, version, dim, eps_rel, fitted_on = reader.unpack(_HEADER.format)
+        if magic != MAGIC:
+            raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise CorpusFormatError(f"{path}: unsupported version {version}")
+        if dim < 1:
+            raise CorpusFormatError(f"{path}: dim must be >= 1, got {dim}")
+        expected = _HEADER.size + 8 * (dim + dim + dim * dim)
+        if reader.size != expected:
+            raise CorpusFormatError(
+                f"{path}: expected {expected} bytes for dim {dim}, got {reader.size}"
+            )
+        mu, eigenvalues = np.empty(dim, "<f8"), np.empty(dim, "<f8")
+        rotation = np.empty((dim, dim), "<f8")
+        for array in (mu, eigenvalues, rotation):
+            reader.read_into(array)
+    lam_max = float(eigenvalues[-1])
     floor = eps_rel * lam_max if lam_max > 0 else eps_rel
-    return WhiteningTransform(
-        mu=mu,
-        rotation=rotation,
-        eigenvalues=eigenvalues,
-        eps_rel=eps_rel,
-        fitted_on=fitted_on,
-        floor_mask=eigenvalues <= floor,
-    )
+    try:
+        return WhiteningTransform(
+            mu=mu,
+            rotation=rotation,
+            eigenvalues=eigenvalues,
+            eps_rel=eps_rel,
+            fitted_on=fitted_on,
+            floor_mask=eigenvalues <= floor,
+        )
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None

@@ -186,6 +186,20 @@ class TestCli:
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
         assert run(["measure", "--corpus", str(bad), "--out", str(tmp_path / "r.json")]) == 3
 
+    def test_non_finite_whitening_file_is_data_error(self, workspace, tmp_path):
+        """A NaN in a fitted transform's mean would score every candidate NaN."""
+        src = workspace / "src"
+        blob = bytearray((workspace / "white.wht").read_bytes())
+        blob[28:36] = np.float64(np.nan).tobytes()  # mu[0]
+        bad = tmp_path / "nan.wht"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "nan.run"
+        assert run(["rerank", "--target-corpus", str(src / "corpus.emb"),
+                    "--candidates", str(src / "candidates.jsonl"),
+                    "--scorer", "colbert", "--post", "whiten",
+                    "--post-path", str(bad), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_fit_flow_and_rerank(self, workspace, tmp_path):
         src = workspace / "src"
         model_path = tmp_path / "model.flw"

@@ -1,9 +1,15 @@
 """Corpus model, EMB1 persistence, the synthetic generator, and pooling."""
 
+import importlib.util
 import struct
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoembed import (
     EmbeddingCorpus,
@@ -15,7 +21,7 @@ from isoembed import (
     pool_sequences,
     save_corpus,
 )
-from isoembed.errors import CorpusFormatError, IntegrityError
+from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY
 
 
@@ -128,7 +134,7 @@ class TestBinaryFormat:
         record = struct.pack("<H", 1) + b"q" + struct.pack("<BQI", 0, 0, 1)
         path = tmp_path / "nan.emb"
         path.write_bytes(header + matrix + record)
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(IntegrityError, match="NaN"):
             load_corpus(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -137,6 +143,183 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CorpusFormatError, match="trailing"):
             load_corpus(path)
+
+    def test_invalid_utf8_id_rejected(self, tmp_path):
+        header = struct.pack("<4sIIQQ", b"EMB1", 1, 2, 1, 1)
+        record = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BQI", 0, 0, 1)
+        path = tmp_path / "id.emb"
+        path.write_bytes(header + bytes(16) + record)
+        with pytest.raises(CorpusFormatError, match="UTF-8"):
+            load_corpus(path)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        header = struct.pack("<4sIIQQ", b"EMB1", 1, 2, 1, 1)
+        record = struct.pack("<H", 1) + b"q" + struct.pack("<BQI", 2, 0, 1)
+        path = tmp_path / "kind.emb"
+        path.write_bytes(header + bytes(16) + record)
+        with pytest.raises(CorpusFormatError, match="kind"):
+            load_corpus(path)
+
+
+class TestAllocation:
+    @pytest.mark.parametrize(
+        "header",
+        [
+            struct.pack("<4sIIQQ", b"EMB1", 1, 64, 2**40, 1),
+            struct.pack("<4sIIQQ", b"EMB1", 1, 2**32 - 1, 2**64 - 1, 0),
+            struct.pack("<4sIIQQ", b"EMB1", 1, 1, 0, 2**64 - 1),
+        ],
+        ids=["2^40-rows", "largest-shape", "largest-sequence-count"],
+    )
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, header):
+        """The header alone decides; nothing near the announced size, nor
+        the 1 MiB file itself, is read or allocated."""
+        path = tmp_path / "huge.emb"
+        path.write_bytes(header + bytes(1 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorpusFormatError, match="truncated"):
+                load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65_536
+
+    def test_load_peaks_near_the_matrix_size(self, tmp_path):
+        matrix = np.random.default_rng(8).normal(size=(16_384, 64))
+        sequences = tuple(
+            SequenceRecord(f"d{i}", KIND_DOCUMENT, 256 * i, 256) for i in range(64)
+        )
+        path = tmp_path / "big.emb"
+        save_corpus(EmbeddingCorpus(matrix, sequences), path)
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * matrix.nbytes
+        assert loaded.matrix.tobytes() == matrix.tobytes()
+        flags = loaded.matrix.flags
+        assert flags.owndata and flags.c_contiguous and flags.writeable
+
+
+# EMB1 properties: corpora of random shape, ids and values, saved and read
+# back through files, since the loader sizes its reads by the file's size.
+
+
+@st.composite
+def small_corpora(draw):
+    """A corpus of 0-5 sequences with non-ASCII ids and extreme values."""
+    dim = draw(st.integers(1, 5))
+    specs = draw(
+        st.lists(
+            st.tuples(st.sampled_from([KIND_QUERY, KIND_DOCUMENT]), st.text(max_size=4)),
+            max_size=5,
+            unique=True,
+        )
+    )
+    counts = [draw(st.integers(1, 3)) for _ in specs]
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+    order = draw(st.permutations(range(len(specs))))  # spans need not be in id order
+    sequences = tuple(
+        SequenceRecord(seq_id, kind, int(offsets[pos]), counts[pos])
+        for pos, (kind, seq_id) in zip(order, specs)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n_rows = int(offsets[-1])
+    matrix = rng.normal(size=(n_rows, dim)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, dim))
+    return EmbeddingCorpus(matrix, sequences)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("emb1")
+
+
+def corpus_bytes(corpus: EmbeddingCorpus, directory: Path) -> bytes:
+    path = directory / "saved.emb"
+    save_corpus(corpus, path)
+    return path.read_bytes()
+
+
+def load_bytes(blob: bytes, directory: Path) -> EmbeddingCorpus:
+    path = directory / "blob.emb"
+    path.write_bytes(blob)
+    return load_corpus(path)
+
+
+@pytest.fixture(scope="module")
+def benchmark_reader():
+    """perfbench's own EMB1 reader, which imports nothing from isoembed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while they are built.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module._read_emb1
+
+
+class TestFormatProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_corpora())
+    def test_round_trip_is_byte_exact(self, scratch, corpus):
+        blob = corpus_bytes(corpus, scratch)
+        loaded = load_bytes(blob, scratch)
+        assert loaded.matrix.tobytes() == corpus.matrix.tobytes()
+        assert loaded.matrix.shape == corpus.matrix.shape
+        assert loaded.sequences == corpus.sequences
+        assert corpus_bytes(loaded, scratch) == blob
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_corpora())
+    def test_every_truncation_and_trailing_byte_rejected(self, scratch, corpus):
+        blob = corpus_bytes(corpus, scratch)
+        for cut in range(len(blob)):
+            with pytest.raises(CorpusFormatError):
+                load_bytes(blob[:cut], scratch)
+        with pytest.raises(CorpusFormatError, match="trailing"):
+            load_bytes(blob + b"\0", scratch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_corpora(),
+        st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3),
+    )
+    def test_byte_flips_load_or_raise_typed_errors(self, scratch, corpus, flips):
+        blob = bytearray(corpus_bytes(corpus, scratch))
+        table = 28 + corpus.matrix.nbytes
+        for position, mask in flips:
+            # A third of the flips land in the header, a third in the
+            # sequence table, and a third anywhere.
+            if position % 3 == 0:
+                blob[position % 28] ^= mask
+            elif position % 3 == 1 and len(blob) > table:
+                blob[table + position % (len(blob) - table)] ^= mask
+            else:
+                blob[position % len(blob)] ^= mask
+        try:
+            loaded = load_bytes(bytes(blob), scratch)
+        except IsoembedError:
+            return
+        assert corpus_bytes(loaded, scratch) == bytes(blob)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_corpora())
+    def test_matches_the_benchmark_reader(self, scratch, benchmark_reader, corpus):
+        """perfbench reads EMB1 with its own code, from the README layout."""
+        path = scratch / "cross.emb"
+        save_corpus(corpus, path)
+        matrix, rows = benchmark_reader(path)
+        loaded = load_corpus(path)
+        assert loaded.matrix.tobytes() == matrix.tobytes()
+        assert loaded.matrix.shape == matrix.shape
+        codes = {KIND_QUERY: 0, KIND_DOCUMENT: 1}
+        assert {(codes[s.kind], s.id): s.rows for s in loaded.sequences} == rows
 
 
 class TestGenerator:

@@ -1,8 +1,13 @@
 """Whitening: hand-computed fits, covariance oracles, and the map's
 exactness properties on its own fitting data."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoembed import (
     WhiteningTransform,
@@ -10,7 +15,13 @@ from isoembed import (
     avg_pairwise_cosine,
     fit_whitening,
 )
-from isoembed.errors import CorpusFormatError, InsufficientDataError, ShapeError
+from isoembed.errors import (
+    CorpusFormatError,
+    InsufficientDataError,
+    IntegrityError,
+    IsoembedError,
+    ShapeError,
+)
 from isoembed.whitening import load_whitening, save_whitening
 
 CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -169,3 +180,99 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorpusFormatError):
             load_whitening(path)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [
+            (28, np.nan),  # mu[0]
+            (28 + 8 * 3, np.inf),  # eigenvalues[0]
+            (28 + 8 * 6 + 8 * 4, -np.inf),  # rotation[1, 1]
+            (12, np.nan),  # eps_rel
+        ],
+        ids=["mu", "eigenvalues", "rotation", "eps_rel"],
+    )
+    def test_non_finite_payload_rejected(self, tmp_path, offset, value):
+        t = fit_whitening(np.random.default_rng(21).normal(size=(10, 3)))
+        path = tmp_path / "bad.wht"
+        save_whitening(t, path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="NaN or Inf|not finite") as info:
+            load_whitening(path)
+        assert str(path) in str(info.value)
+
+    def test_zero_dim_rejected(self, tmp_path):
+        path = tmp_path / "empty.wht"
+        path.write_bytes(struct.pack("<4sIIdQ", b"WHT1", 1, 0, 1e-8, 2))
+        with pytest.raises(CorpusFormatError, match="dim"):
+            load_whitening(path)
+
+
+# WHT1 properties: transforms of random shape and scale, saved and read back
+# through files, since the loader sizes its reads by the file's size.
+
+
+@st.composite
+def small_transforms(draw):
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scales = 10.0 ** rng.integers(-3, 4, size=dim)
+    eps_rel = draw(st.sampled_from([1e-8, 1e-3, 0.5]))
+    return fit_whitening(rng.normal(size=(rows, dim)) * scales + rng.normal(size=dim), eps_rel)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("wht1")
+
+
+def transform_bytes(transform: WhiteningTransform, directory: Path) -> bytes:
+    path = directory / "saved.wht"
+    save_whitening(transform, path)
+    return path.read_bytes()
+
+
+def load_bytes(blob: bytes, directory: Path) -> WhiteningTransform:
+    path = directory / "blob.wht"
+    path.write_bytes(blob)
+    return load_whitening(path)
+
+
+class TestFormatProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_transforms())
+    def test_round_trip_is_byte_exact(self, scratch, transform):
+        blob = transform_bytes(transform, scratch)
+        loaded = load_bytes(blob, scratch)
+        for name in ("mu", "eigenvalues", "rotation"):
+            assert getattr(loaded, name).tobytes() == getattr(transform, name).tobytes()
+        assert (loaded.eps_rel, loaded.fitted_on) == (transform.eps_rel, transform.fitted_on)
+        assert transform_bytes(loaded, scratch) == blob
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_transforms())
+    def test_every_truncation_and_trailing_byte_rejected(self, scratch, transform):
+        blob = transform_bytes(transform, scratch)
+        for cut in range(len(blob)):
+            with pytest.raises(CorpusFormatError):
+                load_bytes(blob[:cut], scratch)
+        with pytest.raises(CorpusFormatError):
+            load_bytes(blob + b"\0", scratch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_transforms(),
+        st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3),
+    )
+    def test_byte_flips_load_or_raise_typed_errors(self, scratch, transform, flips):
+        blob = bytearray(transform_bytes(transform, scratch))
+        for position, mask in flips:
+            # Half of the flips land in the 28-byte header.
+            blob[position % (28 if position % 2 else len(blob))] ^= mask
+        try:
+            loaded = load_bytes(bytes(blob), scratch)
+        except IsoembedError:
+            return
+        assert transform_bytes(loaded, scratch) == bytes(blob)
