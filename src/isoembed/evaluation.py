@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .atomic import atomic_write
-from .errors import DegenerateVarianceError, ParseError
+from .errors import DegenerateVarianceError, IntegrityError, ParseError
 
 _BETA_CF_MAX_ITER = 300
 
@@ -57,18 +57,20 @@ class RankingRun:
     def __post_init__(self):
         for qid, ranked in self.rankings.items():
             seen = set()
-            for doc_id, _ in ranked:
+            for doc_id, score in ranked:
+                if score != score:
+                    raise IntegrityError(f"query {qid!r}: doc {doc_id!r} has a NaN score")
                 if doc_id in seen:
-                    raise ValueError(f"query {qid!r}: duplicate doc id {doc_id!r}")
+                    raise IntegrityError(f"query {qid!r}: duplicate doc id {doc_id!r}")
                 seen.add(doc_id)
             for (prev_doc, prev), (doc, cur) in zip(ranked, ranked[1:]):
                 if cur > prev:
-                    raise ValueError(
+                    raise IntegrityError(
                         f"query {qid!r}: scores increase at doc {doc!r}; "
                         "runs must be sorted by descending score"
                     )
                 if cur == prev and doc < prev_doc:
-                    raise ValueError(
+                    raise IntegrityError(
                         f"query {qid!r}: tied docs {prev_doc!r}, {doc!r} must "
                         "be ordered by doc id"
                     )
@@ -266,26 +268,36 @@ def ttest_one_tailed(sample_a, sample_b) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def text_lines(path):
+    """``(line number, line)`` for each non-blank line of a UTF-8 text file.
+
+    Text that is not UTF-8 raises ParseError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield line_no, line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_qrels(path) -> Qrels:
     """Parse whitespace-separated "qid iter docid grade" lines."""
     grades: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(f"{path}:{line_no}: expected 4 fields, got {len(fields)}")
-            qid, _iter, doc_id, grade_text = fields
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: bad grade {grade_text!r}") from None
-            if grade < 0:
-                raise ParseError(f"{path}:{line_no}: negative grade {grade}")
-            if (qid, doc_id) in grades:
-                raise ParseError(f"{path}:{line_no}: duplicate pair ({qid}, {doc_id})")
-            grades[(qid, doc_id)] = grade
+    for line_no, line in text_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(f"{path}:{line_no}: expected 4 fields, got {len(fields)}")
+        qid, _iter, doc_id, grade_text = fields
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: bad grade {grade_text!r}") from None
+        if grade < 0:
+            raise ParseError(f"{path}:{line_no}: negative grade {grade}")
+        if (qid, doc_id) in grades:
+            raise ParseError(f"{path}:{line_no}: duplicate pair ({qid}, {doc_id})")
+        grades[(qid, doc_id)] = grade
     return Qrels(grades)
 
 
@@ -296,23 +308,25 @@ def save_qrels(qrels: Qrels, path) -> None:
 
 
 def load_run(path) -> RankingRun:
-    """Parse "qid Q0 docid rank score tag" lines."""
+    """Parse "qid Q0 docid rank score tag" lines; scores must be finite."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     tag = "run"
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise ParseError(f"{path}:{line_no}: expected 6 fields, got {len(fields)}")
-            qid, _q0, doc_id, _rank, score_text, tag = fields
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: bad score {score_text!r}") from None
-            rankings.setdefault(qid, []).append((doc_id, score))
-    return RankingRun(rankings, tag=tag)
+    for line_no, line in text_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise ParseError(f"{path}:{line_no}: expected 6 fields, got {len(fields)}")
+        qid, _q0, doc_id, _rank, score_text, tag = fields
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: bad score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"{path}:{line_no}: score {score_text!r} is not finite")
+        rankings.setdefault(qid, []).append((doc_id, score))
+    try:
+        return RankingRun(rankings, tag=tag)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
 
 
 def save_run(run: RankingRun, path) -> None:

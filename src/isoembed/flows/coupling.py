@@ -5,9 +5,16 @@ the layer is one graph node; ``Coupling`` is what both couplings share.
 
 The output layer starts at zero so every freshly built flow is the
 identity map; hidden layers use seeded He-style initialization.
+
+Every flow's parameters live in one flat slab: ``ParameterSlab`` hands out
+its consecutive views in parameter-traversal order. A seeded build and an
+FLW1 load lay a model over a slab with the same assembly code; the seeded
+slab starts at zero and each hidden weight is drawn straight into its view.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,18 +39,8 @@ class CouplingNet:
 
     @classmethod
     def build(cls, in_size: int, out_size: int, hidden: tuple[int, ...], rng: PinnedRng):
-        widths = [in_size, *hidden, out_size]
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            last = i == len(widths) - 2
-            if last:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.gaussians(fan_in * fan_out).reshape(fan_in, fan_out)
-                w *= np.sqrt(2.0 / fan_in)
-            weights.append(ad.parameter(w))
-            biases.append(ad.parameter(np.zeros(fan_out)))
-        return cls(weights, biases)
+        widths = (in_size, *hidden, out_size)
+        return ParameterSlab.zeros(net_size(widths), rng).net(widths)
 
     def parameters(self) -> list[ad.Tensor]:
         params = []
@@ -66,8 +63,7 @@ class CouplingNet:
             h = h @ w.data
             h += b.data
             if i != last:
-                mask = h > 0
-                np.copyto(h, 0.0, where=~mask)
+                mask = rectify(h)
                 if keep:
                     masks.append(mask)
         return h, None, (inputs, masks) if keep else None
@@ -83,6 +79,18 @@ class CouplingNet:
                 return None
             grad = grad @ self.weights[i].data.T
         return grad
+
+
+def rectify(h: np.ndarray) -> np.ndarray:
+    """ReLU in place; returns the mask of the entries that were > 0. Every
+    other entry becomes +0.0: negatives, -inf, NaN and -0.0."""
+    mask = h > 0
+    # fmax maps NaN to 0 (maximum would keep it). Outside its vector loop
+    # numpy's fmax keeps -0.0; adding +0.0 makes that +0.0 and changes no
+    # other value.
+    np.fmax(h, 0.0, out=h)
+    h += 0.0
+    return mask
 
 
 class Coupling:
@@ -138,3 +146,51 @@ def parity_indices(dim: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     even = np.arange(0, dim, 2)
     odd = np.arange(1, dim, 2)
     return (even, odd) if parity == 0 else (odd, even)
+
+
+class ParameterSlab:
+    """Hands out consecutive views of one flat float64 slab as parameters.
+
+    With ``rng`` the slab is being seeded: it must start at zero, and
+    ``net`` draws each hidden weight into its view (He scaling); biases,
+    output layers and every other parameter keep the slab's zeros. Without
+    ``rng`` the views keep the values already in the slab.
+    """
+
+    def __init__(self, slab: np.ndarray, rng: PinnedRng | None = None):
+        self.slab = slab
+        self.rng = rng
+        self.pos = 0
+
+    @classmethod
+    def zeros(cls, size: int, rng: PinnedRng | None = None) -> "ParameterSlab":
+        return cls(np.zeros(size), rng)
+
+    def take(self, *shape: int) -> ad.Tensor:
+        count = math.prod(shape)
+        view = self.slab[self.pos : self.pos + count].reshape(shape)
+        self.pos += count
+        return ad.Tensor(view, requires_grad=True)
+
+    def net(self, widths: tuple[int, ...]) -> CouplingNet:
+        weights, biases = [], []
+        last = len(widths) - 2
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            w = self.take(fan_in, fan_out)
+            if self.rng is not None and i != last:
+                self.rng.gaussians(fan_in * fan_out, out=w.data)
+                w.data *= np.sqrt(2.0 / fan_in)
+            weights.append(w)
+            biases.append(self.take(fan_out))
+        return CouplingNet(weights, biases)
+
+
+def net_size(widths: tuple[int, ...]) -> int:
+    """Parameter count of a net with these layer widths."""
+    return sum(a * b + b for a, b in zip(widths, widths[1:]))
+
+
+def parity_counts(first: int, count: int) -> tuple[int, int]:
+    """How many of the step indices first .. first+count-1 are even / odd."""
+    even = (first + count + 1) // 2 - (first + 1) // 2
+    return even, count - even

@@ -24,7 +24,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..errors import NumericError
 from ..rng import PinnedRng
-from .coupling import Coupling, CouplingNet, parity_indices
+from .coupling import Coupling, CouplingNet, ParameterSlab, net_size, parity_counts, parity_indices
 
 CLAMP = 5.0
 
@@ -57,19 +57,14 @@ def active_sizes(dim: int, levels: int) -> list[int]:
 
 
 class ActNorm:
-    def __init__(self, dim: int):
-        self.shift = ad.parameter(np.zeros(dim))
-        self.log_scale = ad.parameter(np.zeros(dim))
-        self.initialized = False
-
-    @classmethod
-    def from_parameters(
-        cls, shift: ad.Tensor, log_scale: ad.Tensor, initialized: bool
-    ) -> "ActNorm":
-        layer = cls(shift.data.shape[0])
-        layer.shift, layer.log_scale = shift, log_scale
-        layer.initialized = initialized
-        return layer
+    def __init__(self, dim: int, params: ParameterSlab | None = None, initialized: bool = False):
+        """Shift and log-scale over ``params`` (a zero slab of their own
+        when None)."""
+        if params is None:
+            params = ParameterSlab.zeros(2 * dim)
+        self.shift = params.take(dim)
+        self.log_scale = params.take(dim)
+        self.initialized = initialized
 
     def data_init(self, x: np.ndarray) -> None:
         """Set shift/scale so this batch leaves with zero mean, unit variance.
@@ -111,14 +106,14 @@ class LuLinear:
 
     def __init__(self, dim: int, rng: PinnedRng):
         """Identity L and U behind a permutation drawn from ``rng``."""
+        params = self.views(ParameterSlab.zeros(dim * dim), dim)
+        self._assign(rng.permutation(dim), np.ones(dim), *params)
+
+    @staticmethod
+    def views(params: ParameterSlab, dim: int) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
+        """The next strict-lower, log-diagonal and strict-upper views."""
         off_diagonal = dim * (dim - 1) // 2
-        self._assign(
-            rng.permutation(dim),
-            np.ones(dim),
-            ad.parameter(np.zeros(off_diagonal)),
-            ad.parameter(np.zeros(dim)),
-            ad.parameter(np.zeros(off_diagonal)),
-        )
+        return params.take(off_diagonal), params.take(dim), params.take(off_diagonal)
 
     @classmethod
     def from_parameters(
@@ -253,23 +248,46 @@ class GlowModel:
 
     @classmethod
     def build(cls, dim: int, spec: GlowSpec = GlowSpec(), seed: int = 0) -> "GlowModel":
-        sizes = active_sizes(dim, spec.levels)
+        """Seeded init over a zero slab: step k's permutation is drawn just
+        before step k's net weights."""
         rng = PinnedRng(seed)
-        levels = []
-        step_index = 0
-        for size in sizes:
-            steps = []
-            for _ in range(spec.depth):
-                steps.append(
-                    GlowStep(
-                        ActNorm(size),
-                        LuLinear(size, rng),
-                        AffineCoupling.build(size, step_index % 2, spec.hidden, rng),
-                    )
-                )
-                step_index += 1
-            levels.append(steps)
+        steps = (
+            (rng.permutation(size), np.ones(size), False)
+            for size in active_sizes(dim, spec.levels)
+            for _ in range(spec.depth)
+        )
+        params = ParameterSlab.zeros(cls.parameter_count(dim, spec), rng)
+        return cls.assemble(dim, spec, steps, params)
+
+    @classmethod
+    def assemble(cls, dim: int, spec: GlowSpec, steps, params: ParameterSlab) -> "GlowModel":
+        """Lay the model over ``params`` in traversal order. ``steps`` yields
+        (permutation, signs, actnorm initialized) per step and is consumed
+        one step at a time."""
+        sizes = active_sizes(dim, spec.levels)
+        levels = [[] for _ in sizes]
+        for k, (perm, signs, initialized) in enumerate(steps):
+            size = sizes[k // spec.depth]
+            actnorm = ActNorm(size, params, initialized)
+            linear = LuLinear.from_parameters(perm, signs, *LuLinear.views(params, size))
+            cond, moved = parity_indices(size, k % 2)
+            net = params.net((len(cond), *spec.hidden, 2 * len(moved)))
+            levels[k // spec.depth].append(GlowStep(actnorm, linear, AffineCoupling(size, k % 2, net)))
         return cls(dim, spec, levels)
+
+    @staticmethod
+    def parameter_count(dim: int, spec: GlowSpec) -> int:
+        """From the widths alone, in integer arithmetic."""
+        count = 0
+        for level, size in enumerate(active_sizes(dim, spec.levels)):
+            cond_0, moved_0 = (size + 1) // 2, size // 2
+            even, odd = parity_counts(level * spec.depth, spec.depth)
+            count += (
+                spec.depth * (2 * size + size * size)  # actnorm, LU
+                + even * net_size((cond_0, *spec.hidden, 2 * moved_0))
+                + odd * net_size((moved_0, *spec.hidden, 2 * cond_0))
+            )
+        return count
 
     def parameters(self) -> list[ad.Tensor]:
         params = []
@@ -285,23 +303,21 @@ class GlowModel:
     def initialize_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent init: run the batch through, initializing each
         actnorm from the activations that reach it."""
-        active = ad.constant(batch)
-        logdet = ad.constant(np.zeros(active.data.shape[0]))
         with ad.no_grad():
-            for li, steps in enumerate(self.levels):
-                for si, step in enumerate(steps):
-                    if not step.actnorm.initialized:
-                        step.actnorm.data_init(active.data)
-                    active, logdet = step.forward(active, logdet, f"{li}.{si}")
-                if li < len(self.levels) - 1:
-                    active = ad.columns([(active, slice(None, self.sizes[li + 1]))])
+            self.forward_tensors(ad.constant(batch), init_actnorms=True)
 
-    def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    def forward_tensors(
+        self, x: ad.Tensor, init_actnorms: bool = False
+    ) -> tuple[ad.Tensor, ad.Tensor]:
+        """With ``init_actnorms``, each actnorm not yet initialized is
+        data-initialized from its input just before it runs."""
         logdet = ad.constant(np.zeros(x.data.shape[0]))
         active = x
         factored = []
         for li, steps in enumerate(self.levels):
             for si, step in enumerate(steps):
+                if init_actnorms and not step.actnorm.initialized:
+                    step.actnorm.data_init(active.data)
                 active, logdet = step.forward(active, logdet, f"{li}.{si}")
             if li < len(self.levels) - 1:
                 keep = self.sizes[li + 1]

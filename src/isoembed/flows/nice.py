@@ -16,7 +16,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..errors import NumericError
 from ..rng import PinnedRng
-from .coupling import Coupling, CouplingNet, parity_indices
+from .coupling import Coupling, ParameterSlab, net_size, parity_counts, parity_indices
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,30 @@ class NiceModel:
 
     @classmethod
     def build(cls, dim: int, spec: NiceSpec = NiceSpec(), seed: int = 0) -> "NiceModel":
-        rng = PinnedRng(seed)
+        """Seeded init over a zero slab."""
+        params = ParameterSlab.zeros(cls.parameter_count(dim, spec), PinnedRng(seed))
+        return cls.assemble(dim, spec, params)
+
+    @classmethod
+    def assemble(cls, dim: int, spec: NiceSpec, params: ParameterSlab) -> "NiceModel":
+        """Lay the model over ``params`` in traversal order."""
         couplings = []
         for i in range(spec.couplings):
             cond, moved = parity_indices(dim, i % 2)
-            net = CouplingNet.build(len(cond), len(moved), spec.hidden, rng)
+            net = params.net((len(cond), *spec.hidden, len(moved)))
             couplings.append(AdditiveCoupling(dim, i % 2, net))
-        return cls(dim, spec, couplings, ad.parameter(np.zeros(dim)))
+        return cls(dim, spec, couplings, params.take(dim))
+
+    @staticmethod
+    def parameter_count(dim: int, spec: NiceSpec) -> int:
+        """From the widths alone, in integer arithmetic."""
+        cond_0, moved_0 = (dim + 1) // 2, dim // 2  # parity 0: even columns condition
+        even, odd = parity_counts(0, spec.couplings)
+        return (
+            even * net_size((cond_0, *spec.hidden, moved_0))
+            + odd * net_size((moved_0, *spec.hidden, cond_0))
+            + dim
+        )
 
     def parameters(self) -> list[ad.Tensor]:
         params = []
@@ -77,7 +94,11 @@ class NiceModel:
         params.append(self.log_scale)
         return params
 
-    def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    def forward_tensors(
+        self, x: ad.Tensor, init_actnorms: bool = False
+    ) -> tuple[ad.Tensor, ad.Tensor]:
+        """``init_actnorms`` is accepted for the glow model's sake; NICE has
+        no actnorms."""
         h = x
         for i, coupling in enumerate(self.couplings):
             h = coupling.forward(h)

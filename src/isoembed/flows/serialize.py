@@ -29,18 +29,16 @@ actnorm flag 0 or 1. Any violation raises CorpusFormatError.
 from __future__ import annotations
 
 import io
-import math
 import struct
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..atomic import atomic_write
 from ..bounded import BoundedReader, open_bounded
 from ..errors import CorpusFormatError
-from .coupling import CouplingNet, parity_indices
-from .glow import ActNorm, AffineCoupling, GlowModel, GlowSpec, GlowStep, LuLinear, active_sizes
-from .nice import AdditiveCoupling, NiceModel, NiceSpec
+from .coupling import ParameterSlab
+from .glow import GlowModel, GlowSpec, active_sizes
+from .nice import NiceModel, NiceSpec
 from .training import FlowModel
 
 MAGIC = b"FLW1"
@@ -91,64 +89,6 @@ def save_flow(model: FlowModel, path) -> None:
         _write_flow(model, fh)
 
 
-def _net_size(widths: tuple[int, ...]) -> int:
-    return sum(a * b + b for a, b in zip(widths, widths[1:]))
-
-
-def _parity_counts(first: int, count: int) -> tuple[int, int]:
-    """How many of the step indices first .. first+count-1 are even / odd."""
-    even = (first + count + 1) // 2 - (first + 1) // 2
-    return even, count - even
-
-
-def _nice_layout(dim: int, spec: NiceSpec) -> tuple[int, int]:
-    """(bytes of per-step architecture data, parameter count); integers only."""
-    cond_0, moved_0 = (dim + 1) // 2, dim // 2  # parity 0: even columns condition
-    even, odd = _parity_counts(0, spec.couplings)
-    params = (
-        even * _net_size((cond_0, *spec.hidden, moved_0))
-        + odd * _net_size((moved_0, *spec.hidden, cond_0))
-        + dim
-    )
-    return 0, params
-
-
-def _glow_layout(dim: int, spec: GlowSpec) -> tuple[int, int]:
-    """(bytes of per-step architecture data, parameter count); integers only."""
-    step_bytes = params = 0
-    for level, size in enumerate(active_sizes(dim, spec.levels)):
-        cond_0, moved_0 = (size + 1) // 2, size // 2
-        even, odd = _parity_counts(level * spec.depth, spec.depth)
-        step_bytes += spec.depth * (5 * size + 1)
-        params += (
-            spec.depth * (2 * size + size * size)  # actnorm, LU
-            + even * _net_size((cond_0, *spec.hidden, 2 * moved_0))
-            + odd * _net_size((moved_0, *spec.hidden, 2 * cond_0))
-        )
-    return step_bytes, params
-
-
-class _Parameters:
-    """Hands out consecutive views of the parameter slab as parameters."""
-
-    def __init__(self, slab: np.ndarray):
-        self.slab = slab
-        self.pos = 0
-
-    def take(self, *shape: int) -> ad.Tensor:
-        count = math.prod(shape)
-        view = self.slab[self.pos : self.pos + count].reshape(shape)
-        self.pos += count
-        return ad.Tensor(view, requires_grad=True)
-
-    def net(self, widths: tuple[int, ...]) -> CouplingNet:
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            weights.append(self.take(fan_in, fan_out))
-            biases.append(self.take(fan_out))
-        return CouplingNet(weights, biases)
-
-
 def _read_glow_steps(reader: BoundedReader, sizes: list[int], depth: int) -> list[tuple]:
     """Per step: (permutation, signs as float64, actnorm initialized)."""
     steps = []
@@ -171,31 +111,6 @@ def _read_glow_steps(reader: BoundedReader, sizes: list[int], depth: int) -> lis
     return steps
 
 
-def _assemble_glow(dim: int, spec: GlowSpec, steps: list[tuple], params: _Parameters):
-    sizes = active_sizes(dim, spec.levels)
-    levels = [[] for _ in sizes]
-    for k, (perm, signs, initialized) in enumerate(steps):
-        size = sizes[k // spec.depth]
-        off_diagonal = size * (size - 1) // 2
-        actnorm = ActNorm.from_parameters(params.take(size), params.take(size), initialized)
-        linear = LuLinear.from_parameters(
-            perm, signs, params.take(off_diagonal), params.take(size), params.take(off_diagonal)
-        )
-        cond, moved = parity_indices(size, k % 2)
-        net = params.net((len(cond), *spec.hidden, 2 * len(moved)))
-        levels[k // spec.depth].append(GlowStep(actnorm, linear, AffineCoupling(size, k % 2, net)))
-    return GlowModel(dim, spec, levels)
-
-
-def _assemble_nice(dim: int, spec: NiceSpec, params: _Parameters):
-    couplings = []
-    for i in range(spec.couplings):
-        cond, moved = parity_indices(dim, i % 2)
-        net = params.net((len(cond), *spec.hidden, len(moved)))
-        couplings.append(AdditiveCoupling(dim, i % 2, net))
-    return NiceModel(dim, spec, couplings, params.take(dim))
-
-
 def _read_flow(reader: BoundedReader) -> FlowModel:
     label, size = reader.label, reader.size
     magic, version, arch, dim = reader.unpack(_HEADER.format)
@@ -211,12 +126,15 @@ def _read_flow(reader: BoundedReader) -> FlowModel:
             spec = NiceSpec(couplings=couplings, hidden=reader.unpack(f"<{n_hidden}I"))
             if dim < 2:
                 raise ValueError("flow dimension must be >= 2")
-            step_bytes, n_params = _nice_layout(dim, spec)
+            step_bytes, n_params = 0, NiceModel.parameter_count(dim, spec)
         else:
             levels, depth, n_hidden = reader.unpack("<III")
             hidden = reader.unpack(f"<{n_hidden}I")
             spec = GlowSpec(levels=levels, depth=depth, hidden=hidden)
-            step_bytes, n_params = _glow_layout(dim, spec)
+            sizes = active_sizes(dim, spec.levels)
+            # per step: permutation u32, signs i8, actnorm flag u8
+            step_bytes = sum(spec.depth * (5 * size + 1) for size in sizes)
+            n_params = GlowModel.parameter_count(dim, spec)
     except ValueError as exc:
         raise CorpusFormatError(f"{label}: invalid architecture: {exc}") from None
     expected = reader.pos + step_bytes + _F64.itemsize * n_params
@@ -227,13 +145,13 @@ def _read_flow(reader: BoundedReader) -> FlowModel:
     if expected < size:
         raise CorpusFormatError(f"{label}: {size - expected} trailing bytes")
     if arch == 1:
-        steps = _read_glow_steps(reader, active_sizes(dim, spec.levels), spec.depth)
+        steps = _read_glow_steps(reader, sizes, spec.depth)
     slab = np.empty(n_params, dtype=_F64)
     reader.read_into(slab)
-    params = _Parameters(slab)
+    params = ParameterSlab(slab)
     if arch == 0:
-        return _assemble_nice(dim, spec, params)
-    return _assemble_glow(dim, spec, steps, params)
+        return NiceModel.assemble(dim, spec, params)
+    return GlowModel.assemble(dim, spec, steps, params)
 
 
 def flow_from_bytes(data: bytes, label="<bytes>") -> FlowModel:

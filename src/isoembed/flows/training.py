@@ -67,31 +67,40 @@ class TrainReport:
 class Adam:
     """Adaptive-moment updates over flat float64 state.
 
-    Construction moves the parameters into one slab: each parameter's
-    ``.data`` and ``.grad`` become views of the parameter and gradient slabs,
-    in parameter-traversal order, next to slabs for the first and second
-    moments. Backward then accumulates straight into the gradient slab, and
-    ``step`` updates every parameter in one pass over the slabs in blocks of
-    ADAM_BLOCK elements. A parameter that receives no gradient sees zeros.
-    While the optimizer is in use, parameter values must be written in place
+    The parameters live in one slab: each parameter's ``.data`` and
+    ``.grad`` are views of the parameter and gradient slabs, in
+    parameter-traversal order, next to slabs for the first and second
+    moments. Parameters that already tile one slab in that order, as every
+    built or loaded flow's do, are trained in place; others are gathered
+    into a new slab. Backward then accumulates straight into the gradient
+    slab, and ``step`` updates every parameter in one pass over the slabs in
+    blocks of ADAM_BLOCK elements, zeroing each gradient block once it is
+    used. A parameter that receives no gradient sees zeros. While the
+    optimizer is in use, parameter values must be written in place
     (``p.data[...] = value``): rebinding ``.data`` detaches it from the slab.
     """
 
     def __init__(self, params: list[ad.Tensor], learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        size = sum(p.data.size for p in params)
-        self.data = np.empty(size)
+        self.data = _tiled_slab(params)
+        if self.data is None:
+            self.data = np.empty(sum(p.data.size for p in params))
+            offset = 0
+            for p in params:
+                stop = offset + p.data.size
+                data = self.data[offset:stop].reshape(p.data.shape)
+                data[...] = p.data
+                p.data = data
+                offset = stop
+        size = self.data.size
         self.grad = np.zeros(size)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         offset = 0
         for p in params:
-            shape, stop = p.data.shape, offset + p.data.size
-            data = self.data[offset:stop].reshape(shape)
-            data[...] = p.data
-            p.data = data
-            p.grad = self.grad[offset:stop].reshape(shape)
+            stop = offset + p.data.size
+            p.grad = self.grad[offset:stop].reshape(p.data.shape)
             offset = stop
         self._grad_views = [p.grad for p in params]
         block = min(ADAM_BLOCK, size)
@@ -101,7 +110,8 @@ class Adam:
     def step(self) -> None:
         """One update of every parameter; per element the same operations in
         the same order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
-        ``p -= lr * (m/bias_1) / (sqrt(v/bias_2) + eps)``."""
+        ``p -= lr * (m/bias_1) / (sqrt(v/bias_2) + eps)``. The gradient
+        slab is left zeroed, ready for the next backward."""
         self.t += 1
         bias_1 = 1.0 - ADAM_BETA_1**self.t
         bias_2 = 1.0 - ADAM_BETA_2**self.t
@@ -114,6 +124,7 @@ class Adam:
             np.add(m, a, out=m)
             np.multiply(v, ADAM_BETA_2, out=v)
             np.multiply(g, g, out=a)
+            g.fill(0.0)  # spent; zeroed while it is still in cache
             np.multiply(a, 1 - ADAM_BETA_2, out=a)
             np.add(v, a, out=v)
             np.divide(m, bias_1, out=a)
@@ -125,7 +136,8 @@ class Adam:
             np.subtract(p, a, out=p)
 
     def zero_grad(self) -> None:
-        """Zero the gradient slab and point every ``.grad`` back at its view."""
+        """Zero the gradient slab and point every ``.grad`` back at its view;
+        only needed to drop gradients that no ``step`` consumed."""
         self.grad.fill(0.0)
         for p, grad in zip(self.params, self._grad_views):
             p.grad = grad
@@ -134,6 +146,26 @@ class Adam:
         """Detach the gradient views; parameters keep their slab views."""
         for p in self.params:
             p.grad = None
+
+
+def _tiled_slab(params: list[ad.Tensor]) -> np.ndarray | None:
+    """The flat float64 array whose consecutive views the parameters' data
+    are, in order and covering all of it; None when there is none."""
+    slab = params[0].data.base if params else None
+    if not (
+        isinstance(slab, np.ndarray)
+        and slab.dtype == np.float64
+        and slab.ndim == 1
+        and slab.flags.c_contiguous
+        and slab.flags.writeable
+    ):
+        return None
+    address = slab.ctypes.data
+    for p in params:
+        if p.data.base is not slab or not p.data.flags.c_contiguous or p.data.ctypes.data != address:
+            return None
+        address += p.data.nbytes
+    return slab if address == slab.ctypes.data + slab.nbytes else None
 
 
 def build_model(dim: int, spec: FlowSpec, seed: int = 0) -> FlowModel:
@@ -177,8 +209,10 @@ def apply_flow(model: FlowModel, matrix) -> np.ndarray:
     return flow_forward(model, matrix)[0]
 
 
-def nll_tensor(model: FlowModel, x: np.ndarray) -> ad.Tensor:
-    z, logdet = model.forward_tensors(ad.constant(x))
+def nll_tensor(model: FlowModel, x: np.ndarray, init_actnorms: bool = False) -> ad.Tensor:
+    """The graph of ``nll``; ``init_actnorms`` data-initializes a glow's
+    actnorms from this batch on the way (see ``GlowModel.forward_tensors``)."""
+    z, logdet = model.forward_tensors(ad.constant(x), init_actnorms=init_actnorms)
     per_row = ad.add(ad.mul(ad.sum_rows(ad.mul(z, z)), 0.5), ad.mul(logdet, -1.0))
     mean = ad.mul(ad.total(per_row), 1.0 / x.shape[0])
     return ad.add(mean, 0.5 * model.dim * math.log(2.0 * math.pi))
@@ -233,7 +267,8 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
 
     Parameter init draws from a pinned stream seeded by cfg.seed, epoch
     shuffles from an independent child stream. Actnorm layers (if any) are
-    data-initialized on the first training batch before the first update.
+    data-initialized from the first training batch inside the first step's
+    forward pass, each just before it runs.
     """
     w = as_matrix(matrix)
     n = w.shape[0]
@@ -251,14 +286,11 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
     step = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-        if epoch == 0 and isinstance(model, GlowModel):
-            model.initialize_actnorms(w[order[:batch_size]])
         batch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            optimizer.zero_grad()
             try:
-                loss = nll_tensor(model, w[idx])
+                loss = nll_tensor(model, w[idx], init_actnorms=step == 0)
             except NumericError as exc:
                 raise TrainingError(f"step {step}: {exc}") from exc
             value = float(loss.data)

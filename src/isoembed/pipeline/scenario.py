@@ -22,7 +22,7 @@ import numpy as np
 
 from ..atomic import atomic_write
 from ..errors import ParseError
-from ..evaluation import Qrels
+from ..evaluation import Qrels, text_lines
 from ..rng import PinnedRng
 from ..store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, SequenceRecord
 
@@ -143,18 +143,21 @@ def save_candidates(candidates: dict[str, list[str]], path) -> None:
 
 def load_candidates(path) -> dict[str, list[str]]:
     candidates: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or "qid" not in record or "docs" not in record:
-                raise ParseError(f"{path}:{line_no}: expected keys 'qid' and 'docs'")
-            qid = record["qid"]
-            if qid in candidates:
-                raise ParseError(f"{path}:{line_no}: duplicate qid {qid!r}")
-            candidates[qid] = [str(d) for d in record["docs"]]
+    for line_no, line in text_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict) or "qid" not in record or "docs" not in record:
+            raise ParseError(f"{path}:{line_no}: expected keys 'qid' and 'docs'")
+        qid, docs = record["qid"], record["docs"]
+        if not isinstance(qid, str):
+            raise ParseError(
+                f"{path}:{line_no}: qid must be a string, got {type(qid).__name__}"
+            )
+        if not isinstance(docs, list) or not all(isinstance(d, str) for d in docs):
+            raise ParseError(f"{path}:{line_no}: docs must be a list of strings")
+        if qid in candidates:
+            raise ParseError(f"{path}:{line_no}: duplicate qid {qid!r}")
+        candidates[qid] = docs
     return candidates

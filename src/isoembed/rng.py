@@ -23,6 +23,9 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
 _U53 = 2.0**-53
+# Uniform pairs per Box-Muller block: the block's raw draws, mixing scratch,
+# radii and angles take about 768 KB.
+GAUSSIAN_BLOCK = 16384
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -71,28 +74,38 @@ class PinnedRng:
         # overwrite the integers they come from.
         return np.multiply(raw, _U53, out=raw.view(np.float64))
 
-    def gaussians(self, n: int) -> np.ndarray:
+    def gaussians(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next ``n`` standard-normal doubles via Box-Muller.
 
         Consumes ceil(n/2) uniform pairs; for odd ``n`` the sine half of the
-        final pair is discarded rather than carried into the next call.
+        final pair is discarded rather than carried into the next call. The
+        pairs are drawn and transformed GAUSSIAN_BLOCK at a time, so the
+        temporaries stay in cache. The draws go into ``out`` when it is given
+        (C-contiguous float64 with ``n`` elements, any shape).
         """
-        n_pairs = (n + 1) // 2
-        pairs = self.uniforms(2 * n_pairs).reshape(n_pairs, 2)
-        # u == 0 occurs with probability 2^-53; substitute the smallest
-        # positive draw so the radius stays finite. Every nonzero draw is at
-        # least that, so the maximum changes nothing else.
-        radius = np.maximum(pairs[:, 0], _U53)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        theta = np.multiply(pairs[:, 1], 2.0 * np.pi)
-        # The pair's uniforms are spent, so the outputs take their place.
-        np.cos(theta, out=pairs[:, 0])
-        pairs[:, 0] *= radius
-        np.sin(theta, out=theta)
-        np.multiply(radius, theta, out=pairs[:, 1])
-        return pairs.reshape(-1)[:n]
+        if out is None:
+            out = np.empty(n)
+        elif out.dtype != np.float64 or out.size != n or not out.flags.c_contiguous:
+            raise ValueError(f"out must be C-contiguous float64 with {n} elements")
+        flat = out.reshape(-1)
+        for start in range(0, n, 2 * GAUSSIAN_BLOCK):
+            count = min(2 * GAUSSIAN_BLOCK, n - start)
+            pairs = self.uniforms(count + count % 2).reshape(-1, 2)
+            # u == 0 occurs with probability 2^-53; substitute the smallest
+            # positive draw so the radius stays finite. Every nonzero draw is
+            # at least that, so the maximum changes nothing else.
+            radius = np.maximum(pairs[:, 0], _U53)
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            theta = np.multiply(pairs[:, 1], 2.0 * np.pi)
+            # The pair's uniforms are spent, so the outputs take their place.
+            np.cos(theta, out=pairs[:, 0])
+            pairs[:, 0] *= radius
+            np.sin(theta, out=theta)
+            np.multiply(radius, theta, out=pairs[:, 1])
+            flat[start : start + count] = pairs.reshape(-1)[:count]
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n uniform keys."""

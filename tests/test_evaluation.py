@@ -21,7 +21,7 @@ from isoembed import (
     save_run,
     ttest_one_tailed,
 )
-from isoembed.errors import DegenerateVarianceError, ParseError
+from isoembed.errors import DegenerateVarianceError, IntegrityError, IsoembedError, ParseError
 from isoembed.evaluation import regularized_incomplete_beta, student_t_sf
 
 
@@ -318,13 +318,129 @@ class TestTextFormats:
             load_run(path)
 
     def test_run_must_descend(self):
-        with pytest.raises(ValueError, match="descending"):
+        with pytest.raises(IntegrityError, match="descending"):
             RankingRun({"q": [("a", 1.0), ("b", 2.0)]})
 
     def test_run_tie_order_enforced(self):
-        with pytest.raises(ValueError, match="tied"):
+        with pytest.raises(IntegrityError, match="tied"):
             RankingRun({"q": [("b", 1.0), ("a", 1.0)]})
 
     def test_run_duplicate_doc(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(IntegrityError, match="duplicate"):
             RankingRun({"q": [("a", 2.0), ("a", 1.0)]})
+
+    def test_run_nan_score(self):
+        with pytest.raises(IntegrityError, match="NaN"):
+            RankingRun({"q": [("a", float("nan")), ("b", 5.0)]})
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_run_non_finite_score_names_the_line(self, tmp_path, score):
+        path = tmp_path / "bad.run"
+        path.write_text(f"q1 Q0 d0 1 9.0 t\nq1 Q0 d1 2 {score} t\nq1 Q0 d2 3 5.0 t\n")
+        with pytest.raises(ParseError, match=f"bad.run:2: score '{score}' is not finite"):
+            load_run(path)
+
+    def test_run_order_error_names_the_path(self, tmp_path):
+        path = tmp_path / "up.run"
+        path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 5.0 t\n")
+        with pytest.raises(IntegrityError, match="up.run: .*descending"):
+            load_run(path)
+
+    @pytest.mark.parametrize("loader", [load_run, load_qrels], ids=["run", "qrels"])
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path, loader):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("q1 Q0 d\u00e9 1 1.0 t\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.txt: not UTF-8"):
+            loader(path)
+
+
+# Ids and tags: one or more characters that neither whitespace splitting nor
+# line splitting breaks apart, non-ASCII included.
+TOKENS = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")).filter(
+        lambda c: not c.isspace()
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def small_runs(draw):
+    rankings = {}
+    for qid in draw(st.lists(TOKENS, max_size=4, unique=True)):
+        docs = draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True))
+        scores = draw(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(docs), max_size=len(docs))
+        )
+        # Descending score, ties by doc id: the order RankingRun requires.
+        rankings[qid] = sorted(zip(docs, scores), key=lambda item: (-item[1], item[0]))
+    return RankingRun(rankings, tag=draw(TOKENS) if rankings else "run")
+
+
+@st.composite
+def small_qrels(draw):
+    pairs = draw(st.lists(st.tuples(TOKENS, TOKENS), max_size=8, unique=True))
+    return Qrels({pair: draw(st.integers(0, 10**6)) for pair in pairs})
+
+
+def flipped(blob: bytes, flips) -> bytes:
+    data = bytearray(blob)
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    return bytes(data)
+
+
+FLIPS = st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3)
+
+
+class TestTextFormatProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs())
+    def test_run_round_trip(self, tmp_path_factory, run):
+        path = tmp_path_factory.mktemp("run") / "r.run"
+        save_run(run, path)
+        loaded = load_run(path)
+        assert loaded.tag == run.tag
+        assert loaded.rankings == run.rankings
+        assert all(
+            math.copysign(1.0, a[1]) == math.copysign(1.0, b[1])
+            for qid in run.rankings
+            for a, b in zip(loaded.rankings[qid], run.rankings[qid])
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_qrels())
+    def test_qrels_round_trip(self, tmp_path_factory, qrels):
+        path = tmp_path_factory.mktemp("qrels") / "q.txt"
+        save_qrels(qrels, path)
+        assert load_qrels(path).grades == qrels.grades
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(small_runs(), small_qrels()))
+    def test_truncations_load_or_raise_typed_errors(self, tmp_path_factory, value):
+        directory = tmp_path_factory.mktemp("cut")
+        save, load = (save_run, load_run) if isinstance(value, RankingRun) else (save_qrels, load_qrels)
+        save(value, directory / "whole")
+        blob = (directory / "whole").read_bytes()
+        for cut in range(len(blob)):
+            (directory / "cut").write_bytes(blob[:cut])
+            try:
+                load(directory / "cut")
+            except IsoembedError:
+                pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_runs(), small_qrels()), FLIPS)
+    def test_byte_flips_load_or_raise_typed_errors(self, tmp_path_factory, value, flips):
+        directory = tmp_path_factory.mktemp("flip")
+        save, load = (save_run, load_run) if isinstance(value, RankingRun) else (save_qrels, load_qrels)
+        save(value, directory / "whole")
+        blob = (directory / "whole").read_bytes()
+        if not blob:
+            return
+        (directory / "flipped").write_bytes(flipped(blob, flips))
+        try:
+            load(directory / "flipped")
+        except IsoembedError:
+            pass

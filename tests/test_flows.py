@@ -1,6 +1,7 @@
 """Flow models: exact inverses, log-determinants against numerical
 Jacobians, gradients against finite differences, and training contracts."""
 
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from isoembed import autodiff as ad
 from isoembed.errors import CorpusFormatError, IsoembedError, ShapeError, TrainingError
 from isoembed.flows import training
+from isoembed.flows.coupling import rectify
 from isoembed.flows import (
     CLAMP,
     FlowTrainConfig,
@@ -558,3 +560,107 @@ class TestFormatProperties:
         ):
             loaded = flow_from_bytes(blob)
         assert flow_to_bytes(loaded) == blob
+
+
+class TestRectifier:
+    @pytest.mark.parametrize("value", [-0.0, -1.5, -np.inf, np.nan, 0.0])
+    def test_non_positive_and_nan_become_plus_zero(self, value):
+        """At every position of arrays of many lengths, so that numpy's
+        vector loop and its elementwise remainder are both covered."""
+        for size in range(1, 40):
+            for position in range(size):
+                h = np.linspace(-2.0, 3.0, size)
+                h[position] = value
+                mask = rectify(h)
+                assert not mask[position]
+                assert h[position] == 0.0 and not np.signbit(h[position])
+
+    def test_positives_and_inf_are_kept(self):
+        h = np.array([np.inf, 1e-300, 2.5, -3.0, np.inf, 7.0, 5e-324])
+        expected = h.copy()
+        expected[3] = 0.0
+        mask = rectify(h)
+        assert h.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(mask, [True, True, True, False, True, True, True])
+
+
+# flow_to_bytes(build_model(...)) recorded from the seeded init that drew
+# each Gaussian array in one pass and copied every layer into its own
+# array. The wide cases span several Gaussian blocks per weight matrix.
+BUILT_SHA256 = {
+    "nice": (6, NiceSpec(couplings=3, hidden=(8, 8)), 11,
+             "396c46e62c8792ca7be711dec77d01064f6d56c3c4343f52af5601be9b6290c3"),
+    "glow": (12, GlowSpec(levels=2, depth=2, hidden=(16, 8)), 12,
+             "45404c289fefdbdac475f4124c186796fe101e01f981971960c2cb091ad6c91c"),
+    "nice_wide": (64, NiceSpec(couplings=2, hidden=(300, 200)), 3,
+                  "b929d02d656526db0f07649d3778943ce19d5c561cdfcefb0b33def41ea59c70"),
+    "glow_wide": (64, GlowSpec(levels=2, depth=2, hidden=(256, 256)), 4,
+                  "79e3bb893482388592a31e19183a4c7b5998741a7d4cf9b93ef6c4150b465748"),
+}
+
+
+def assert_tiles_one_slab(params) -> np.ndarray:
+    slab = params[0].data.base
+    assert slab is not None and slab.ndim == 1
+    offset = 0
+    for p in params:
+        assert p.data.base is slab
+        assert np.shares_memory(p.data, slab[offset : offset + p.data.size])
+        offset += p.data.size
+    assert offset == slab.size
+    return slab
+
+
+class TestSeededBuild:
+    @pytest.mark.parametrize("name", sorted(BUILT_SHA256))
+    def test_bytes_match_the_recorded_init(self, name):
+        dim, spec, seed, digest = BUILT_SHA256[name]
+        assert hashlib.sha256(flow_to_bytes(build_model(dim, spec, seed))).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", [SMALL_NICE, SMALL_GLOW], ids=["nice", "glow"])
+    def test_built_and_loaded_models_are_trained_in_place(self, spec):
+        built = build_model(8, spec, seed=60)
+        for model in (built, flow_from_bytes(flow_to_bytes(built))):
+            slab = assert_tiles_one_slab(model.parameters())
+            optimizer = training.Adam(model.parameters(), 1e-3)
+            assert optimizer.data is slab
+            assert all(p.data.base is slab for p in model.parameters())
+
+    def test_other_parameter_lists_are_gathered(self):
+        model = build_model(8, SMALL_GLOW, seed=61)
+        params = model.parameters()[1:]
+        before = [p.data for p in params]
+        optimizer = training.Adam(params, 1e-3)
+        assert not np.shares_memory(optimizer.data, before[0].base)
+        for p, old in zip(params, before):
+            assert p.data.base is optimizer.data
+            np.testing.assert_array_equal(p.data, old)
+        own = [ad.parameter(np.ones(3)), ad.parameter(np.zeros((2, 2)))]
+        assert training.Adam(own, 1e-3).data.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_step_leaves_the_gradient_slab_zero(self):
+        model = build_model(8, SMALL_GLOW, seed=62)
+        optimizer = training.Adam(model.parameters(), 1e-3)
+        x = np.random.default_rng(63).normal(size=(16, 8))
+        training.nll_tensor(model, x).backward()
+        assert optimizer.grad.any()
+        optimizer.step()
+        assert not optimizer.grad.any()
+        assert all(p.grad.base is optimizer.grad for p in model.parameters())
+
+    def test_actnorm_init_inside_the_first_graph_forward(self):
+        """One forward that initializes each actnorm on the way gives the
+        loss and gradients of a separate init pass followed by a forward."""
+        x = np.random.default_rng(64).normal(size=(24, 8)) * 2.0 + 0.5
+        fused = randomize(build_model(8, SMALL_GLOW, seed=65), seed=66)
+        separate = randomize(build_model(8, SMALL_GLOW, seed=65), seed=66)
+        loss = training.nll_tensor(fused, x, init_actnorms=True)
+        separate.initialize_actnorms(x)
+        reference = training.nll_tensor(separate, x)
+        assert fused.actnorms_initialized
+        assert loss.data.tobytes() == reference.data.tobytes()
+        loss.backward()
+        reference.backward()
+        for p, q in zip(fused.parameters(), separate.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+            assert p.grad.tobytes() == q.grad.tobytes()

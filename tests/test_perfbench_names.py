@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from isoembed import autodiff as ad
 
@@ -49,3 +50,40 @@ def test_layer_bench_runs_every_layer_forward_and_backward():
         layers._reduce(*forward(layer, ad.constant(batch[:, :in_dim]))).backward()
         for p in layer.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape, name
+
+
+# Spans the benchmark's flow metrics are computed from. ``train_flow`` no
+# longer calls ``GlowModel.initialize_actnorms`` (flows.actnorm_init): the
+# actnorms are data-initialized inside the first step's forward pass, so
+# that span reads 0 in a fit and flows.train_step_ms now includes the first
+# batch's single forward.
+FIT_SPANS = ("flows.build_model", "flows.dataset_nll", "flows.nll_forward", "flows.checksum",
+             "flows.adam_step")
+
+
+@pytest.mark.parametrize(
+    "arch_args",
+    [["--arch", "glow", "--levels", "2", "--depth", "3"], ["--arch", "nice", "--couplings", "4"]],
+    ids=["glow", "nice"],
+)
+def test_fit_flow_records_every_training_span(tmp_path, arch_args):
+    """A walkthrough-size fit-flow under the benchmark's tracer records each
+    span at least once, so a refactor cannot silently zero one."""
+    from isoembed.pipeline import run
+
+    src = tmp_path / "src"
+    assert run(["scenario", "--out-dir", str(src), "--seed", "7", "--n-queries", "4",
+                "--n-docs", "4", "--dim", "16"]) == 0
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = run(["fit-flow", "--source-corpus", str(src / "corpus.emb"), *arch_args,
+                    "--hidden", "64,64", "--epochs", "2", "--batch-size", "64", "--seed", "7",
+                    "--out", str(tmp_path / "model.flw")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[1] for span in tracer.spans]
+    for name in FIT_SPANS:
+        assert names.count(name) >= 1, name

@@ -6,9 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoembed import load_corpus
-from isoembed.errors import ParseError
+from isoembed.errors import IsoembedError, ParseError
 from isoembed.pipeline import (
     ScenarioParams,
     build_designed_scenario,
@@ -74,6 +76,51 @@ class TestScenario:
         path.write_text('{"qid": "q1"}\n')
         with pytest.raises(ParseError, match="docs"):
             load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"qid": [1], "docs": ["a"]}', "qid must be a string"),
+            ('{"qid": "q1", "docs": 5}', "docs must be a list of strings"),
+            ('{"qid": "q1", "docs": ["a", 2]}', "docs must be a list of strings"),
+            ('{"qid": null, "docs": []}', "qid must be a string"),
+        ],
+    )
+    def test_candidates_wrong_json_types(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"qid": "q0", "docs": ["d0"]}\n' + line + "\n")
+        with pytest.raises(ParseError, match=f"bad.jsonl:2: {message}"):
+            load_candidates(path)
+
+    def test_candidates_invalid_utf8(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"qid": "q\xe9", "docs": []}\n')
+        with pytest.raises(ParseError, match="bad.jsonl: not UTF-8"):
+            load_candidates(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(st.text(max_size=4), st.lists(st.text(max_size=4), max_size=3), max_size=4),
+        st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3),
+        st.integers(0),
+    )
+    def test_candidates_round_trip_and_corruption(self, tmp_path_factory, cands, flips, cut):
+        """Every saved file loads back equal; every flipped or truncated one
+        loads or raises an IsoembedError."""
+        directory = tmp_path_factory.mktemp("cands")
+        save_candidates(cands, directory / "whole.jsonl")
+        assert load_candidates(directory / "whole.jsonl") == cands
+        blob = bytearray((directory / "whole.jsonl").read_bytes())
+        if not blob:
+            return
+        for position, mask in flips:
+            blob[position % len(blob)] ^= mask
+        for data in (bytes(blob), bytes(blob[: cut % len(blob)])):
+            (directory / "bad.jsonl").write_bytes(data)
+            try:
+                load_candidates(directory / "bad.jsonl")
+            except IsoembedError:
+                pass
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +227,30 @@ class TestCli:
         code = run(["measure", "--corpus", str(tmp_path / "absent.emb"),
                     "--out", str(tmp_path / "r.json")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"qid": [1], "docs": ["a"]}', '{"qid": "q1", "docs": 5}'],
+        ids=["list-qid", "int-docs"],
+    )
+    def test_wrong_json_type_in_candidates_is_data_error(self, workspace, tmp_path, line, capsys):
+        bad = tmp_path / "cands.jsonl"
+        bad.write_text(line + "\n")
+        out = tmp_path / "never.run"
+        assert run(["rerank", "--target-corpus", str(workspace / "src" / "corpus.emb"),
+                    "--candidates", str(bad), "--scorer", "colbert", "--post", "none",
+                    "--out", str(out)]) == 3
+        assert "cands.jsonl:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_score_in_run_is_data_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.run"
+        bad.write_text("q1 Q0 d1 1 nan t\nq1 Q0 d2 2 5.0 t\n")
+        out = tmp_path / "never.json"
+        assert run(["eval", "--run", str(bad), "--qrels", str(workspace / "src" / "qrels.txt"),
+                    "--out", str(out)]) == 3
+        assert "nan.run:1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.emb"

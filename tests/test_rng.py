@@ -3,7 +3,9 @@ conventions, and determinism."""
 
 import numpy as np
 
-from isoembed.rng import PinnedRng
+import pytest
+
+from isoembed.rng import GAUSSIAN_BLOCK, PinnedRng
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -93,6 +95,57 @@ class TestGaussians:
         g = PinnedRng(1).gaussians(200_000)
         assert abs(g.mean()) < 0.01
         assert abs(g.std() - 1.0) < 0.01
+
+
+def whole_array_gaussians(rng: PinnedRng, n: int) -> np.ndarray:
+    """The Box-Muller pass as it was written before blocking: every pair of
+    the call in one array."""
+    n_pairs = (n + 1) // 2
+    pairs = rng.uniforms(2 * n_pairs).reshape(n_pairs, 2)
+    radius = np.maximum(pairs[:, 0], 2.0**-53)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    theta = np.multiply(pairs[:, 1], 2.0 * np.pi)
+    np.cos(theta, out=pairs[:, 0])
+    pairs[:, 0] *= radius
+    np.sin(theta, out=theta)
+    np.multiply(radius, theta, out=pairs[:, 1])
+    return pairs.reshape(-1)[:n]
+
+
+BLOCK_VALUES = 2 * GAUSSIAN_BLOCK
+BLOCKED_SIZES = (
+    0, 1, 2, 7, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5
+)
+
+
+class TestBlockedGaussians:
+    @pytest.mark.parametrize("n", BLOCKED_SIZES)
+    @pytest.mark.parametrize("skip", [0, 3])
+    def test_bitwise_equal_to_the_whole_array_pass(self, n, skip):
+        blocked, whole = PinnedRng(21), PinnedRng(21)
+        blocked.u64(skip + 2)
+        whole.u64(skip + 2)
+        got = blocked.gaussians(n)
+        assert got.tobytes() == whole_array_gaussians(whole, n).tobytes()
+        assert blocked.draws == whole.draws == skip + 2 + 2 * ((n + 1) // 2)
+
+    def test_writes_into_out(self):
+        out = np.full((3, BLOCK_VALUES // 3 + 1), np.nan)
+        got = PinnedRng(4).gaussians(out.size, out=out)
+        assert got is out
+        assert out.tobytes() == whole_array_gaussians(PinnedRng(4), out.size).tobytes()
+
+    @pytest.mark.parametrize(
+        "out", [np.empty(5), np.empty(6, dtype=np.float32), np.empty((6, 2))[:, 0]],
+        ids=["size", "dtype", "strided"],
+    )
+    def test_rejects_an_unusable_out(self, out):
+        rng = PinnedRng(4)
+        with pytest.raises(ValueError, match="out"):
+            rng.gaussians(6, out=out)
+        assert rng.draws == 0
 
 
 class TestDerivedDraws:
