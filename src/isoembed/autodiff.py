@@ -3,9 +3,10 @@
 Two kinds of graph node. Generic ops (broadcast add/mul, exp, column
 slices side by side, sums) build the likelihood around a flow. ``fused``
 runs a whole flow layer as one node: the layer's numpy kernel computes
-the output and keeps a small cache, and its hand-written backward routes
-the upstream gradient to the layer's parameters and input. Each node
-whose output needs a gradient records its parents and a closure;
+the output and keeps a small cache, and its hand-written backward writes
+the gradients of the layer's parameters itself and routes the rest to the
+layer's input, so the node's only parent is that input. Each node whose
+output needs a gradient records its parents and a closure;
 ``Tensor.backward`` runs the closures in reverse topological order. Inside
 ``with no_grad():`` nodes record neither, layers keep no cache, and a
 forward pass costs only its arithmetic. All data is float64 and reductions
@@ -109,8 +110,10 @@ def fused(layer, x: Tensor, logdet: Tensor | None = None):
     ``layer.kernel(x, keep)`` returns the output, the layer's log-det
     contribution (None for a layer without one) and, when ``keep``, the
     cache its backward needs. ``layer.backward(cache, grad, logdet_grad,
-    need_dx)`` accumulates the gradients of ``layer.parameters()`` and
-    returns the input's gradient when ``need_dx``. With ``logdet``, the
+    need_dx)`` accumulates the gradients of the layer's parameters and
+    returns the input's gradient when ``need_dx``. The parameters are not
+    graph nodes: the layer's node has ``x`` as its only parent, and its
+    backward runs also when ``x`` needs no gradient. With ``logdet``, the
     updated log-det is a second node whose closure hands its gradient to the
     layer's node; an output the loss does not reach has zero gradient.
     Under ``no_grad`` the kernel keeps no cache.
@@ -128,7 +131,7 @@ def fused(layer, x: Tensor, logdet: Tensor | None = None):
         if dx is not None:
             x._accumulate(dx)
 
-    node = Tensor(y, parents=(x, *layer.parameters()), backward=backward)
+    node = Tensor(y, requires_grad=True, parents=(x,), backward=backward)
     if logdet is None:
         return node, None
 

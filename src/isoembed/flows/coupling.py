@@ -8,8 +8,10 @@ identity map; hidden layers use seeded He-style initialization.
 
 Every flow's parameters live in one flat slab: ``ParameterSlab`` hands out
 its consecutive views in parameter-traversal order. A seeded build and an
-FLW1 load lay a model over a slab with the same assembly code; the seeded
-slab starts at zero and each hidden weight is drawn straight into its view.
+FLW1 load lay a model over a slab with the same assembly code, which must
+use up the slab; the model keeps it as ``model.slab``, and training updates
+it in place. The seeded slab starts at zero and each hidden weight is drawn
+straight into its view.
 """
 
 from __future__ import annotations
@@ -171,6 +173,12 @@ class ParameterSlab:
         view = self.slab[self.pos : self.pos + count].reshape(shape)
         self.pos += count
         return ad.Tensor(view, requires_grad=True)
+
+    def used_up(self) -> np.ndarray:
+        """The slab, once every element of it has been handed out."""
+        if self.pos != self.slab.size:
+            raise ValueError(f"the assembly used {self.pos} of {self.slab.size} slab elements")
+        return self.slab
 
     def net(self, widths: tuple[int, ...]) -> CouplingNet:
         weights, biases = [], []

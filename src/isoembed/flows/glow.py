@@ -240,11 +240,12 @@ class GlowStep:
 class GlowModel:
     arch_tag = 1
 
-    def __init__(self, dim: int, spec: GlowSpec, levels: list[list[GlowStep]]):
+    def __init__(self, dim: int, spec: GlowSpec, levels: list[list[GlowStep]], slab: np.ndarray):
         self.dim = dim
         self.spec = spec
         self.levels = levels
         self.sizes = active_sizes(dim, spec.levels)
+        self.slab = slab  # every parameter's data, in traversal order
 
     @classmethod
     def build(cls, dim: int, spec: GlowSpec = GlowSpec(), seed: int = 0) -> "GlowModel":
@@ -261,9 +262,9 @@ class GlowModel:
 
     @classmethod
     def assemble(cls, dim: int, spec: GlowSpec, steps, params: ParameterSlab) -> "GlowModel":
-        """Lay the model over ``params`` in traversal order. ``steps`` yields
-        (permutation, signs, actnorm initialized) per step and is consumed
-        one step at a time."""
+        """Lay the model over ``params`` in traversal order, using all of
+        it. ``steps`` yields (permutation, signs, actnorm initialized) per
+        step and is consumed one step at a time."""
         sizes = active_sizes(dim, spec.levels)
         levels = [[] for _ in sizes]
         for k, (perm, signs, initialized) in enumerate(steps):
@@ -273,7 +274,7 @@ class GlowModel:
             cond, moved = parity_indices(size, k % 2)
             net = params.net((len(cond), *spec.hidden, 2 * len(moved)))
             levels[k // spec.depth].append(GlowStep(actnorm, linear, AffineCoupling(size, k % 2, net)))
-        return cls(dim, spec, levels)
+        return cls(dim, spec, levels, params.used_up())
 
     @staticmethod
     def parameter_count(dim: int, spec: GlowSpec) -> int:

@@ -52,13 +52,16 @@ class AdditiveCoupling(Coupling):
 class NiceModel:
     arch_tag = 0
 
-    def __init__(self, dim: int, spec: NiceSpec, couplings, log_scale: ad.Tensor):
+    def __init__(
+        self, dim: int, spec: NiceSpec, couplings, log_scale: ad.Tensor, slab: np.ndarray
+    ):
         if dim < 2:
             raise ValueError("flow dimension must be >= 2")
         self.dim = dim
         self.spec = spec
         self.couplings = couplings  # list of AdditiveCoupling
         self.log_scale = log_scale
+        self.slab = slab  # every parameter's data, in traversal order
 
     @classmethod
     def build(cls, dim: int, spec: NiceSpec = NiceSpec(), seed: int = 0) -> "NiceModel":
@@ -68,13 +71,14 @@ class NiceModel:
 
     @classmethod
     def assemble(cls, dim: int, spec: NiceSpec, params: ParameterSlab) -> "NiceModel":
-        """Lay the model over ``params`` in traversal order."""
+        """Lay the model over ``params`` in traversal order, using all of it."""
         couplings = []
         for i in range(spec.couplings):
             cond, moved = parity_indices(dim, i % 2)
             net = params.net((len(cond), *spec.hidden, len(moved)))
             couplings.append(AdditiveCoupling(dim, i % 2, net))
-        return cls(dim, spec, couplings, params.take(dim))
+        log_scale = params.take(dim)
+        return cls(dim, spec, couplings, log_scale, params.used_up())
 
     @staticmethod
     def parameter_count(dim: int, spec: NiceSpec) -> int:

@@ -37,6 +37,8 @@ ADAM_BLOCK = 32768
 # Rows per forward call when transforming without a graph: bounds the hidden
 # activations of wide coupling nets (5x1000 widths: 8 KB per row and layer).
 FORWARD_CHUNK_ROWS = 4096
+# Rows per likelihood evaluation in ``dataset_nll``.
+NLL_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class FlowTrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -65,44 +67,32 @@ class TrainReport:
 
 
 class Adam:
-    """Adaptive-moment updates over flat float64 state.
+    """Adaptive-moment updates of a flow model's parameter slab, in place.
 
-    The parameters live in one slab: each parameter's ``.data`` and
-    ``.grad`` are views of the parameter and gradient slabs, in
-    parameter-traversal order, next to slabs for the first and second
-    moments. Parameters that already tile one slab in that order, as every
-    built or loaded flow's do, are trained in place; others are gathered
-    into a new slab. Backward then accumulates straight into the gradient
-    slab, and ``step`` updates every parameter in one pass over the slabs in
-    blocks of ADAM_BLOCK elements, zeroing each gradient block once it is
-    used. A parameter that receives no gradient sees zeros. While the
-    optimizer is in use, parameter values must be written in place
-    (``p.data[...] = value``): rebinding ``.data`` detaches it from the slab.
+    ``model.slab`` holds every parameter's ``.data``, in traversal order.
+    The gradients and the first and second moments live in three more slabs
+    of its length, and each parameter's ``.grad`` is a view of the gradient
+    slab, so backward accumulates straight into it. ``step`` updates every
+    parameter in one pass over the slabs in blocks of ADAM_BLOCK elements,
+    zeroing each gradient block once it is used. A parameter that receives
+    no gradient sees zeros. While the optimizer is in use, parameter values
+    must be written in place (``p.data[...] = value``): rebinding ``.data``
+    detaches it from the slab.
     """
 
-    def __init__(self, params: list[ad.Tensor], learning_rate: float):
-        self.params = params
+    def __init__(self, model: FlowModel, learning_rate: float):
+        self.params = model.parameters()
         self.lr = learning_rate
-        self.data = _tiled_slab(params)
-        if self.data is None:
-            self.data = np.empty(sum(p.data.size for p in params))
-            offset = 0
-            for p in params:
-                stop = offset + p.data.size
-                data = self.data[offset:stop].reshape(p.data.shape)
-                data[...] = p.data
-                p.data = data
-                offset = stop
+        self.data = model.slab
         size = self.data.size
         self.grad = np.zeros(size)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         offset = 0
-        for p in params:
+        for p in self.params:
             stop = offset + p.data.size
             p.grad = self.grad[offset:stop].reshape(p.data.shape)
             offset = stop
-        self._grad_views = [p.grad for p in params]
         block = min(ADAM_BLOCK, size)
         self._scratch = (np.empty(block), np.empty(block))
         self.t = 0
@@ -135,37 +125,10 @@ class Adam:
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
 
-    def zero_grad(self) -> None:
-        """Zero the gradient slab and point every ``.grad`` back at its view;
-        only needed to drop gradients that no ``step`` consumed."""
-        self.grad.fill(0.0)
-        for p, grad in zip(self.params, self._grad_views):
-            p.grad = grad
-
     def release(self) -> None:
         """Detach the gradient views; parameters keep their slab views."""
         for p in self.params:
             p.grad = None
-
-
-def _tiled_slab(params: list[ad.Tensor]) -> np.ndarray | None:
-    """The flat float64 array whose consecutive views the parameters' data
-    are, in order and covering all of it; None when there is none."""
-    slab = params[0].data.base if params else None
-    if not (
-        isinstance(slab, np.ndarray)
-        and slab.dtype == np.float64
-        and slab.ndim == 1
-        and slab.flags.c_contiguous
-        and slab.flags.writeable
-    ):
-        return None
-    address = slab.ctypes.data
-    for p in params:
-        if p.data.base is not slab or not p.data.flags.c_contiguous or p.data.ctypes.data != address:
-            return None
-        address += p.data.nbytes
-    return slab if address == slab.ctypes.data + slab.nbytes else None
 
 
 def build_model(dim: int, spec: FlowSpec, seed: int = 0) -> FlowModel:
@@ -243,14 +206,14 @@ def nll_gradient(model: FlowModel, batch) -> list[np.ndarray]:
     ]
 
 
-def dataset_nll(model: FlowModel, matrix, chunk_rows: int = 2048) -> float:
-    """Mean nll over a full matrix, evaluated in row chunks."""
+def dataset_nll(model: FlowModel, matrix) -> float:
+    """Mean nll over a full matrix, evaluated in chunks of NLL_CHUNK_ROWS rows."""
     x = _check_batch(model, matrix)
     if x.shape[0] == 0:
         raise EmptyInputError("dataset_nll needs at least one row")
     total = 0.0
-    for start in range(0, x.shape[0], chunk_rows):
-        chunk = x[start : start + chunk_rows]
+    for start in range(0, x.shape[0], NLL_CHUNK_ROWS):
+        chunk = x[start : start + NLL_CHUNK_ROWS]
         total += nll(model, chunk) * chunk.shape[0]
     return total / x.shape[0]
 
@@ -258,7 +221,7 @@ def dataset_nll(model: FlowModel, matrix, chunk_rows: int = 2048) -> float:
 def model_checksum(model: FlowModel) -> str:
     digest = hashlib.sha256()
     for p in model.parameters():
-        digest.update(p.data.tobytes())
+        digest.update(np.ascontiguousarray(p.data))
     return digest.hexdigest()
 
 
@@ -280,7 +243,7 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
 
     shuffle_seed = int(PinnedRng(cfg.seed).u64(1)[0])
     shuffle_rng = PinnedRng(shuffle_seed)
-    optimizer = Adam(model.parameters(), cfg.learning_rate)
+    optimizer = Adam(model, cfg.learning_rate)
 
     epoch_nll = []
     step = 0

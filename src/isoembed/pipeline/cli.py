@@ -169,19 +169,28 @@ def _parse_axis_scales(value) -> list | None:
 
 
 def _parse_batch_size(value) -> int | str:
-    """measure's batch size: "full", or a positive row count given as an
-    int or as its digits (the flag's text)."""
+    """measure's batch size: "full", or a row count of at least 2 given as
+    an int or as its digits (the flag's text)."""
     if value == FULL_BATCH:
         return value
     try:
         rows = int(value) if isinstance(value, str) else value
     except ValueError:
         rows = None
-    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 2:
         raise ConfigurationError(
-            f"batch_size must be {FULL_BATCH!r} or a positive int, got {value!r}"
+            f"batch_size must be {FULL_BATCH!r} or an int >= 2, got {value!r}"
         )
     return rows
+
+
+def _in_range(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose range checks raise ValueError: a
+    setting outside its range is a configuration error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ def _parse_batch_size(value) -> int | str:
 def cmd_gen(settings: dict) -> int:
     fields = _fields_of(SynthParams, settings)
     fields["axis_scales"] = _parse_axis_scales(fields["axis_scales"])
-    save_corpus(generate_anisotropic(SynthParams(**fields)), settings["out"])
+    save_corpus(generate_anisotropic(_in_range(SynthParams, **fields)), settings["out"])
     write_json(
         {**_stamp(settings), "settings": experiment_settings(settings)},
         str(settings["out"]) + ".manifest.json",
@@ -202,15 +211,18 @@ def cmd_gen(settings: dict) -> int:
 
 
 def cmd_scenario(settings: dict) -> int:
-    out_dir = Path(settings["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corpus, qrels, candidates = build_designed_scenario(
+    # The build's ValueErrors all come from settings: its argument checks,
+    # or scales so large that the corpus is not finite.
+    corpus, qrels, candidates = _in_range(
+        build_designed_scenario,
         seed=settings["seed"],
         n_queries=settings["n_queries"],
         n_docs=settings["n_docs"],
         dim=settings["dim"],
-        params=ScenarioParams(**_fields_of(ScenarioParams, settings)),
+        params=_in_range(ScenarioParams, **_fields_of(ScenarioParams, settings)),
     )
+    out_dir = Path(settings["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, out_dir / "corpus.emb")
     save_qrels(qrels, out_dir / "qrels.txt")
     save_candidates(candidates, out_dir / "candidates.jsonl")
@@ -294,11 +306,13 @@ def cmd_fit_whiten(settings: dict) -> int:
 def cmd_fit_flow(settings: dict) -> int:
     hidden = _parse_widths(settings["hidden"])
     if settings["arch"] == POST_NICE:
-        spec = NiceSpec(couplings=settings["couplings"], hidden=hidden)
+        spec = _in_range(NiceSpec, couplings=settings["couplings"], hidden=hidden)
     else:
-        spec = GlowSpec(levels=settings["levels"], depth=settings["depth"], hidden=hidden)
+        spec = _in_range(
+            GlowSpec, levels=settings["levels"], depth=settings["depth"], hidden=hidden
+        )
+    cfg = _in_range(FlowTrainConfig, **_fields_of(FlowTrainConfig, settings))
     corpus = load_corpus(settings["source_corpus"])
-    cfg = FlowTrainConfig(**_fields_of(FlowTrainConfig, settings))
     model, report = train_flow(_fit_matrix(corpus, settings["fit_on"]), spec, cfg)
     save_flow(model, settings["out"])
     _write_provenance(settings["out"], settings["source_corpus"], settings)

@@ -32,7 +32,6 @@ class WhiteningTransform:
     eigenvalues: np.ndarray
     eps_rel: float
     fitted_on: int
-    floor_mask: np.ndarray  # True where the eigenvalue was raised to the floor
 
     def __post_init__(self):
         for name in ("mu", "rotation", "eigenvalues"):
@@ -62,7 +61,9 @@ def fit_whitening(matrix, eps_rel: float = 1e-8) -> WhiteningTransform:
 
     Eigenvalues are floored at eps_rel * max(eigenvalue) before storage so
     the transform stays invertible when the data is rank deficient; for an
-    exactly zero covariance the floor falls back to eps_rel itself.
+    exactly zero covariance the floor falls back to eps_rel itself. Which
+    eigenvalues were raised is not recorded: a WHT1 file could not tell a
+    raised eigenvalue from one that was at the floor already.
     """
     w = as_matrix(matrix)
     n = w.shape[0]
@@ -76,14 +77,12 @@ def fit_whitening(matrix, eps_rel: float = 1e-8) -> WhiteningTransform:
     eigenvalues, rotation = np.linalg.eigh(sigma)
     lam_max = float(eigenvalues[-1])
     floor = eps_rel * lam_max if lam_max > 0 else eps_rel
-    floor_mask = eigenvalues < floor
     return WhiteningTransform(
         mu=mu,
         rotation=rotation,
         eigenvalues=np.maximum(eigenvalues, floor),
         eps_rel=eps_rel,
         fitted_on=n,
-        floor_mask=floor_mask,
     )
 
 
@@ -142,8 +141,6 @@ def load_whitening(path) -> WhiteningTransform:
         rotation = np.empty((dim, dim), "<f8")
         for array in (mu, eigenvalues, rotation):
             reader.read_into(array)
-    lam_max = float(eigenvalues[-1])
-    floor = eps_rel * lam_max if lam_max > 0 else eps_rel
     try:
         return WhiteningTransform(
             mu=mu,
@@ -151,7 +148,6 @@ def load_whitening(path) -> WhiteningTransform:
             eigenvalues=eigenvalues,
             eps_rel=eps_rel,
             fitted_on=fitted_on,
-            floor_mask=eigenvalues <= floor,
         )
     except ValueError as exc:
         raise IntegrityError(f"{path}: {exc}") from None

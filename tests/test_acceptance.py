@@ -80,7 +80,7 @@ class TestCriterion2WhiteningExactness:
         mean_err = np.abs(z.mean(axis=0)).max()
         centered = z - z.mean(axis=0)
         cov = centered.T @ centered / (len(z) - 1)
-        keep = ~transform.floor_mask
+        keep = transform.eigenvalues > transform.eps_rel * transform.eigenvalues[-1]
         cov_err = np.abs(cov[np.ix_(keep, keep)] - np.eye(int(keep.sum()))).max()
         elapsed = time.perf_counter() - start
         assert mean_err <= 1e-10

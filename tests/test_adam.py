@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isoembed import autodiff as ad
 from isoembed.flows import FlowTrainConfig, GlowSpec, NiceSpec, build_model, train_flow
 from isoembed.flows import training
+from isoembed.flows.coupling import ParameterSlab
 from isoembed.flows.training import ADAM_BETA_1, ADAM_BETA_2, ADAM_BLOCK, ADAM_EPS, Adam
 
 
@@ -34,6 +35,19 @@ class PerParameterAdam:
             m_hat = self.m[i] / bias_1
             v_hat = self.v[i] / bias_2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+class SlabModel:
+    """Stand-in for a flow model: parameters of the given starting values,
+    laid over one slab in order, as ``assemble`` lays a flow's."""
+
+    def __init__(self, arrays):
+        params = ParameterSlab(np.concatenate([a.ravel() for a in arrays]))
+        self._params = [params.take(*a.shape) for a in arrays]
+        self.slab = params.used_up()
+
+    def parameters(self):
+        return self._params
 
 
 # Parameter shapes whose total size lies below, at, just above and at no
@@ -71,12 +85,14 @@ def test_blocked_step_is_bitwise_the_per_parameter_formula(
     silent = no_grad % len(shapes)
     rng = np.random.default_rng(seed)
     start = [rng.normal(size=s) * 3.0 for s in shapes]
-    fast = [ad.parameter(a) for a in start]
+    model = SlabModel(start)
+    fast = model.parameters()
     slow = [ad.parameter(a) for a in start]
-    optimizer = Adam(fast, learning_rate)
+    optimizer = Adam(model, learning_rate)
     oracle = PerParameterAdam(slow, learning_rate)
     for _ in range(steps):
-        optimizer.zero_grad()
+        # The gradient slab starts zeroed and each step leaves it zeroed, so
+        # the silent parameter's gradient is zero.
         for i, (f, s) in enumerate(zip(fast, slow)):
             if i == silent:
                 s.grad = None
@@ -109,7 +125,7 @@ def assert_views_of_slabs(params, optimizer):
 def test_parameters_view_the_slabs_in_traversal_order(spec):
     model = build_model(6, spec, seed=3)
     before = [p.data.copy() for p in model.parameters()]
-    optimizer = Adam(model.parameters(), 1e-3)
+    optimizer = Adam(model, 1e-3)
     assert_views_of_slabs(model.parameters(), optimizer)
     for p, value in zip(model.parameters(), before):
         np.testing.assert_array_equal(p.data, value)
@@ -120,7 +136,7 @@ def test_parameters_stay_slab_views_after_actnorm_init():
     batch = np.random.default_rng(0).normal(size=(32, 8)) * 4.0 + 1.0
     model = build_model(8, GlowSpec(2, 2, (8,)), seed=5)
     reference = build_model(8, GlowSpec(2, 2, (8,)), seed=5)
-    optimizer = Adam(model.parameters(), 1e-3)
+    optimizer = Adam(model, 1e-3)
     model.initialize_actnorms(batch)
     reference.initialize_actnorms(batch)
     assert model.actnorms_initialized
@@ -136,9 +152,8 @@ def test_parameters_stay_slab_views_after_actnorm_init():
 def test_backward_accumulates_into_the_gradient_slab():
     x = np.random.default_rng(1).normal(size=(16, 6))
     model = build_model(6, GlowSpec(2, 1, (8,)), seed=2)
-    optimizer = Adam(model.parameters(), 1e-3)
+    optimizer = Adam(model, 1e-3)
     expected = training.nll_gradient(build_model(6, GlowSpec(2, 1, (8,)), seed=2), x)
-    optimizer.zero_grad()
     training.nll_tensor(model, x).backward()
     got = [p.grad for p in model.parameters()]
     np.testing.assert_array_equal(np.concatenate([g.ravel() for g in got]), optimizer.grad)

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from isoembed import autodiff as ad
 from isoembed.errors import CorpusFormatError, IsoembedError, ShapeError, TrainingError
 from isoembed.flows import training
-from isoembed.flows.coupling import rectify
+from isoembed.flows.coupling import ParameterSlab, rectify
 from isoembed.flows import (
     CLAMP,
     FlowTrainConfig,
     GlowModel,
     GlowSpec,
+    NiceModel,
     NiceSpec,
     apply_flow,
     build_model,
@@ -235,17 +236,22 @@ class TestGradients:
     def test_walkthrough_glow_graph_has_one_node_per_layer(self):
         """Each flow layer and each log-det update is one node: 6 steps x 6,
         3 for factoring the levels, 8 for the likelihood (227 as per-op
-        graph)."""
+        graph). Parameters are not graph nodes, so backward's walk visits
+        only the nodes with a closure."""
         model = build_model(64, GlowSpec(levels=2, depth=3, hidden=(64, 64)), seed=0)
         loss = training.nll_tensor(model, np.random.default_rng(9).normal(size=(64, 64)))
-        nodes, seen, stack = 0, set(), [loss]
+        nodes, visited, seen, stack = 0, 0, set(), [loss]
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
                 nodes += node._backward is not None
+                # As in ``Tensor.backward``: a tensor that needs no gradient
+                # ends the walk.
+                visited += node.requires_grad
                 stack.extend(node._parents)
         assert nodes <= 60
+        assert visited <= 46
 
 
 class TestTraining:
@@ -621,26 +627,25 @@ class TestSeededBuild:
     def test_built_and_loaded_models_are_trained_in_place(self, spec):
         built = build_model(8, spec, seed=60)
         for model in (built, flow_from_bytes(flow_to_bytes(built))):
-            slab = assert_tiles_one_slab(model.parameters())
-            optimizer = training.Adam(model.parameters(), 1e-3)
-            assert optimizer.data is slab
-            assert all(p.data.base is slab for p in model.parameters())
+            assert assert_tiles_one_slab(model.parameters()) is model.slab
+            optimizer = training.Adam(model, 1e-3)
+            assert optimizer.data is model.slab
+            assert all(p.data.base is model.slab for p in model.parameters())
 
-    def test_other_parameter_lists_are_gathered(self):
-        model = build_model(8, SMALL_GLOW, seed=61)
-        params = model.parameters()[1:]
-        before = [p.data for p in params]
-        optimizer = training.Adam(params, 1e-3)
-        assert not np.shares_memory(optimizer.data, before[0].base)
-        for p, old in zip(params, before):
-            assert p.data.base is optimizer.data
-            np.testing.assert_array_equal(p.data, old)
-        own = [ad.parameter(np.ones(3)), ad.parameter(np.zeros((2, 2)))]
-        assert training.Adam(own, 1e-3).data.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_assembly_uses_up_the_slab_exactly(self, extra):
+        """A slab one element short or one element long is rejected."""
+        nice_size = NiceModel.parameter_count(8, SMALL_NICE) + extra
+        with pytest.raises(ValueError):
+            NiceModel.assemble(8, SMALL_NICE, ParameterSlab(np.zeros(nice_size)))
+        steps = [(np.arange(size), np.ones(size), False) for size in (8, 8, 4, 4)]
+        glow_size = GlowModel.parameter_count(8, SMALL_GLOW) + extra
+        with pytest.raises(ValueError):
+            GlowModel.assemble(8, SMALL_GLOW, iter(steps), ParameterSlab(np.zeros(glow_size)))
 
     def test_step_leaves_the_gradient_slab_zero(self):
         model = build_model(8, SMALL_GLOW, seed=62)
-        optimizer = training.Adam(model.parameters(), 1e-3)
+        optimizer = training.Adam(model, 1e-3)
         x = np.random.default_rng(63).normal(size=(16, 8))
         training.nll_tensor(model, x).backward()
         assert optimizer.grad.any()

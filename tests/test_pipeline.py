@@ -413,6 +413,36 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("fit-flow", ["--epochs", "0"]),
+        ("fit-flow", ["--learning-rate", "-1"]),
+        ("fit-flow", ["--learning-rate", "nan"]),
+        ("fit-flow", ["--learning-rate", "inf"]),
+        ("fit-flow", ["--batch-size", "0"]),
+        ("fit-flow", ["--arch", "nice", "--couplings", "0"]),
+        ("fit-flow", ["--arch", "glow", "--levels", "0"]),
+        ("fit-flow", ["--arch", "glow", "--depth", "0"]),
+        ("gen", ["--dim", "0"]),
+        ("gen", ["--outlier-scale", "0.5"]),
+        ("scenario", ["--n-docs", "1"]),
+        ("scenario", ["--n-queries", "0"]),
+        ("scenario", ["--dim", "8"]),
+        ("scenario", ["--scale-factor", "0"]),
+        ("measure", ["--batch-size", "1"]),
+    ])
+    def test_setting_out_of_range_is_config_error(self, workspace, tmp_path, command, flags):
+        corpus = str(workspace / "src" / "corpus.emb")
+        inputs = {
+            "fit-flow": ["--source-corpus", corpus, "--hidden", "4"],
+            "gen": [],
+            "scenario": [],
+            "measure": ["--corpus", corpus],
+        }[command]
+        out = tmp_path / "never"
+        out_flag = "--out-dir" if command == "scenario" else "--out"
+        assert run([command, *inputs, *flags, out_flag, str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["0", "64,-1", "64,,x", "1.5", "a"])
     def test_bad_hidden_flag_is_config_error(self, workspace, tmp_path, text):
         out = tmp_path / "f.flw"

@@ -132,7 +132,6 @@ def identity_whitening(dim: int) -> WhiteningTransform:
         eigenvalues=np.ones(dim),
         eps_rel=1e-8,
         fitted_on=2,
-        floor_mask=np.zeros(dim, dtype=bool),
     )
 
 

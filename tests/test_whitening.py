@@ -45,8 +45,13 @@ def identity_transform(dim: int) -> WhiteningTransform:
         eigenvalues=np.ones(dim),
         eps_rel=1e-8,
         fitted_on=2,
-        floor_mask=np.zeros(dim, dtype=bool),
     )
+
+
+def above_the_floor(t: WhiteningTransform) -> np.ndarray:
+    """Where the eigenvalue is above eps_rel times the largest one; only
+    for a fit whose covariance is not zero."""
+    return t.eigenvalues > t.eps_rel * t.eigenvalues[-1]
 
 
 class TestFit:
@@ -60,8 +65,8 @@ class TestFit:
     def test_constant_rows_floor_everything(self):
         t = fit_whitening(np.tile([2.0, -1.0, 5.0], (6, 1)))
         np.testing.assert_allclose(t.mu, [2.0, -1.0, 5.0], atol=1e-15)
-        assert t.floor_mask.all()
-        assert (t.eigenvalues > 0).all()
+        # A zero covariance floors every eigenvalue at eps_rel itself.
+        np.testing.assert_array_equal(t.eigenvalues, np.full(3, t.eps_rel))
 
     def test_reconstructs_covariance_oracle(self):
         rng = np.random.default_rng(12)
@@ -113,7 +118,7 @@ class TestApply:
         z = apply_whitening(t, w)
         assert np.abs(z.mean(axis=0)).max() < 1e-10
         cov = (z - z.mean(axis=0)).T @ (z - z.mean(axis=0)) / (len(z) - 1)
-        keep = ~t.floor_mask
+        keep = above_the_floor(t)
         assert np.abs(cov[np.ix_(keep, keep)] - np.eye(keep.sum())).max() < 1e-8
 
     def test_floored_dimensions_excluded(self):
@@ -123,9 +128,9 @@ class TestApply:
         base = rng.normal(size=(100, 2))
         w = np.column_stack([base, base[:, 0] + base[:, 1]])
         t = fit_whitening(w)
-        assert t.floor_mask.sum() == 1
+        keep = above_the_floor(t)
+        assert keep.sum() == 2
         z = apply_whitening(t, w)
-        keep = ~t.floor_mask
         cov = (z - z.mean(axis=0)).T @ (z - z.mean(axis=0)) / (len(z) - 1)
         assert np.abs(cov[np.ix_(keep, keep)] - np.eye(2)).max() < 1e-8
 
