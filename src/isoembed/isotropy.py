@@ -15,6 +15,7 @@ cannot overflow the partition function.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -193,6 +194,8 @@ def dimension_profile(matrix, outlier_factor: float = 5.0) -> DimensionProfile:
     A dimension is flagged when its max |value| exceeds ``outlier_factor``
     times the median of the per-dimension max |value|.
     """
+    if not 0 < outlier_factor < math.inf:  # NaN fails
+        raise ValueError(f"outlier_factor must be positive and finite, got {outlier_factor}")
     w = as_matrix(matrix)
     if w.shape[0] == 0:
         raise EmptyInputError("dimension_profile needs at least one row")

@@ -69,7 +69,7 @@ from ..store import (
     rows_of_kind,
     save_corpus,
 )
-from ..whitening import fit_whitening, load_whitening, save_whitening
+from ..whitening import check_eps_rel, fit_whitening, load_whitening, save_whitening
 from .scenario import (
     ScenarioParams,
     build_designed_scenario,
@@ -243,7 +243,9 @@ def cmd_measure(settings: dict) -> int:
         cosine_mode=settings["cosine_mode"],
         seed=settings["seed"],
     )
-    profile = dimension_profile(corpus.matrix, outlier_factor=settings["outlier_factor"])
+    profile = _in_range(
+        dimension_profile, corpus.matrix, outlier_factor=settings["outlier_factor"]
+    )
     payload = {
         **_stamp(settings),
         "i_w": report.i_w,
@@ -293,6 +295,7 @@ def _fit_matrix(corpus, fit_on: str) -> np.ndarray:
 
 
 def cmd_fit_whiten(settings: dict) -> int:
+    _in_range(check_eps_rel, settings["eps_rel"])
     corpus = load_corpus(settings["source_corpus"])
     transform = fit_whitening(
         _fit_matrix(corpus, settings["fit_on"]), eps_rel=settings["eps_rel"]

@@ -16,6 +16,7 @@ from one pinned stream in a fixed draw order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from ..atomic import atomic_write
 from ..errors import ParseError
 from ..evaluation import Qrels, text_lines
 from ..rng import PinnedRng
-from ..store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, SequenceRecord
+from ..store import EmbeddingCorpus, blocked_corpus
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,15 @@ class ScenarioParams:
     def __post_init__(self):
         if self.tokens_per_query < 1 or self.tokens_per_doc < 1:
             raise ValueError("token counts must be >= 1")
-        if self.dominant_scale <= 0 or self.token_noise <= 0:
-            raise ValueError("noise scales must be positive")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive")
-        if self.offset_magnitude < 0 or self.signal_strength < 0:
-            raise ValueError("offset and signal magnitudes must be >= 0")
+        # Written so that NaN fails each test.
+        if not (0 < self.dominant_scale < math.inf and 0 < self.token_noise < math.inf):
+            raise ValueError("noise scales must be positive and finite")
+        if not 0 < self.scale_factor < math.inf:
+            raise ValueError("scale_factor must be positive and finite")
+        if not (0 <= self.offset_magnitude < math.inf and 0 <= self.signal_strength < math.inf):
+            raise ValueError("offset and signal magnitudes must be finite and >= 0")
+        if not 0 <= self.offset_tilt < math.inf:
+            raise ValueError("offset_tilt must be finite and >= 0")
 
 
 def build_designed_scenario(
@@ -110,27 +114,28 @@ def build_designed_scenario(
     noise[:, params.dominant_dims :] *= params.token_noise * params.scale_factor
 
     matrix = noise + offset
-    sequences = []
-    row = 0
-    for q in range(n_queries):
-        sequences.append(SequenceRecord(f"q{q}", KIND_QUERY, row, params.tokens_per_query))
-        span = slice(row, row + params.tokens_per_query)
-        matrix[span, params.dominant_dims :] += params.signal_strength * query_topics[q]
-        row += params.tokens_per_query
+    # Each sequence's topic, scaled once, is added to every one of its
+    # token rows in the signal dimensions.
+    query_topics *= params.signal_strength
+    doc_topics *= params.signal_strength
+    n_query_rows = n_queries * params.tokens_per_query
+    blocks = (
+        (matrix[:n_query_rows], query_topics, params.tokens_per_query),
+        (matrix[n_query_rows:], doc_topics, params.tokens_per_doc),
+    )
+    for rows, topics, tokens in blocks:
+        rows.reshape(len(topics), tokens, dim)[:, :, params.dominant_dims :] += topics[:, None]
     candidates: dict[str, list[str]] = {}
     for q in range(n_queries):
         candidates[f"q{q}"] = [f"d{q * n_docs + j}" for j in range(n_docs)]
-    for d in range(total_docs):
-        sequences.append(SequenceRecord(f"d{d}", KIND_DOCUMENT, row, params.tokens_per_doc))
-        span = slice(row, row + params.tokens_per_doc)
-        matrix[span, params.dominant_dims :] += params.signal_strength * doc_topics[d]
-        row += params.tokens_per_doc
 
     grades = {}
     for q in range(n_queries):
         for j in range(n_docs):
             grades[(f"q{q}", f"d{q * n_docs + j}")] = int(j == relevant_slot[q])
-    corpus = EmbeddingCorpus(matrix, tuple(sequences))
+    corpus = blocked_corpus(
+        matrix, n_queries, params.tokens_per_query, total_docs, params.tokens_per_doc
+    )
     return corpus, Qrels(grades), candidates
 
 

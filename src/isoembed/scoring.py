@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .flows import FlowModel, apply_flow
-from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, SequenceRecord
+from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, span_rows
 from .whitening import WhiteningTransform, apply_whitening
 
 SCORER_COLBERT = "colbert"
@@ -103,12 +103,12 @@ class ScoredCandidate:
 
 class _Spans:
     """Where each of a list of sequences sits once their token rows are
-    stacked in order (see ``_gather``)."""
+    stacked in order (see ``EmbeddingCorpus.gather``)."""
 
-    def __init__(self, records: list[SequenceRecord]):
-        self.ids = [seq.id for seq in records]
-        self.counts = np.array([seq.token_count for seq in records], dtype=np.intp)
-        self.starts = np.cumsum(self.counts) - self.counts
+    def __init__(self, ids: list[str], counts: np.ndarray):
+        self.ids = ids
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
 
     def pooled(self, rows: np.ndarray) -> np.ndarray:
         """Token mean of every sequence: (n_sequences, dim)."""
@@ -135,14 +135,12 @@ class _Spans:
     def row_index(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of the picked sequences, concatenated in pick order, and the
         offset of each picked sequence within them."""
-        lengths = self.counts[picks]
-        begins = np.cumsum(lengths) - lengths
-        index = np.arange(lengths.sum()) + np.repeat(self.starts[picks] - begins, lengths)
-        return index, begins
+        return span_rows(self.starts[picks], self.counts[picks])
 
 
-def _gather(corpus: EmbeddingCorpus, records: list[SequenceRecord]):
-    return _Spans(records), np.concatenate([corpus.tokens(seq) for seq in records])
+def _gather(corpus: EmbeddingCorpus, kind: str, ids: list[str]):
+    rows, counts = corpus.gather(kind, ids)
+    return _Spans(ids, counts), rows
 
 
 def rank_candidates(
@@ -171,15 +169,16 @@ def rank_candidates(
             "colbert scoring interacts at the token level; sequence_wise "
             "post-processing is not applicable"
         )
-    query_records = [corpus.find(KIND_QUERY, qid) for qid in candidates]
-    scored_queries = [(seq, candidates[seq.id]) for seq in query_records if candidates[seq.id]]
+    # A query with no candidates must exist too.
+    corpus.gather(KIND_QUERY, [qid for qid in candidates if not candidates[qid]])
+    scored_queries = [(qid, ids) for qid, ids in candidates.items() if ids]
     ranked = {qid: [] for qid in candidates}
     if not scored_queries:
         return ranked
     doc_ids = list(dict.fromkeys(d for _, ids in scored_queries for d in ids))
     doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    queries, q_rows = _gather(corpus, [seq for seq, _ in scored_queries])
-    docs, d_rows = _gather(corpus, [corpus.find(KIND_DOCUMENT, d) for d in doc_ids])
+    queries, q_rows = _gather(corpus, KIND_QUERY, [qid for qid, _ in scored_queries])
+    docs, d_rows = _gather(corpus, KIND_DOCUMENT, doc_ids)
 
     if post.granularity == SEQUENCE_WISE:
         q_rows = post.apply_query(queries.pooled(q_rows))

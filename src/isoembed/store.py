@@ -1,16 +1,17 @@
 """Embedding corpora: in-memory model, binary persistence, synthetic generation.
 
 A corpus is a dense float64 matrix whose rows are token vectors, plus a
-list of sequence records (query or document) that partition the rows into
-consecutive, disjoint spans.
+table of sequences (queries and documents) whose spans partition the rows
+into disjoint runs of consecutive rows. The table is held as columns: ids,
+kind codes, row offsets and token counts.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,8 @@ FORMAT_VERSION = 1
 
 KIND_QUERY = "query"
 KIND_DOCUMENT = "document"
-_KIND_CODES = {KIND_QUERY: 0, KIND_DOCUMENT: 1}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+KIND_CODES = {KIND_QUERY: 0, KIND_DOCUMENT: 1}  # as EMB1 stores them
+_CODE_KINDS = {code: kind for kind, code in KIND_CODES.items()}
 
 
 def as_matrix(values, dim: int | None = None) -> np.ndarray:
@@ -47,84 +48,229 @@ def as_matrix(values, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SequenceRecord:
-    """One query or document: a span of token rows inside the corpus matrix."""
+    """One query or document: a span of token rows inside the corpus matrix.
+
+    A record is a plain value; the corpus built from it checks it.
+    """
 
     id: str
     kind: str
     row_offset: int
     token_count: int
 
-    def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"kind must be 'query' or 'document', got {self.kind!r}")
-        if self.token_count < 1:
-            raise IntegrityError(f"sequence {self.id!r} has token_count < 1")
-        if self.row_offset < 0:
-            raise IntegrityError(f"sequence {self.id!r} has negative row_offset")
-
     @property
     def rows(self) -> slice:
         return slice(self.row_offset, self.row_offset + self.token_count)
 
 
-@dataclass(frozen=True)
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 class EmbeddingCorpus:
-    """Immutable matrix + sequence records; spans must partition the rows."""
+    """Immutable matrix + sequence table; the spans must partition the rows.
 
-    matrix: np.ndarray
-    sequences: tuple[SequenceRecord, ...]
+    The table is held as read-only columns in table order: ``ids`` (a
+    tuple of str), ``kinds`` (uint8 codes, see ``KIND_CODES``), and
+    ``offsets`` and ``counts`` (intp: first row and token count of each
+    span). ``EmbeddingCorpus(matrix, records)`` builds the table from
+    SequenceRecords and ``EmbeddingCorpus.from_columns`` from columns; both
+    run the same checks. A non-finite matrix or an unknown kind raises
+    ValueError; a span that is empty, negative, beyond the matrix or
+    overlapping another, rows no span covers, or an id used twice within
+    a kind raise IntegrityError.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-        _check_partition(self.matrix.shape[0], self.sequences)
+    __slots__ = ("_matrix", "_ids", "_kinds", "_offsets", "_counts", "_sequences", "_lookup")
+
+    def __init__(self, matrix, sequences):
+        records = tuple(sequences)
+        for seq in records:
+            if seq.kind not in KIND_CODES:
+                raise ValueError(f"kind must be 'query' or 'document', got {seq.kind!r}")
+        # Object columns hold the records' ints exactly, however large or
+        # negative, so the checks see them as given.
+        self._set_table(
+            matrix,
+            [seq.id for seq in records],
+            np.array([KIND_CODES[seq.kind] for seq in records], dtype=np.uint8),
+            np.array([seq.row_offset for seq in records], dtype=object),
+            np.array([seq.token_count for seq in records], dtype=object),
+        )
+
+    @classmethod
+    def from_columns(cls, matrix, ids, kinds, offsets, counts) -> EmbeddingCorpus:
+        """A corpus from table columns: ids, and integer arrays of kind
+        codes, row offsets and token counts, all in table order."""
+        columns = [np.asarray(c) for c in (kinds, offsets, counts)]
+        if any(c.dtype.kind not in "iu" for c in columns):
+            raise ValueError("kinds, offsets and counts must be integer arrays")
+        corpus = cls.__new__(cls)
+        corpus._set_table(matrix, ids, *columns)
+        return corpus
+
+    def _set_table(self, matrix, ids, kinds, offsets, counts) -> None:
+        self._matrix = as_matrix(matrix)
+        self._ids = tuple(ids)
+        if any(c.shape != (len(self._ids),) for c in (kinds, offsets, counts)):
+            raise ValueError("sequence table columns must be 1-D and of one length")
+        offsets, counts = _check_table(self._matrix.shape[0], self._ids, kinds, offsets, counts)
+        self._kinds = _read_only(kinds.astype(np.uint8))
+        self._offsets = _read_only(offsets)
+        self._counts = _read_only(counts)
+        self._sequences = None
+        self._lookup = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return self._kinds
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._offsets
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._counts
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self._matrix.shape[1]
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrix.shape[0]
 
-    @cached_property
-    def _by_kind_and_id(self) -> dict[tuple[str, str], SequenceRecord]:
-        return {(seq.kind, seq.id): seq for seq in self.sequences}
+    @property
+    def sequences(self) -> tuple[SequenceRecord, ...]:
+        """The table as records, built on first use."""
+        if self._sequences is None:
+            kinds = map(_CODE_KINDS.__getitem__, self._kinds.tolist())
+            self._sequences = tuple(
+                map(SequenceRecord, self._ids, kinds, self._offsets.tolist(), self._counts.tolist())
+            )
+        return self._sequences
 
     def tokens(self, seq: SequenceRecord) -> np.ndarray:
-        return self.matrix[seq.rows]
+        return self._matrix[seq.rows]
+
+    def _positions(self, kind: str) -> dict[str, int]:
+        """Id -> table position of every sequence of ``kind``."""
+        if self._lookup is None:
+            self._lookup = {}
+            for name, code in KIND_CODES.items():
+                picks = np.flatnonzero(self._kinds == code).tolist()
+                self._lookup[name] = dict(zip([self._ids[i] for i in picks], picks))
+        return self._lookup.get(kind, {})
 
     def find(self, kind: str, seq_id: str) -> SequenceRecord:
         """Look up a sequence by kind and id; raises KeyError if absent."""
         try:
-            return self._by_kind_and_id[(kind, seq_id)]
+            i = self._positions(kind)[seq_id]
         except KeyError:
             raise KeyError(f"no {kind} with id {seq_id!r} in corpus") from None
-
-
-def _check_partition(n_rows: int, sequences: tuple[SequenceRecord, ...]) -> None:
-    seen_ids: dict[str, set[str]] = {KIND_QUERY: set(), KIND_DOCUMENT: set()}
-    covered = 0
-    spans = []
-    for seq in sequences:
-        if seq.row_offset + seq.token_count > n_rows:
-            raise IntegrityError(
-                f"sequence {seq.id!r} spans rows [{seq.row_offset}, "
-                f"{seq.row_offset + seq.token_count}) beyond matrix of {n_rows} rows"
-            )
-        if seq.id in seen_ids[seq.kind]:
-            raise IntegrityError(f"duplicate {seq.kind} id {seq.id!r}")
-        seen_ids[seq.kind].add(seq.id)
-        spans.append((seq.row_offset, seq.row_offset + seq.token_count, seq.id))
-        covered += seq.token_count
-    spans.sort()
-    for (_, prev_end, prev_id), (start, _, cur_id) in zip(spans, spans[1:]):
-        if start < prev_end:
-            raise IntegrityError(f"sequences {prev_id!r} and {cur_id!r} overlap")
-    if covered != n_rows:
-        raise IntegrityError(
-            f"sequence spans cover {covered} rows but the matrix has {n_rows}"
+        return SequenceRecord(
+            self._ids[i], kind, int(self._offsets[i]), int(self._counts[i])
         )
+
+    def gather(self, kind: str, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Token rows of the sequences ``ids`` of one kind, stacked in the
+        order given (an id may repeat), and each sequence's token count.
+        An unknown id raises find's KeyError."""
+        positions = self._positions(kind)
+        try:
+            picks = np.fromiter(map(positions.__getitem__, ids), dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"no {kind} with id {exc.args[0]!r} in corpus") from None
+        return self._take(picks)
+
+    def _take(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and token counts of the sequences at table positions ``picks``."""
+        counts = self._counts[picks]
+        index, _ = span_rows(self._offsets[picks], counts)
+        return self._matrix[index], counts
+
+
+def span_rows(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index of the spans ``[starts[i], starts[i] + lengths[i])`` laid
+    end to end, and where each span begins within it."""
+    begins = np.cumsum(lengths) - lengths
+    index = np.arange(int(lengths.sum())) + np.repeat(starts - begins, lengths)
+    return index, begins
+
+
+def _check_table(n_rows: int, ids: tuple, kinds, offsets, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Check that the spans of a sequence table partition ``n_rows`` rows
+    and that no id repeats within a kind; return offsets and counts as
+    intp arrays.
+
+    The checks run in this order, each naming the first sequence in table
+    order that fails it: kind; token count, then offset; span beyond the
+    matrix or id repeated within its kind; overlap; rows left uncovered.
+    """
+    unknown = (kinds != 0) & (kinds != 1)
+    if unknown.any():
+        raise ValueError(f"kind must be 'query' or 'document', got code {kinds[unknown.argmax()]}")
+    short = counts < 1
+    bad = short | (offsets < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise IntegrityError(
+            f"sequence {ids[i]!r} has {'token_count < 1' if short[i] else 'negative row_offset'}"
+        )
+    # Offsets and counts above n_rows are flagged before anything is added,
+    # so no sum below can wrap around.
+    far = (offsets > n_rows) | (counts > n_rows)
+    starts = np.where(far, 0, offsets).astype(np.intp)
+    lengths = np.where(far, 0, counts).astype(np.intp)
+    ends = starts + lengths
+    beyond = far | (ends > n_rows)
+    first = int(beyond.argmax()) if beyond.any() else len(ids)
+    duplicate = _first_duplicate(ids, kinds)
+    if duplicate < first:
+        kind = _CODE_KINDS[int(kinds[duplicate])]
+        raise IntegrityError(f"duplicate {kind} id {ids[duplicate]!r}")
+    if first < len(ids):
+        start = int(offsets[first])
+        raise IntegrityError(
+            f"sequence {ids[first]!r} spans rows [{start}, {start + int(counts[first])}) "
+            f"beyond matrix of {n_rows} rows"
+        )
+    # Spans of at least one row overlap somewhere iff two neighbours do
+    # once sorted by start. The message names the first overlapping pair
+    # in (start, end, id) order.
+    order = np.argsort(starts, kind="stable")
+    if (starts[order[1:]] < ends[order[:-1]]).any():
+        spans = sorted(zip(starts.tolist(), ends.tolist(), ids))
+        for (_, prev_end, prev_id), (start, _, cur_id) in zip(spans, spans[1:]):
+            if start < prev_end:
+                raise IntegrityError(f"sequences {prev_id!r} and {cur_id!r} overlap")
+    covered = int(lengths.sum())
+    if covered != n_rows:
+        raise IntegrityError(f"sequence spans cover {covered} rows but the matrix has {n_rows}")
+    return starts, lengths
+
+
+def _first_duplicate(ids: tuple, kinds) -> int:
+    """Table position of the first id that an earlier sequence of the same
+    kind already has, or len(ids)."""
+    if len(set(ids)) == len(ids):
+        return len(ids)
+    seen = set()
+    for i, key in enumerate(zip(kinds.tolist(), ids)):
+        if key in seen:
+            return i
+        seen.add(key)
+    return len(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +283,45 @@ def _check_partition(n_rows: int, sequences: tuple[SequenceRecord, ...]) -> None
 
 _HEADER = struct.Struct("<4sIIQQ")
 _ID_LEN = struct.Struct("<H")
-_RECORD = struct.Struct("<BQI")  # kind code, row_offset, token_count
+# The fields after each id, packed: 13 bytes.
+_FIXED = np.dtype([("kind", "u1"), ("offset", "<u8"), ("count", "<u4")])
+_FIXED_BYTES = np.arange(_FIXED.itemsize)
+
+
+def _encode_table(corpus: EmbeddingCorpus) -> np.ndarray:
+    """The EMB1 sequence table of ``corpus``, as a uint8 array."""
+    raw = [seq_id.encode("utf-8") for seq_id in corpus.ids]
+    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    too_long = np.flatnonzero(lengths > 0xFFFF)
+    if too_long.size:
+        raise ValueError(f"sequence id too long to encode: {corpus.ids[too_long[0]]!r}")
+    if corpus.counts.size and corpus.counts.max() > 0xFFFFFFFF:
+        raise ValueError("token count too large to encode")
+    fixed = np.empty(len(raw), dtype=_FIXED)
+    fixed["kind"], fixed["offset"], fixed["count"] = corpus.kinds, corpus.offsets, corpus.counts
+    sizes = _ID_LEN.size + lengths + _FIXED.itemsize
+    starts = np.cumsum(sizes) - sizes
+    table = np.empty(int(sizes.sum()), dtype=np.uint8)
+    table[starts[:, None] + np.arange(_ID_LEN.size)] = (
+        lengths.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size)
+    )
+    id_bytes, _ = span_rows(starts + _ID_LEN.size, lengths)
+    table[id_bytes] = np.frombuffer(b"".join(raw), dtype=np.uint8)
+    table[(starts + sizes - _FIXED.itemsize)[:, None] + _FIXED_BYTES] = (
+        fixed.view(np.uint8).reshape(-1, _FIXED.itemsize)
+    )
+    return table
 
 
 def save_corpus(corpus: EmbeddingCorpus, path) -> None:
     """Write a corpus as EMB1; byte-deterministic for identical input."""
-    parts = []
-    for seq in corpus.sequences:
-        raw_id = seq.id.encode("utf-8")
-        if len(raw_id) > 0xFFFF:
-            raise ValueError(f"sequence id too long to encode: {seq.id!r}")
-        parts.append(_ID_LEN.pack(len(raw_id)))
-        parts.append(raw_id)
-        parts.append(_RECORD.pack(_KIND_CODES[seq.kind], seq.row_offset, seq.token_count))
+    table = _encode_table(corpus)
     with atomic_write(path) as fh:
         fh.write(
-            _HEADER.pack(
-                MAGIC, FORMAT_VERSION, corpus.dim, corpus.n_rows, len(corpus.sequences)
-            )
+            _HEADER.pack(MAGIC, FORMAT_VERSION, corpus.dim, corpus.n_rows, len(corpus.ids))
         )
         fh.write(np.ascontiguousarray(corpus.matrix, dtype="<f8"))
-        fh.write(b"".join(parts))
+        fh.write(table)
 
 
 def load_corpus(path) -> EmbeddingCorpus:
@@ -165,8 +329,10 @@ def load_corpus(path) -> EmbeddingCorpus:
 
     The header's sizes are checked against the file size before anything
     is allocated. The matrix is read straight into its final array and the
-    sequence table with one read. Malformed bytes raise CorpusFormatError;
-    a non-finite payload or invalid spans raise IntegrityError.
+    sequence table with one read. One loop reads the ids; the fixed fields
+    are gathered into columns and checked as arrays. Malformed bytes raise
+    CorpusFormatError; a non-finite payload or invalid spans raise
+    IntegrityError.
     """
     with open_bounded(path, "file") as reader:
         magic, version, dim, n_rows, n_sequences = reader.unpack(_HEADER.format)
@@ -176,8 +342,8 @@ def load_corpus(path) -> EmbeddingCorpus:
             raise CorpusFormatError(f"{path}: unsupported version {version}")
         if dim < 1:
             raise CorpusFormatError(f"{path}: dim must be >= 1, got {dim}")
-        min_record = _ID_LEN.size + _RECORD.size
-        if 8 * n_rows * dim + min_record * n_sequences > reader.remaining:
+        min_entry = _ID_LEN.size + _FIXED.itemsize
+        if 8 * n_rows * dim + min_entry * n_sequences > reader.remaining:
             raise reader.truncated()
         matrix = np.empty((n_rows, dim), dtype="<f8")
         reader.read_into(matrix)
@@ -189,39 +355,54 @@ def load_corpus(path) -> EmbeddingCorpus:
         with mmap.mmap(-1, max(end, 1)) as table:
             if end:
                 reader.read_into(table)
-            sequences = _parse_sequences(table, end, n_sequences, path)
-    # For a 2-D matrix with dim >= 1, the one ValueError left in building
-    # the corpus is as_matrix's finiteness check, the only one a load runs.
+            ids, fields = _parse_table(table, end, n_sequences, path)
+    # For a 2-D matrix with dim >= 1 and known kind codes, the one
+    # ValueError left in building the corpus is the finiteness check.
     try:
-        return EmbeddingCorpus(matrix, sequences)
+        return EmbeddingCorpus.from_columns(
+            matrix, ids, fields["kind"], fields["offset"], fields["count"]
+        )
     except ValueError as exc:
         raise IntegrityError(f"{path}: {exc}") from None
 
 
-def _parse_sequences(table, end: int, count: int, path) -> tuple[SequenceRecord, ...]:
-    """Decode ``count`` sequence records that must fill ``table[:end]``
-    exactly; ``table`` holds ``end`` bytes, or one unused byte if 0."""
-    sequences = []
+def _parse_table(table, end: int, count: int, path) -> tuple[list[str], np.ndarray]:
+    """Decode ``count`` sequence entries that must fill ``table[:end]``
+    exactly (``table`` holds ``end`` bytes, or one unused byte if 0):
+    their ids, and their fixed fields as a ``_FIXED`` array."""
+    ids = []
+    fixed_at = []
+    # The loop runs once per sequence; its names are bound locally.
+    read_id_len, add_id, add_fixed_at = _ID_LEN.unpack_from, ids.append, fixed_at.append
+    len_size, fixed_size = _ID_LEN.size, _FIXED.itemsize
     pos = 0
     try:
         for _ in range(count):
-            (id_len,) = _ID_LEN.unpack_from(table, pos)
-            id_end = pos + _ID_LEN.size + id_len
-            kind_code, row_offset, token_count = _RECORD.unpack_from(table, id_end)
-            if kind_code not in _CODE_KINDS:
-                raise CorpusFormatError(f"{path}: unknown sequence kind {kind_code}")
-            seq_id = table[pos + _ID_LEN.size : id_end].decode("utf-8")
-            sequences.append(
-                SequenceRecord(seq_id, _CODE_KINDS[kind_code], row_offset, token_count)
-            )
-            pos = id_end + _RECORD.size
+            (id_len,) = read_id_len(table, pos)
+            start = pos + len_size
+            pos = start + id_len
+            if pos + fixed_size > end:
+                raise CorpusFormatError(f"{path}: truncated file")
+            add_id(table[start:pos].decode("utf-8"))
+            add_fixed_at(pos)
+            pos += fixed_size
     except struct.error:
         raise CorpusFormatError(f"{path}: truncated file") from None
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: sequence id is not UTF-8 ({exc.reason})") from None
+    # A view of the map must be gone before the map closes, even on error.
+    buffer = np.frombuffer(table, dtype=np.uint8)
+    try:
+        entries = buffer[np.array(fixed_at, dtype=np.intp)[:, None] + _FIXED_BYTES]
+    finally:
+        del buffer
+    fields = entries.view(_FIXED)[:, 0]
+    unknown = np.flatnonzero(fields["kind"] > 1)
+    if unknown.size:
+        raise CorpusFormatError(f"{path}: unknown sequence kind {fields['kind'][unknown[0]]}")
     if pos != end:
         raise CorpusFormatError(f"{path}: {end - pos} trailing bytes")
-    return tuple(sequences)
+    return ids, fields
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +437,19 @@ class SynthParams:
         for name in ("n_queries", "n_docs", "tokens_per_query", "tokens_per_doc", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.offset_magnitude < 0:
-            raise ValueError("offset_magnitude must be >= 0")
+        # Written so that NaN fails each test.
+        if not 0 <= self.offset_magnitude < math.inf:
+            raise ValueError("offset_magnitude must be finite and >= 0")
         if not 0 <= self.outlier_dims <= self.dim:
             raise ValueError("outlier_dims must lie in [0, dim]")
-        if self.outlier_scale < 1:
-            raise ValueError("outlier_scale must be >= 1")
+        if not 1 <= self.outlier_scale < math.inf:
+            raise ValueError("outlier_scale must be finite and >= 1")
         if self.axis_scales is not None:
             scales = tuple(float(s) for s in self.axis_scales)
             if len(scales) != self.dim:
                 raise ValueError("axis_scales length must equal dim")
-            if any(s <= 0 for s in scales):
-                raise ValueError("axis_scales must be positive")
+            if not all(0 < s < math.inf for s in scales):
+                raise ValueError("axis_scales must be positive and finite")
             object.__setattr__(self, "axis_scales", scales)
 
     def resolved_scales(self) -> np.ndarray:
@@ -291,36 +473,39 @@ def generate_anisotropic(params: SynthParams) -> EmbeddingCorpus:
     rng = PinnedRng(params.seed)
     noise = rng.gaussians(n_rows * params.dim).reshape(n_rows, params.dim)
     matrix = params.offset_magnitude + noise * params.resolved_scales()
+    return blocked_corpus(
+        matrix, params.n_queries, params.tokens_per_query, params.n_docs, params.tokens_per_doc
+    )
 
-    sequences = []
-    offset = 0
-    for q in range(params.n_queries):
-        sequences.append(
-            SequenceRecord(f"q{q}", KIND_QUERY, offset, params.tokens_per_query)
-        )
-        offset += params.tokens_per_query
-    for d in range(params.n_docs):
-        sequences.append(
-            SequenceRecord(f"d{d}", KIND_DOCUMENT, offset, params.tokens_per_doc)
-        )
-        offset += params.tokens_per_doc
-    return EmbeddingCorpus(matrix, tuple(sequences))
+
+def blocked_corpus(
+    matrix, n_queries: int, tokens_per_query: int, n_docs: int, tokens_per_doc: int
+) -> EmbeddingCorpus:
+    """``matrix`` as queries q0, q1, ... followed by documents d0, d1, ...,
+    each a run of ``tokens_per_query`` or ``tokens_per_doc`` rows."""
+    ids = [f"q{q}" for q in range(n_queries)] + [f"d{d}" for d in range(n_docs)]
+    sizes = [n_queries, n_docs]
+    kinds = np.repeat(np.array([KIND_CODES[KIND_QUERY], KIND_CODES[KIND_DOCUMENT]]), sizes)
+    counts = np.repeat(np.array([tokens_per_query, tokens_per_doc], dtype=np.intp), sizes)
+    return EmbeddingCorpus.from_columns(matrix, ids, kinds, np.cumsum(counts) - counts, counts)
 
 
 def rows_of_kind(corpus: EmbeddingCorpus, kind: str) -> np.ndarray:
-    """All token rows belonging to sequences of one kind, in corpus order."""
-    if kind not in _KIND_CODES:
+    """All token rows belonging to sequences of one kind, in table order."""
+    if kind not in KIND_CODES:
         raise ValueError(f"kind must be 'query' or 'document', got {kind!r}")
-    spans = [corpus.matrix[seq.rows] for seq in corpus.sequences if seq.kind == kind]
-    if not spans:
-        return np.zeros((0, corpus.dim))
-    return np.vstack(spans)
+    rows, _ = corpus._take(np.flatnonzero(corpus.kinds == KIND_CODES[kind]))
+    return rows
 
 
 def pool_sequences(corpus: EmbeddingCorpus) -> np.ndarray:
-    """Mean-pool each sequence's token rows; one output row per sequence."""
-    pooled = np.empty((len(corpus.sequences), corpus.dim))
-    for i, seq in enumerate(corpus.sequences):
-        pooled[i] = corpus.matrix[seq.rows].mean(axis=0)
+    """Mean-pool each sequence's token rows; one output row per sequence,
+    in table order."""
+    pooled = np.empty((len(corpus.ids), corpus.dim))
+    if corpus.ids:
+        # The spans partition the rows, so the sorted offsets cut the
+        # matrix into every span once.
+        order = np.argsort(corpus.offsets)
+        sums = np.add.reduceat(corpus.matrix, corpus.offsets[order], axis=0)
+        pooled[order] = sums / corpus.counts[order, None]
     return pooled
-

@@ -56,6 +56,13 @@ class WhiteningTransform:
         return self.mu.shape[0]
 
 
+def check_eps_rel(eps_rel: float) -> None:
+    """Raise ValueError unless the relative eigenvalue floor is positive
+    and finite (NaN fails)."""
+    if not 0 < eps_rel < math.inf:
+        raise ValueError(f"eps_rel must be positive and finite, got {eps_rel}")
+
+
 def fit_whitening(matrix, eps_rel: float = 1e-8) -> WhiteningTransform:
     """Fit mean and unbiased covariance (divisor N-1), eigendecompose.
 
@@ -65,6 +72,7 @@ def fit_whitening(matrix, eps_rel: float = 1e-8) -> WhiteningTransform:
     eigenvalues were raised is not recorded: a WHT1 file could not tell a
     raised eigenvalue from one that was at the floor already.
     """
+    check_eps_rel(eps_rel)
     w = as_matrix(matrix)
     n = w.shape[0]
     if n < 2:

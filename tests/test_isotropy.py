@@ -252,6 +252,11 @@ class TestDimensionProfile:
         with pytest.raises(EmptyInputError):
             dimension_profile(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
+    def test_outlier_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(ValueError, match="outlier_factor must be positive and finite"):
+            dimension_profile(np.eye(3), outlier_factor=factor)
+
 
 # Collapsed corpora: the exact estimate for these rounds to 1 + 7e-16, and
 # the sampled one to 1 + 2e-16 for the identical rows, without the clamp.

@@ -87,3 +87,34 @@ def test_fit_flow_records_every_training_span(tmp_path, arch_args):
     names = [span[1] for span in tracer.spans]
     for name in FIT_SPANS:
         assert names.count(name) >= 1, name
+
+
+def test_corpus_commands_record_the_claimed_spans(tmp_path):
+    """The per-layer evidence for corpus loading and scoring reads these
+    spans: a load's bytes, whitening's apply and rank_candidates."""
+    from isoembed.pipeline import run
+
+    src = tmp_path / "src"
+    assert run(["scenario", "--out-dir", str(src), "--seed", "7", "--n-queries", "4",
+                "--n-docs", "4", "--dim", "16"]) == 0
+    corpus = str(src / "corpus.emb")
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            run(["measure", "--corpus", corpus, "--out", str(tmp_path / "m.json")]),
+            run(["fit-whiten", "--source-corpus", corpus, "--out", str(tmp_path / "w.wht")]),
+            run(["rerank", "--target-corpus", corpus, "--candidates",
+                 str(src / "candidates.jsonl"), "--post", "whiten", "--post-path",
+                 str(tmp_path / "w.wht"), "--out", str(tmp_path / "w.run")]),
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    loads = [span for span in tracer.spans if span[1] == "store.load_corpus"]
+    assert len(loads) == 3
+    assert all(span[5]["bytes"] > 0 for span in loads)
+    names = [span[1] for span in tracer.spans]
+    assert names.count("whitening.apply") >= 1
+    assert names.count("scoring.rank_candidates") == 1

@@ -1,6 +1,7 @@
 """Designed scenario and CLI subcommands: end-to-end flows, determinism,
 provenance, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoembed import load_corpus
+from isoembed import load_corpus, store
 from isoembed.errors import IsoembedError, ParseError
+from isoembed.rng import PinnedRng
+from isoembed.store import KIND_DOCUMENT, KIND_QUERY, EmbeddingCorpus, SequenceRecord, save_corpus
+from isoembed.whitening import fit_whitening, save_whitening
 from isoembed.pipeline import (
     ScenarioParams,
     build_designed_scenario,
@@ -429,11 +433,24 @@ class TestCli:
         ("scenario", ["--dim", "8"]),
         ("scenario", ["--scale-factor", "0"]),
         ("measure", ["--batch-size", "1"]),
+        # Float settings whose range check NaN or an infinity once passed.
+        ("gen", ["--offset-magnitude", "nan"]),
+        ("gen", ["--offset-magnitude", "inf"]),
+        ("gen", ["--outlier-scale", "nan"]),
+        ("scenario", ["--offset-tilt", "nan"]),
+        ("scenario", ["--offset-tilt", "-1"]),
+        ("fit-whiten", ["--eps-rel", "-1"]),
+        ("fit-whiten", ["--eps-rel", "0"]),
+        ("fit-whiten", ["--eps-rel", "nan"]),
+        ("measure", ["--outlier-factor", "nan"]),
+        ("measure", ["--outlier-factor", "-1"]),
+        ("measure", ["--outlier-factor", "inf"]),
     ])
     def test_setting_out_of_range_is_config_error(self, workspace, tmp_path, command, flags):
         corpus = str(workspace / "src" / "corpus.emb")
         inputs = {
             "fit-flow": ["--source-corpus", corpus, "--hidden", "4"],
+            "fit-whiten": ["--source-corpus", corpus],
             "gen": [],
             "scenario": [],
             "measure": ["--corpus", corpus],
@@ -540,3 +557,48 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert "usage" in done.stdout
+
+
+class TestSequenceTableInCommands:
+    def test_fit_on_queries_reads_rows_in_table_order(self, tmp_path):
+        """The queries' rows are fitted in table order, which here is not
+        row order; the digest was recorded from the per-record code."""
+        matrix = PinnedRng(11).gaussians(18 * 4).reshape(18, 4) * [1.0, 3.0, 0.5, 7.0] + 2.5
+        table = (
+            ("q0", KIND_QUERY, 13, 5),
+            ("d0", KIND_DOCUMENT, 7, 3),
+            ("q1", KIND_QUERY, 3, 4),
+            ("d1", KIND_DOCUMENT, 0, 3),
+            ("q2", KIND_QUERY, 10, 3),
+        )
+        corpus = EmbeddingCorpus(matrix, tuple(SequenceRecord(*entry) for entry in table))
+        save_corpus(corpus, tmp_path / "c.emb")
+        assert run(["fit-whiten", "--source-corpus", str(tmp_path / "c.emb"),
+                    "--fit-on", "queries", "--out", str(tmp_path / "q.wht")]) == 0
+        digest = hashlib.sha256((tmp_path / "q.wht").read_bytes()).hexdigest()
+        assert digest == "dea90d99486acc34e4e0af7f5e9debbfa56472d71e6c75f24d6d6cca670c1b7f"
+        # The order shows in the bytes: row order fits another transform.
+        save_whitening(fit_whitening(matrix[[*range(3, 7), *range(10, 18)]]),
+                       tmp_path / "rows.wht")
+        assert (tmp_path / "rows.wht").read_bytes() != (tmp_path / "q.wht").read_bytes()
+
+    def test_commands_build_no_sequence_records(self, workspace, tmp_path, monkeypatch):
+        def no_records(*args, **kwargs):
+            raise AssertionError("a SequenceRecord was built")
+
+        monkeypatch.setattr(store, "SequenceRecord", no_records)
+        corpus = str(workspace / "src" / "corpus.emb")
+        candidates = str(workspace / "src" / "candidates.jsonl")
+        white = str(workspace / "white.wht")
+        commands = [
+            ["measure", "--corpus", corpus, "--out", str(tmp_path / "m.json")],
+            ["fit-whiten", "--source-corpus", corpus, "--fit-on", "queries",
+             "--out", str(tmp_path / "q.wht")],
+            ["rerank", "--target-corpus", corpus, "--candidates", candidates, "--scorer",
+             "colbert", "--post", "whiten", "--post-path", white, "--out", str(tmp_path / "c.run")],
+            ["rerank", "--target-corpus", corpus, "--candidates", candidates, "--scorer",
+             "repbert", "--post", "whiten", "--post-path", white, "--granularity",
+             "sequence_wise", "--out", str(tmp_path / "r.run")],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv

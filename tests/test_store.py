@@ -1,6 +1,7 @@
 """Corpus model, EMB1 persistence, the synthetic generator, and pooling."""
 
 import importlib.util
+import re
 import struct
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isoembed import (
@@ -22,7 +23,7 @@ from isoembed import (
     save_corpus,
 )
 from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError
-from isoembed.store import KIND_DOCUMENT, KIND_QUERY
+from isoembed.store import KIND_CODES, KIND_DOCUMENT, KIND_QUERY, rows_of_kind
 
 
 def tiny_corpus() -> EmbeddingCorpus:
@@ -420,3 +421,186 @@ class TestRowsOfKind:
             np.ones((1, 3)), (SequenceRecord("q", KIND_QUERY, 0, 1),)
         )
         assert rows_of_kind(corpus, KIND_DOCUMENT).shape == (0, 3)
+
+
+# The sequence table: columns, gathers, and the checks on every path in.
+
+
+@st.composite
+def shuffled_corpora(draw):
+    """A corpus of 2-8 sequences with multi-byte UTF-8 ids whose table is
+    not in row order."""
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([KIND_QUERY, KIND_DOCUMENT]),
+                st.text(alphabet="a\u00e9\u540d\U0001f642", min_size=1, max_size=3),
+            ),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        )
+    )
+    counts = [draw(st.integers(1, 3)) for _ in specs]
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+    order = draw(st.permutations(range(len(specs))))
+    assume(list(order) != sorted(order))
+    sequences = tuple(
+        SequenceRecord(seq_id, kind, int(offsets[pos]), counts[pos])
+        for pos, (kind, seq_id) in zip(order, specs)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    matrix = rng.normal(size=(int(offsets[-1]), draw(st.integers(1, 4))))
+    return EmbeddingCorpus(matrix, sequences)
+
+
+# One fault each in a table over 5 rows: (id, kind code, row_offset,
+# token_count) entries, where code 2 is the kind "passage", and the error
+# the fault raises. The messages are those of the per-record checks that
+# the column checks replaced.
+KINDS_BY_CODE = {0: KIND_QUERY, 1: KIND_DOCUMENT, 2: "passage"}
+TABLE_FAULTS = {
+    "overlap": (
+        [("q0", 0, 0, 2), ("d\u00e9", 1, 1, 3)],
+        IntegrityError, "sequences 'q0' and 'd\u00e9' overlap",
+    ),
+    "gap": (
+        [("q0", 0, 0, 2), ("d\u00e9", 1, 3, 2)],
+        IntegrityError, "sequence spans cover 4 rows but the matrix has 5",
+    ),
+    "beyond": (
+        [("q0", 0, 0, 2), ("d\u00e9", 1, 2, 4)],
+        IntegrityError, "sequence 'd\u00e9' spans rows [2, 6) beyond matrix of 5 rows",
+    ),
+    "offset-2^63": (
+        [("q0", 0, 0, 2), ("d\u00e9", 1, 2**63, 3)],
+        IntegrityError,
+        "sequence 'd\u00e9' spans rows [9223372036854775808, 9223372036854775811) "
+        "beyond matrix of 5 rows",
+    ),
+    "zero-count": (
+        [("q0", 0, 0, 2), ("x", 1, 2, 0), ("d\u00e9", 1, 2, 3)],
+        IntegrityError, "sequence 'x' has token_count < 1",
+    ),
+    "duplicate-id": (
+        [("q0", 0, 0, 2), ("q0", 0, 2, 3)],
+        IntegrityError, "duplicate query id 'q0'",
+    ),
+    "unknown-kind": (
+        [("q0", 0, 0, 2), ("d\u00e9", 2, 2, 3)],
+        ValueError, "kind must be 'query' or 'document', got 'passage'",
+    ),
+}
+
+
+def fault_file(table, path: Path) -> Path:
+    """An EMB1 file of a 5 x 2 zero matrix and ``table``, written by hand."""
+    blob = struct.pack("<4sIIQQ", b"EMB1", 1, 2, 5, len(table)) + bytes(80)
+    for seq_id, code, offset, count in table:
+        raw = seq_id.encode("utf-8")
+        blob += struct.pack("<H", len(raw)) + raw + struct.pack("<BQI", code, offset, count)
+    path.write_bytes(blob)
+    return path
+
+
+class TestSequenceTable:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_corpora(), st.data())
+    def test_gather_equals_stacked_token_slices(self, scratch, corpus, data):
+        kind = data.draw(st.sampled_from([KIND_QUERY, KIND_DOCUMENT]))
+        known = [s.id for s in corpus.sequences if s.kind == kind]
+        ids = data.draw(st.lists(st.sampled_from(known), max_size=6)) if known else []
+        ids += ids[:1]  # a repeated id
+        for c in (corpus, load_bytes(corpus_bytes(corpus, scratch), scratch)):
+            rows, counts = c.gather(kind, ids)
+            slices = [c.tokens(c.find(kind, seq_id)) for seq_id in ids]
+            expected = np.concatenate(slices) if slices else np.empty((0, c.dim))
+            assert rows.shape == expected.shape
+            assert rows.tobytes() == expected.tobytes()
+            assert counts.tolist() == [len(block) for block in slices]
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_corpora())
+    def test_columns_rows_and_pools_follow_table_order(self, scratch, corpus):
+        loaded = load_bytes(corpus_bytes(corpus, scratch), scratch)
+        for c in (corpus, loaded):
+            assert c.ids == tuple(s.id for s in corpus.sequences)
+            assert c.kinds.tolist() == [KIND_CODES[s.kind] for s in corpus.sequences]
+            assert c.offsets.tolist() == [s.row_offset for s in corpus.sequences]
+            assert c.counts.tolist() == [s.token_count for s in corpus.sequences]
+            for kind in (KIND_QUERY, KIND_DOCUMENT):
+                spans = [c.tokens(s) for s in c.sequences if s.kind == kind]
+                expected = np.concatenate(spans) if spans else np.empty((0, c.dim))
+                assert rows_of_kind(c, kind).tobytes() == expected.tobytes()
+            # Pooling adds each span's rows in order; mean() may add them
+            # in another order on narrow matrices. With at most 3 tokens,
+            # the two differ by at most 2 roundings each way, plus the
+            # division's: 8 eps of the largest value bounds it.
+            means = np.array([c.tokens(s).mean(axis=0) for s in c.sequences])
+            atol = 8 * np.finfo(np.float64).eps * np.abs(c.matrix).max()
+            np.testing.assert_allclose(pool_sequences(c), means, rtol=0, atol=atol)
+
+    def test_unknown_id_raises_finds_error(self):
+        corpus = tiny_corpus()
+        with pytest.raises(KeyError) as found:
+            corpus.find(KIND_DOCUMENT, "q0")
+        with pytest.raises(KeyError) as gathered:
+            corpus.gather(KIND_DOCUMENT, ["d0", "q0", "d0"])
+        assert gathered.value.args == found.value.args == ("no document with id 'q0' in corpus",)
+
+    def test_columns_are_read_only(self, tmp_path):
+        save_corpus(tiny_corpus(), tmp_path / "c.emb")
+        for corpus in (tiny_corpus(), load_corpus(tmp_path / "c.emb")):
+            assert isinstance(corpus.ids, tuple)
+            for column in (corpus.kinds, corpus.offsets, corpus.counts):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1
+            with pytest.raises(AttributeError):
+                corpus.offsets = np.zeros(2, dtype=np.intp)
+            assert corpus.sequences is corpus.sequences
+
+    def test_rows_of_kind_keeps_table_order_not_row_order(self):
+        matrix = np.arange(12.0).reshape(6, 2)
+        corpus = EmbeddingCorpus(
+            matrix,
+            (
+                SequenceRecord("q1", KIND_QUERY, 4, 2),
+                SequenceRecord("d0", KIND_DOCUMENT, 2, 2),
+                SequenceRecord("q0", KIND_QUERY, 0, 2),
+            ),
+        )
+        np.testing.assert_array_equal(rows_of_kind(corpus, KIND_QUERY), matrix[[4, 5, 0, 1]])
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_fault_raises_the_same_error_on_every_path(self, tmp_path, fault):
+        table, error, message = TABLE_FAULTS[fault]
+        matrix = np.zeros((5, 2))
+        with pytest.raises(error) as from_records:
+            EmbeddingCorpus(
+                matrix,
+                tuple(SequenceRecord(i, KINDS_BY_CODE[k], o, c) for i, k, o, c in table),
+            )
+        assert str(from_records.value) == message
+
+        ids, kinds, offsets, counts = zip(*table)
+        with pytest.raises(error) as from_columns:
+            EmbeddingCorpus.from_columns(
+                matrix, ids, np.array(kinds, dtype=np.uint8),
+                np.array(offsets, dtype=np.uint64), np.array(counts, dtype=np.uint32),
+            )
+        path = fault_file(table, tmp_path / "fault.emb")
+        if fault == "unknown-kind":
+            # Columns carry kind codes; a file's bytes are a format error.
+            assert str(from_columns.value) == "kind must be 'query' or 'document', got code 2"
+            error, message = CorpusFormatError, f"{path}: unknown sequence kind 2"
+        else:
+            assert str(from_columns.value) == message
+        with pytest.raises(error, match=re.escape(message)):
+            load_corpus(path)
+
+    def test_negative_offset_rejected(self):
+        records = (SequenceRecord("q", KIND_QUERY, -1, 1),)
+        with pytest.raises(IntegrityError, match="'q' has negative row_offset"):
+            EmbeddingCorpus(np.zeros((1, 2)), records)
+        with pytest.raises(IntegrityError, match="'q' has negative row_offset"):
+            EmbeddingCorpus.from_columns(np.zeros((1, 2)), ["q"], [0], [-1], [1])

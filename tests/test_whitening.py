@@ -68,6 +68,11 @@ class TestFit:
         # A zero covariance floors every eigenvalue at eps_rel itself.
         np.testing.assert_array_equal(t.eigenvalues, np.full(3, t.eps_rel))
 
+    @pytest.mark.parametrize("eps_rel", [0.0, -1.0, np.nan, np.inf])
+    def test_floor_must_be_positive_and_finite(self, eps_rel):
+        with pytest.raises(ValueError, match="eps_rel must be positive and finite"):
+            fit_whitening(CROSS, eps_rel=eps_rel)
+
     def test_reconstructs_covariance_oracle(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(1000, 16)) @ rng.normal(size=(16, 16)) + rng.normal(size=16)
