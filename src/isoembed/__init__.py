@@ -51,7 +51,6 @@ from .isotropy import (
 from .rng import PinnedRng
 from .scoring import (
     PostProcessor,
-    ScoredCandidate,
     colbert_score,
     rank_candidates,
     repbert_score,
@@ -89,7 +88,6 @@ __all__ = [
     "PostProcessor",
     "Qrels",
     "RankingRun",
-    "ScoredCandidate",
     "SequenceRecord",
     "SynthParams",
     "TrainReport",

@@ -21,6 +21,18 @@ class IntegrityError(IsoembedError):
     """Structurally valid bytes describing an invalid object (span overlap/overflow, duplicate ids)."""
 
 
+class UnknownIdError(IsoembedError, KeyError):
+    """A query or document id that the corpus does not hold; also a KeyError."""
+
+    def __str__(self) -> str:
+        # KeyError would quote the message as if it were the missing key.
+        return str(self.args[0]) if self.args else ""
+
+
+class ZeroNormError(IsoembedError, ValueError):
+    """A token row or pooled vector with zero norm, so its cosine is undefined; also a ValueError."""
+
+
 class ParseError(IsoembedError):
     """Malformed text line in a qrels/run/candidates file; message carries the line number."""
 

@@ -376,8 +376,7 @@ def cmd_rerank(settings: dict) -> int:
         f"{settings['scorer']}.{settings['post']}.{settings['granularity']}"
         f".c{config_hash(settings)[:8]}.s{settings['seed']}"
     )
-    ranked = rank_candidates(corpus, dict(sorted(candidates.items())), settings["scorer"], post)
-    rankings = {qid: [(c.doc_id, c.score) for c in scored] for qid, scored in ranked.items()}
+    rankings = rank_candidates(corpus, dict(sorted(candidates.items())), settings["scorer"], post)
     save_run(RankingRun(rankings, tag=tag), settings["out"])
     print(f"wrote run {settings['out']} ({len(rankings)} queries, tag {tag})")
     return EXIT_OK

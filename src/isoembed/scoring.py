@@ -6,6 +6,8 @@ Two aggregators:
   (late interaction; requires token-level vectors, so post-processing must
   be token-wise)
 * repbert: cosine between the mean-pooled query and document vectors
+  (a span's rows are summed with ``np.add.reduceat``, as
+  ``pool_sequences`` does, then divided by its token count)
 
 A post-processor (whitening transform or trained flow) can be applied
 token-wise (transform every token row, then score) or sequence-wise (pool
@@ -16,11 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ZeroNormError
 from .flows import FlowModel, apply_flow
+from .isotropy import row_norms
 from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, span_rows
 from .whitening import WhiteningTransform, apply_whitening
 
@@ -31,11 +35,17 @@ SEQUENCE_WISE = "sequence_wise"
 
 
 def _unit_rows(matrix: np.ndarray, context: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = row_norms(matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"{context}: token row {zero[0]} has zero norm")
+        raise ZeroNormError(f"{context}: token row {zero[0]} has zero norm")
     return matrix / norms[:, None]
+
+
+def _token_mean(tokens) -> np.ndarray:
+    """A sequence's token mean, summed as ``pool_sequences`` sums a span."""
+    rows = np.atleast_2d(np.asarray(tokens, dtype=np.float64))
+    return np.add.reduceat(rows, [0], axis=0)[0] / rows.shape[0]
 
 
 def colbert_score(query_tokens, doc_tokens) -> float:
@@ -47,13 +57,12 @@ def colbert_score(query_tokens, doc_tokens) -> float:
 
 def repbert_score(query_tokens, doc_tokens) -> float:
     """Cosine between the token means of query and document."""
-    q = np.atleast_2d(np.asarray(query_tokens, dtype=np.float64)).mean(axis=0)
-    d = np.atleast_2d(np.asarray(doc_tokens, dtype=np.float64)).mean(axis=0)
+    q, d = _token_mean(query_tokens), _token_mean(doc_tokens)
     qn, dn = np.linalg.norm(q), np.linalg.norm(d)
     if qn == 0.0:
-        raise ValueError("pooled query vector has zero norm")
+        raise ZeroNormError("pooled query vector has zero norm")
     if dn == 0.0:
-        raise ValueError("pooled doc vector has zero norm")
+        raise ZeroNormError("pooled doc vector has zero norm")
     return float(q @ d / (qn * dn))
 
 
@@ -94,18 +103,11 @@ class PostProcessor:
 IDENTITY = PostProcessor(None)
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    doc_id: str
-    score: float
-    rank: int
-
-
 class _Spans:
     """Where each of a list of sequences sits once their token rows are
-    stacked in order (see ``EmbeddingCorpus.gather``)."""
+    stacked in order (see ``EmbeddingCorpus.take``)."""
 
-    def __init__(self, ids: list[str], counts: np.ndarray):
+    def __init__(self, ids: Sequence[str], counts: np.ndarray):
         self.ids = ids
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
@@ -115,21 +117,22 @@ class _Spans:
         return np.add.reduceat(rows, self.starts, axis=0) / self.counts[:, None]
 
     def unit_rows(self, rows: np.ndarray, kind: str) -> np.ndarray:
-        norms = np.linalg.norm(rows, axis=1)
+        """``rows`` scaled to unit norm, in place: the caller owns them."""
+        norms = row_norms(rows)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             seq = int(np.searchsorted(self.starts, zero[0], side="right")) - 1
-            raise ValueError(
+            raise ZeroNormError(
                 f"{kind} {self.ids[seq]!r}: token row "
                 f"{zero[0] - self.starts[seq]} has zero norm"
             )
-        return rows / norms[:, None]
+        return np.divide(rows, norms[:, None], out=rows)
 
     def vector_norms(self, vectors: np.ndarray, kind: str) -> np.ndarray:
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = row_norms(vectors)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
-            raise ValueError(f"pooled {kind} vector of {self.ids[zero[0]]!r} has zero norm")
+            raise ZeroNormError(f"pooled {kind} vector of {self.ids[zero[0]]!r} has zero norm")
         return norms
 
     def row_index(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,29 +141,26 @@ class _Spans:
         return span_rows(self.starts[picks], self.counts[picks])
 
 
-def _gather(corpus: EmbeddingCorpus, kind: str, ids: list[str]):
-    rows, counts = corpus.gather(kind, ids)
-    return _Spans(ids, counts), rows
-
-
 def rank_candidates(
     corpus: EmbeddingCorpus,
     candidates: Mapping[str, Sequence[str]],
     scorer: str = SCORER_REPBERT,
     post: PostProcessor = IDENTITY,
-) -> dict[str, list[ScoredCandidate]]:
+) -> dict[str, list[tuple[str, float]]]:
     """Score and order the candidate list of every query in ``candidates``.
 
-    Returns ``{query_id: [ScoredCandidate, ...]}`` in the mapping's order.
-    The token rows of every needed query and document are gathered once
+    Returns ``{query_id: [(doc_id, score), ...]}`` in the mapping's order,
+    each list by descending score with ties by doc_id ascending (code
+    point order), as ``RankingRun`` takes it. Every needed query and
+    document is gathered once, documents in order of first appearance,
     and transformed with one call per side. Token-wise placement
     transforms the token rows, then scores; sequence-wise placement pools
     each sequence to its token mean, transforms the pooled vectors, and
     compares by cosine. Colbert scores a query against the concatenated
     tokens of all its candidates in one product, then takes each query
-    token's best match within each document's span. Ties are broken by
-    doc_id ascending so rankings are reproducible. Unknown ids raise
-    KeyError.
+    token's best match within each document's span. An unknown id raises
+    UnknownIdError (a KeyError); a zero-norm token row or pooled vector
+    raises ZeroNormError (a ValueError).
     """
     if scorer not in (SCORER_COLBERT, SCORER_REPBERT):
         raise ConfigurationError(f"unknown scorer {scorer!r}")
@@ -169,16 +169,29 @@ def rank_candidates(
             "colbert scoring interacts at the token level; sequence_wise "
             "post-processing is not applicable"
         )
-    # A query with no candidates must exist too.
-    corpus.gather(KIND_QUERY, [qid for qid in candidates if not candidates[qid]])
-    scored_queries = [(qid, ids) for qid, ids in candidates.items() if ids]
     ranked = {qid: [] for qid in candidates}
-    if not scored_queries:
+    # Every query must exist, also one with no candidates.
+    q_pos = corpus.locate(KIND_QUERY, ranked)
+    lengths = np.fromiter(map(len, candidates.values()), dtype=np.intp, count=len(ranked))
+    d_pos = corpus.locate(KIND_DOCUMENT, chain.from_iterable(candidates.values()))
+    if not d_pos.size:
         return ranked
-    doc_ids = list(dict.fromkeys(d for _, ids in scored_queries for d in ids))
-    doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    queries, q_rows = _gather(corpus, KIND_QUERY, [qid for qid, _ in scored_queries])
-    docs, d_rows = _gather(corpus, KIND_DOCUMENT, doc_ids)
+    # Each document once, in order of first appearance; ``picks`` maps
+    # every candidate to its document's place in that order.
+    d_pos, first, slots = np.unique(d_pos, return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    picks = np.argsort(appearance)[slots]
+    d_pos = d_pos[appearance]
+    # Object arrays compare with Python's str order, which RankingRun checks.
+    doc_ids = np.array(corpus.ids, dtype=object)[d_pos]
+    id_rank = np.empty(d_pos.size, dtype=np.intp)
+    id_rank[np.argsort(doc_ids)] = np.arange(d_pos.size)
+
+    scored = np.flatnonzero(lengths)
+    query_ids = np.array(list(ranked), dtype=object)[scored]
+    q_rows, q_counts = corpus.take(q_pos[scored])
+    d_rows, d_counts = corpus.take(d_pos)
+    queries, docs = _Spans(query_ids, q_counts), _Spans(doc_ids, d_counts)
 
     if post.granularity == SEQUENCE_WISE:
         q_rows = post.apply_query(queries.pooled(q_rows))
@@ -195,20 +208,18 @@ def rank_candidates(
         q_rows = queries.unit_rows(q_rows, "query")
         d_rows = docs.unit_rows(d_rows, "document")
 
-    for qi, (_, ids) in enumerate(scored_queries):
-        picks = np.array([doc_index[d] for d in ids], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    for qi, i in enumerate(scored.tolist()):
+        mine = picks[ends[i] - lengths[i] : ends[i]]
         if scorer == SCORER_COLBERT:
             start = queries.starts[qi]
-            index, begins = docs.row_index(picks)
+            index, begins = docs.row_index(mine)
             sims = q_rows[start : start + queries.counts[qi]] @ d_rows[index].T
             best = np.maximum.reduceat(sims, begins, axis=1)
             # contiguous per-candidate rows: each sum runs like colbert_score's
             values = np.ascontiguousarray(best.T).sum(axis=1)
         else:
-            values = (d_rows[picks] @ q_rows[qi]) / (q_norms[qi] * d_norms[picks])
-        order = sorted(zip(ids, values.tolist()), key=lambda item: (-item[1], item[0]))
-        ranked[queries.ids[qi]] = [
-            ScoredCandidate(doc_id=doc_id, score=value, rank=i + 1)
-            for i, (doc_id, value) in enumerate(order)
-        ]
+            values = (d_rows[mine] @ q_rows[qi]) / (q_norms[qi] * d_norms[mine])
+        order = np.lexsort((id_rank[mine], -values))
+        ranked[query_ids[qi]] = list(zip(doc_ids[mine[order]].tolist(), values[order].tolist()))
     return ranked

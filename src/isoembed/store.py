@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .bounded import open_bounded
-from .errors import CorpusFormatError, IntegrityError
+from .errors import CorpusFormatError, IntegrityError, UnknownIdError
 from .rng import PinnedRng
 
 MAGIC = b"EMB1"
@@ -173,28 +173,32 @@ class EmbeddingCorpus:
         return self._lookup.get(kind, {})
 
     def find(self, kind: str, seq_id: str) -> SequenceRecord:
-        """Look up a sequence by kind and id; raises KeyError if absent."""
-        try:
-            i = self._positions(kind)[seq_id]
-        except KeyError:
-            raise KeyError(f"no {kind} with id {seq_id!r} in corpus") from None
+        """Look up a sequence by kind and id; raises UnknownIdError (a
+        KeyError) if absent."""
+        (i,) = self.locate(kind, (seq_id,)).tolist()
         return SequenceRecord(
             self._ids[i], kind, int(self._offsets[i]), int(self._counts[i])
         )
 
+    def locate(self, kind: str, ids) -> np.ndarray:
+        """Table positions of the sequences ``ids`` of one kind, in the
+        order given (an id may repeat). An unknown id raises find's
+        UnknownIdError."""
+        positions = self._positions(kind)
+        try:
+            return np.fromiter(map(positions.__getitem__, ids), dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownIdError(f"no {kind} with id {exc.args[0]!r} in corpus") from None
+
     def gather(self, kind: str, ids) -> tuple[np.ndarray, np.ndarray]:
         """Token rows of the sequences ``ids`` of one kind, stacked in the
         order given (an id may repeat), and each sequence's token count.
-        An unknown id raises find's KeyError."""
-        positions = self._positions(kind)
-        try:
-            picks = np.fromiter(map(positions.__getitem__, ids), dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"no {kind} with id {exc.args[0]!r} in corpus") from None
-        return self._take(picks)
+        An unknown id raises find's UnknownIdError."""
+        return self.take(self.locate(kind, ids))
 
-    def _take(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and token counts of the sequences at table positions ``picks``."""
+    def take(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and token counts of the sequences at table positions
+        ``picks``; the rows are a fresh array."""
         counts = self._counts[picks]
         index, _ = span_rows(self._offsets[picks], counts)
         return self._matrix[index], counts
@@ -494,7 +498,7 @@ def rows_of_kind(corpus: EmbeddingCorpus, kind: str) -> np.ndarray:
     """All token rows belonging to sequences of one kind, in table order."""
     if kind not in KIND_CODES:
         raise ValueError(f"kind must be 'query' or 'document', got {kind!r}")
-    rows, _ = corpus._take(np.flatnonzero(corpus.kinds == KIND_CODES[kind]))
+    rows, _ = corpus.take(np.flatnonzero(corpus.kinds == KIND_CODES[kind]))
     return rows
 
 

@@ -41,8 +41,7 @@ def report(criterion: str, detail: str) -> None:
 
 def rerank_all(corpus, qrels, candidates, post, scorer="colbert"):
     ranked = rank_candidates(corpus, candidates, scorer=scorer, post=post)
-    rankings = {qid: [(c.doc_id, c.score) for c in scored] for qid, scored in ranked.items()}
-    return evaluate(RankingRun(rankings, tag="acceptance"), qrels)
+    return evaluate(RankingRun(ranked, tag="acceptance"), qrels)
 
 
 # -------------------------------------------------------------------------

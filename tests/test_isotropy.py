@@ -150,6 +150,31 @@ class TestAvgPairwiseCosine:
             avg_pairwise_cosine([[1.0, 0.0]])
 
 
+class TestRowNorms:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1000, 8), (333, 17), (50, 100)])
+    @pytest.mark.parametrize("block_bytes", [8, 1000, isotropy.NORM_BLOCK_BYTES])
+    def test_bitwise_equal_to_linalg_norm(self, shape, block_bytes, monkeypatch):
+        monkeypatch.setattr(isotropy, "NORM_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        w = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=(shape[0], 1))
+        for matrix in (w, w[::2]):
+            assert isotropy.row_norms(matrix).tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+        # Other layouts are summed like their C-order copy.
+        f_order = np.asfortranarray(w)
+        assert isotropy.row_norms(f_order).tobytes() == isotropy.row_norms(w).tobytes()
+
+    def test_squares_in_bounded_blocks(self):
+        """No temporary as large as the 16 MB input."""
+        w = np.random.default_rng(3).normal(size=(32_768, 64))
+        tracemalloc.start()
+        try:
+            isotropy.row_norms(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w[:, 0].nbytes + isotropy.NORM_BLOCK_BYTES + 100_000
+
+
 class TestGaussianBaseline:
     def test_standard_gaussian_is_nearly_isotropic(self):
         """Seeded sampling oracle: 2048 x 32 standard normal.

@@ -602,3 +602,77 @@ class TestSequenceTableInCommands:
         ]
         for argv in commands:
             assert run(argv) == 0, argv
+
+
+class TestRerankRunBytes:
+    """The rerank run files of a small fixed scenario, pinned by digest.
+
+    The digests were recorded from the code that ranked with a per-query
+    Python sort and per-candidate objects. Paths are relative to the
+    working directory, so the run tags (which hash the settings) repeat.
+    """
+
+    DIGESTS = {
+        "colbert/none": "17aa57b4432c668b583963095e549c1df98013617fc6bc4874e6de3301fbea5b",
+        "colbert/whiten": "b09c3a373958ec5c0c2473bf6dc33a9de36cd236d44bce00da0904ee65f0def5",
+        "repbert/whiten/token_wise": "a574f62253a7ad46c90fd99509ead497a17a54d89f804c71b2c41d76a5927397",
+        "repbert/whiten/sequence_wise": "96e1703f418f49cac61c03d55daa5b403ce3810576cdb517c633d41cd7fb028e",
+    }
+
+    def test_run_files_are_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["scenario", "--out-dir", ".", "--seed", "7",
+                    "--n-queries", "4", "--n-docs", "8", "--dim", "16"]) == 0
+        assert run(["fit-whiten", "--source-corpus", "corpus.emb", "--out", "w.wht"]) == 0
+        # Each query's own last five documents, reversed, then the next
+        # query's first three: the lists overlap and none is in id order.
+        with open("shared.jsonl", "w", encoding="utf-8") as fh:
+            for q in range(4):
+                own = [f"d{8 * q + k}" for k in range(7, 2, -1)]
+                following = [f"d{8 * ((q + 1) % 4) + k}" for k in range(3)]
+                fh.write(json.dumps({"qid": f"q{q}", "docs": own + following}) + "\n")
+        whiten = ["--post", "whiten", "--post-path", "w.wht"]
+        cases = {
+            "colbert/none": ["--scorer", "colbert", "--post", "none"],
+            "colbert/whiten": ["--scorer", "colbert", *whiten],
+            "repbert/whiten/token_wise": ["--scorer", "repbert", *whiten],
+            "repbert/whiten/sequence_wise": ["--scorer", "repbert", *whiten,
+                                             "--granularity", "sequence_wise"],
+        }
+        digests = {}
+        for name, flags in cases.items():
+            assert run(["rerank", "--target-corpus", "corpus.emb", "--candidates",
+                        "shared.jsonl", "--out", "r.run", *flags]) == 0
+            digests[name] = hashlib.sha256((tmp_path / "r.run").read_bytes()).hexdigest()
+        assert digests == self.DIGESTS
+
+
+class TestRerankDataErrors:
+    def rerank(self, corpus, candidates, out, scorer="colbert"):
+        return run(["rerank", "--target-corpus", str(corpus), "--candidates", str(candidates),
+                    "--scorer", scorer, "--post", "none", "--out", str(out)])
+
+    def test_unknown_document_id_exits_3_and_names_it(self, workspace, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": "q0", "docs": ["d0", "d-unknown"]}) + "\n")
+        out = tmp_path / "never.run"
+        assert self.rerank(workspace / "src" / "corpus.emb", cands, out) == 3
+        assert "no document with id 'd-unknown' in corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scorer", ["colbert", "repbert"])
+    def test_zero_norm_token_exits_3_and_names_it(self, tmp_path, capsys, scorer):
+        matrix = np.array([[1.0, 0.5], [0.5, 1.0], [0.0, 0.0]])
+        corpus = EmbeddingCorpus(matrix, (
+            SequenceRecord("q0", KIND_QUERY, 0, 1),
+            SequenceRecord("d0", KIND_DOCUMENT, 1, 1),
+            SequenceRecord("d-zero", KIND_DOCUMENT, 2, 1),
+        ))
+        save_corpus(corpus, tmp_path / "c.emb")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": "q0", "docs": ["d0", "d-zero"]}) + "\n")
+        out = tmp_path / "never.run"
+        assert self.rerank(tmp_path / "c.emb", cands, out, scorer) == 3
+        err = capsys.readouterr().err
+        assert "'d-zero'" in err and "zero norm" in err
+        assert not out.exists()

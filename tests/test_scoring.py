@@ -1,5 +1,7 @@
 """Relevance aggregators against naive oracles, and re-ranking contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,17 @@ from isoembed import (
     GlowModel,
     GlowSpec,
     PostProcessor,
+    RankingRun,
     SequenceRecord,
     WhiteningTransform,
     apply_whitening,
     colbert_score,
     fit_whitening,
+    pool_sequences,
     rank_candidates,
     repbert_score,
 )
-from isoembed.errors import ConfigurationError
+from isoembed.errors import ConfigurationError, IsoembedError, UnknownIdError, ZeroNormError
 from isoembed.scoring import SEQUENCE_WISE, TOKEN_WISE
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY
 
@@ -112,6 +116,37 @@ class TestRepbertScore:
         with pytest.raises(ValueError, match="zero norm"):
             repbert_score([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 1.0]])
 
+    def test_zero_norms_raise_zero_norm_error(self):
+        with pytest.raises(ZeroNormError, match="pooled doc vector"):
+            repbert_score([[1.0, 0.0]], [[1.0, 1.0], [-1.0, -1.0]])
+        with pytest.raises(ZeroNormError, match="query: token row 0"):
+            colbert_score([[0.0, 0.0]], [[1.0, 0.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        q_count=st.integers(1, 12),
+        d_count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pools_as_pool_sequences(self, dim, q_count, d_count, seed):
+        """The oracle pools a sequence exactly as the ranker and
+        pool_sequences do, so its cosine of their pooled rows is bitwise
+        its own score."""
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(q_count, dim)) * 10.0 ** rng.integers(-3, 4)
+        d = rng.normal(size=(d_count, dim)) + rng.normal(size=dim)
+        corpus = EmbeddingCorpus(
+            np.vstack([q, d]),
+            (
+                SequenceRecord("q", KIND_QUERY, 0, q_count),
+                SequenceRecord("d", KIND_DOCUMENT, q_count, d_count),
+            ),
+        )
+        pq, pd = pool_sequences(corpus)
+        expected = float(pq @ pd / (np.linalg.norm(pq) * np.linalg.norm(pd)))
+        assert repbert_score(q, d) == expected
+
 
 def corpus_with(query_tokens, doc_token_map) -> EmbeddingCorpus:
     rows = [np.atleast_2d(np.asarray(query_tokens, dtype=float))]
@@ -142,9 +177,8 @@ class TestRankCandidates:
             {"a": [[0.8, 0.6]], "b": [[1.0, 0.1]], "c": [[0.0, 1.0]]},
         )
         ranked = rank_candidates(corpus, {"q": ["a", "b", "c"]}, scorer="repbert")["q"]
-        assert [c.doc_id for c in ranked] == ["b", "a", "c"]
-        assert [c.rank for c in ranked] == [1, 2, 3]
-        assert ranked[0].score >= ranked[1].score >= ranked[2].score
+        assert [doc_id for doc_id, _ in ranked] == ["b", "a", "c"]
+        assert ranked[0][1] >= ranked[1][1] >= ranked[2][1]
 
     def test_identity_post_processor_preserves_ranking(self):
         rng = np.random.default_rng(25)
@@ -153,9 +187,9 @@ class TestRankCandidates:
         plain = rank_candidates(corpus, {"q": sorted(docs)}, scorer="colbert")["q"]
         post = PostProcessor(identity_whitening(4), TOKEN_WISE)
         identity = rank_candidates(corpus, {"q": sorted(docs)}, scorer="colbert", post=post)["q"]
-        assert [c.doc_id for c in plain] == [c.doc_id for c in identity]
-        for a, b in zip(plain, identity):
-            assert b.score == pytest.approx(a.score, abs=1e-12)
+        assert [doc_id for doc_id, _ in plain] == [doc_id for doc_id, _ in identity]
+        for (_, a), (_, b) in zip(plain, identity):
+            assert b == pytest.approx(a, abs=1e-12)
 
     def test_equal_scores_tie_break_by_doc_id(self):
         corpus = corpus_with(
@@ -163,7 +197,7 @@ class TestRankCandidates:
             {"zz": [[2.0, 0.0]], "aa": [[3.0, 0.0]], "mm": [[0.0, 1.0]]},
         )
         ranked = rank_candidates(corpus, {"q": ["zz", "aa", "mm"]}, scorer="repbert")["q"]
-        assert [c.doc_id for c in ranked] == ["aa", "zz", "mm"]
+        assert [doc_id for doc_id, _ in ranked] == ["aa", "zz", "mm"]
 
     def test_colbert_sequence_wise_rejected(self):
         corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]]})
@@ -182,6 +216,48 @@ class TestRankCandidates:
         with pytest.raises(KeyError):
             rank_candidates(corpus, {"q": ["missing"]})
 
+    def test_unknown_ids_raise_a_typed_key_error(self):
+        corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]]})
+        for candidates, message in (
+            ({"q": ["a"], "nope": []}, "no query with id 'nope' in corpus"),
+            ({"q": ["a", "dx"]}, "no document with id 'dx' in corpus"),
+        ):
+            with pytest.raises(UnknownIdError) as caught:
+                rank_candidates(corpus, candidates)
+            assert isinstance(caught.value, KeyError)
+            assert isinstance(caught.value, IsoembedError)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "scorer, docs, message",
+        [
+            ("colbert", {"a": [[1.0, 0.0]], "b": [[0.0, 0.0]]}, "document 'b': token row 0"),
+            ("repbert", {"a": [[1.0, 0.0]], "b": [[1.0, 1.0], [-1.0, -1.0]]},
+             "pooled document vector of 'b'"),
+        ],
+    )
+    def test_zero_norm_raises_a_typed_value_error(self, scorer, docs, message):
+        corpus = corpus_with([[1.0, 0.0]], docs)
+        with pytest.raises(ZeroNormError, match=message) as caught:
+            rank_candidates(corpus, {"q": ["a", "b"]}, scorer=scorer)
+        assert isinstance(caught.value, ValueError)
+        assert isinstance(caught.value, IsoembedError)
+
+    @pytest.mark.parametrize("scorer", ["colbert", "repbert"])
+    def test_signed_zero_scores_tie_by_doc_id(self, scorer):
+        """-0.0 == 0.0, so a document scoring -0.0 ties with one scoring
+        0.0 and the smaller id ranks first, as RankingRun requires."""
+        corpus = corpus_with(
+            [[1.0, 0.0]],
+            # a's cosine underflows to -0.0 for repbert; b is orthogonal
+            {"b": [[0.0, 1.0]], "a": [[-2.0**-1070, 2.0**60]], "c": [[-1.0, 0.0]]},
+        )
+        ranked = rank_candidates(corpus, {"q": ["c", "b", "a"]}, scorer=scorer)["q"]
+        assert [doc_id for doc_id, _ in ranked] == ["a", "b", "c"]
+        if scorer == "repbert":
+            assert math.copysign(1.0, ranked[0][1]) == -1.0
+        RankingRun({"q": ranked})
+
     def test_token_wise_whitened_repbert_matches_oracle(self):
         """Transform-the-tokens-then-pool must equal an independently
         computed cosine of whitened-token means."""
@@ -192,11 +268,11 @@ class TestRankCandidates:
         post = PostProcessor(transform, TOKEN_WISE)
         ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
         q_white = apply_whitening(transform, corpus.tokens(corpus.find(KIND_QUERY, "q")))
-        for candidate in ranked:
-            doc_seq = corpus.find(KIND_DOCUMENT, candidate.doc_id)
+        for doc_id, score in ranked:
+            doc_seq = corpus.find(KIND_DOCUMENT, doc_id)
             d_white = apply_whitening(transform, corpus.tokens(doc_seq))
             expected = cosine(q_white.mean(axis=0), d_white.mean(axis=0))
-            assert candidate.score == pytest.approx(expected, abs=1e-12)
+            assert score == pytest.approx(expected, abs=1e-12)
 
     def test_sequence_wise_pools_before_transform(self):
         """Pool-then-transform differs from transform-then-pool whenever
@@ -210,11 +286,11 @@ class TestRankCandidates:
         ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
         pooled_q = corpus.tokens(corpus.find(KIND_QUERY, "q")).mean(axis=0)
         zq = apply_whitening(transform, pooled_q[None, :])[0]
-        for candidate in ranked:
-            doc_seq = corpus.find(KIND_DOCUMENT, candidate.doc_id)
+        for doc_id, score in ranked:
+            doc_seq = corpus.find(KIND_DOCUMENT, doc_id)
             pooled_d = corpus.tokens(doc_seq).mean(axis=0)
             zd = apply_whitening(transform, pooled_d[None, :])[0]
-            assert candidate.score == pytest.approx(cosine(zq, zd), abs=1e-12)
+            assert score == pytest.approx(cosine(zq, zd), abs=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(28)
@@ -237,12 +313,12 @@ class TestRankCandidates:
         post = PostProcessor(t_query, TOKEN_WISE, doc_transform=t_doc)
         ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
         q_tokens = apply_whitening(t_query, corpus.tokens(corpus.find(KIND_QUERY, "q")))
-        for candidate in ranked:
+        for doc_id, score in ranked:
             d_tokens = apply_whitening(
-                t_doc, corpus.tokens(corpus.find(KIND_DOCUMENT, candidate.doc_id))
+                t_doc, corpus.tokens(corpus.find(KIND_DOCUMENT, doc_id))
             )
             expected = cosine(q_tokens.mean(axis=0), d_tokens.mean(axis=0))
-            assert candidate.score == pytest.approx(expected, abs=1e-12)
+            assert score == pytest.approx(expected, abs=1e-12)
 
 
 def per_query_oracle(corpus, candidates, scorer, post):
@@ -326,10 +402,9 @@ class TestBulkRankingMatchesPerQueryOracle:
         assert list(bulk) == list(candidates)
         for qid, expected in oracle.items():
             got = bulk[qid]
-            assert [c.doc_id for c in got] == [doc_id for doc_id, _ in expected]
-            assert [c.rank for c in got] == list(range(1, len(expected) + 1))
-            for candidate, (_, score) in zip(got, expected):
-                assert abs(candidate.score - score) <= 1e-12
+            assert [doc_id for doc_id, _ in got] == [doc_id for doc_id, _ in expected]
+            for (_, got_score), (_, score) in zip(got, expected):
+                assert abs(got_score - score) <= 1e-12
 
     def test_query_without_candidates_is_empty(self):
         corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]]})
@@ -345,3 +420,63 @@ class TestBulkRankingMatchesPerQueryOracle:
         corpus = corpus_with([[1.0, 0.0]], {"a": [[1.0, 0.0]], "b": [[0.5, 0.5], [0.0, 0.0]]})
         with pytest.raises(ValueError, match=r"document 'b': token row 1 has zero norm"):
             rank_candidates(corpus, {"q": ["a", "b"]}, scorer="colbert")
+
+
+# Tokens whose unit vectors, pooled means (over 1, 2 or 4 tokens) and dot
+# products are exact in binary, so identical documents score bitwise
+# alike however a BLAS kernel orders its sums; plus one token whose
+# repbert cosine underflows to -0.0 against a query along the first axis
+# (its huge entry leaves at most one term of a dot product that rounds).
+TIE_TOKENS = [
+    # no token set sums to zero, so no pooled vector has zero norm
+    *(2.0**k * np.eye(4)[i] for k in (-1, 0, 1) for i in range(4)),
+    *(2.0**k * np.array(signs) for k in (-1, 0) for signs in
+      ((1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, 1, 1), (1, 1, -1, 1))),
+    np.array([-(2.0**-1070), 0.0, 0.0, 2.0**60]),
+]
+TIE_IDS = st.text(alphabet=["a", "b", "é", "名", "😀", "A"], min_size=1, max_size=3)
+
+
+@st.composite
+def tie_cases(draw):
+    """A corpus where several document ids share one token block, with
+    ids that are non-ASCII or prefixes of one another."""
+
+    def block():
+        count = draw(st.sampled_from([1, 2, 4]))
+        picks = draw(st.lists(st.sampled_from(range(len(TIE_TOKENS))), min_size=count, max_size=count))
+        return np.array([TIE_TOKENS[i] for i in picks])
+
+    n_queries = draw(st.integers(1, 3))
+    blocks = [block() for _ in range(draw(st.integers(1, 4)))]
+    doc_ids = draw(st.lists(TIE_IDS, min_size=2, max_size=8, unique=True))
+    shares = [draw(st.integers(0, len(blocks) - 1)) for _ in doc_ids]
+    sequences = [(f"q{i}", KIND_QUERY, block()) for i in range(n_queries)]
+    sequences += [(doc_id, KIND_DOCUMENT, blocks[share]) for doc_id, share in zip(doc_ids, shares)]
+    records, offset = [], 0
+    for seq_id, kind, tokens in sequences:
+        records.append(SequenceRecord(seq_id, kind, offset, len(tokens)))
+        offset += len(tokens)
+    corpus = EmbeddingCorpus(np.vstack([tokens for _, _, tokens in sequences]), tuple(records))
+    candidates = {}
+    for i in range(n_queries):
+        order = draw(st.permutations(doc_ids))
+        candidates[f"q{i}"] = order[: draw(st.integers(0, len(order)))]
+    scorer = draw(st.sampled_from(["colbert", "repbert"]))
+    return corpus, candidates, scorer, dict(zip(doc_ids, shares))
+
+
+class TestTieOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_cases())
+    def test_ties_follow_python_string_order(self, case):
+        corpus, candidates, scorer, shares = case
+        ranked = rank_candidates(corpus, candidates, scorer=scorer)
+        for qid, ranking in ranked.items():
+            assert sorted(doc_id for doc_id, _ in ranking) == sorted(candidates[qid])
+            assert sorted(ranking, key=lambda t: (-t[1], t[0])) == ranking
+            by_block = {}
+            for doc_id, score in ranking:
+                by_block.setdefault(shares[doc_id], set()).add(score)
+            assert all(len(scores) == 1 for scores in by_block.values())
+        RankingRun(ranked)

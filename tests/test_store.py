@@ -22,7 +22,7 @@ from isoembed import (
     pool_sequences,
     save_corpus,
 )
-from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError
+from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError, UnknownIdError
 from isoembed.store import KIND_CODES, KIND_DOCUMENT, KIND_QUERY, rows_of_kind
 
 
@@ -547,6 +547,37 @@ class TestSequenceTable:
         with pytest.raises(KeyError) as gathered:
             corpus.gather(KIND_DOCUMENT, ["d0", "q0", "d0"])
         assert gathered.value.args == found.value.args == ("no document with id 'q0' in corpus",)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_corpora(), st.data())
+    def test_locate_gives_table_positions(self, corpus, data):
+        kind = data.draw(st.sampled_from([KIND_QUERY, KIND_DOCUMENT]))
+        known = [s.id for s in corpus.sequences if s.kind == kind]
+        ids = data.draw(st.lists(st.sampled_from(known), max_size=6)) if known else []
+        ids += ids[:1]  # a repeated id
+        positions = corpus.locate(kind, iter(ids))
+        assert positions.dtype == np.intp
+        assert positions.tolist() == [
+            next(i for i, s in enumerate(corpus.sequences) if (s.kind, s.id) == (kind, seq_id))
+            for seq_id in ids
+        ]
+        rows, counts = corpus.take(positions)
+        expected_rows, expected_counts = corpus.gather(kind, ids)
+        assert rows.tobytes() == expected_rows.tobytes()
+        assert counts.tolist() == expected_counts.tolist()
+
+    def test_unknown_id_is_a_typed_key_error(self):
+        corpus = tiny_corpus()
+        for lookup in (
+            lambda: corpus.find(KIND_QUERY, "d0"),
+            lambda: corpus.locate(KIND_QUERY, ["q0", "d0"]),
+            lambda: corpus.gather(KIND_QUERY, ["d0"]),
+        ):
+            with pytest.raises(UnknownIdError) as caught:
+                lookup()
+            assert isinstance(caught.value, KeyError)
+            assert isinstance(caught.value, IsoembedError)
+            assert str(caught.value) == "no query with id 'd0' in corpus"
 
     def test_columns_are_read_only(self, tmp_path):
         save_corpus(tiny_corpus(), tmp_path / "c.emb")
