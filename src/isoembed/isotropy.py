@@ -144,15 +144,15 @@ def avg_pairwise_cosine(
         total = np.linalg.norm(unit.sum(axis=0)) ** 2 - n
         return float(np.clip(total / (n * (n - 1)), -1.0, 1.0))
     if mode == "sampled":
-        i, j = PinnedRng(seed).index_pairs(pairs, n)
         # Gathering unit[i] and unit[j] for every pair at once would take
-        # 2 * pairs * dim doubles; blocks bound that, and each pair's dot
-        # product is the same whichever block computes it.
-        dots = np.empty(pairs)
+        # 2 * pairs * dim doubles, and the pairs' indices alone 16 bytes a
+        # pair; blocks bound both, and each pair's dot product is the same
+        # whichever block computes it.
         step = max(1, COSINE_BLOCK_BYTES // (8 * w.shape[1]))
-        for start in range(0, pairs, step):
-            block = slice(start, start + step)
-            np.einsum("ij,ij->i", unit[i[block]], unit[j[block]], out=dots[block])
+        blocks = PinnedRng(seed).index_pair_blocks(pairs, n, step)
+        dots = np.empty(pairs)
+        for start, (i, j) in zip(range(0, pairs, step), blocks):
+            np.einsum("ij,ij->i", unit[i], unit[j], out=dots[start : start + step])
         return float(np.clip(dots.mean(), -1.0, 1.0))
     raise ValueError(f"unknown mode {mode!r}")
 

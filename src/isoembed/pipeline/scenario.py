@@ -113,7 +113,8 @@ def build_designed_scenario(
     noise[:, : params.dominant_dims] *= params.dominant_scale * params.scale_factor
     noise[:, params.dominant_dims :] *= params.token_noise * params.scale_factor
 
-    matrix = noise + offset
+    noise += offset
+    matrix = noise
     # Each sequence's topic, scaled once, is added to every one of its
     # token rows in the signal dimensions.
     query_topics *= params.signal_strength

@@ -12,9 +12,13 @@ Derived draws are pinned as follows:
 * gaussians: Box-Muller over consecutive uniform pairs; a pair is never
   split across calls, so each call consumes an even number of uniforms and
   depends only on the stream position at entry
+* index pairs: ``count`` draws for the i side, then ``count`` for the j
+  side; ``index_pair_blocks`` reads a block of each by draw position
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,6 +44,22 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Raw draws as doubles uniform on [0, 1), in place of the integers.
+
+    Each value is below 2**53 after the shift, so the conversion is exact.
+    """
+    raw >>= np.uint64(11)
+    return np.multiply(raw, _U53, out=raw.view(np.float64))
+
+
+def _scaled(uniforms: np.ndarray, bound: int) -> np.ndarray:
+    """Uniform doubles as integers uniform on [0, bound); overwrites them."""
+    uniforms *= bound
+    raw = np.floor(uniforms, out=uniforms).astype(np.int64)
+    return np.minimum(raw, bound - 1, out=raw)
+
+
 class PinnedRng:
     """SplitMix64 stream addressed by draw counter.
 
@@ -56,23 +76,29 @@ class PinnedRng:
         """Number of raw 64-bit outputs consumed so far."""
         return self._drawn
 
-    def u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit outputs."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        state = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
-        self._drawn += n
+    def _draws(self, first: int, n: int) -> np.ndarray:
+        """The ``n`` raw outputs at draw positions ``[first, first + n)``,
+        whatever the stream's position."""
+        state = np.arange(first + 1, first + n + 1, dtype=np.uint64)
         state *= _GOLDEN
         state += self._seed
         return _mix(state)
 
+    def _claim(self, n: int) -> int:
+        """Advance the stream past the next ``n`` draws; return where they start."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        first = self._drawn
+        self._drawn += n
+        return first
+
+    def u64(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit outputs."""
+        return self._draws(self._claim(n), n)
+
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles uniform on [0, 1)."""
-        raw = self.u64(n)
-        raw >>= np.uint64(11)
-        # Each value is below 2**53, so the conversion is exact; the doubles
-        # overwrite the integers they come from.
-        return np.multiply(raw, _U53, out=raw.view(np.float64))
+        return _uniforms(self.u64(n))
 
     def gaussians(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next ``n`` standard-normal doubles via Box-Muller.
@@ -116,10 +142,7 @@ class PinnedRng:
         """Next ``n`` integers uniform on [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        scaled = self.uniforms(n)
-        scaled *= bound
-        raw = np.floor(scaled, out=scaled).astype(np.int64)
-        return np.minimum(raw, bound - 1, out=raw)
+        return _scaled(self.uniforms(n), bound)
 
     def index_pairs(self, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` pairs (i, j) with i != j, both in [0, n).
@@ -127,9 +150,37 @@ class PinnedRng:
         Consumes 2*count uniforms: a block of i draws on [0, n) followed by
         a block of j draws on [0, n-1), each j shifted past its i.
         """
+        return self._pairs_at(self._claim_pairs(count, n), count, n, 0, count)
+
+    def index_pair_blocks(
+        self, count: int, n: int, block: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``index_pairs(count, n)`` as consecutive blocks of at most
+        ``block`` pairs, each drawn only when the iteration reaches it.
+
+        The stream advances past all 2*count draws at the call, so what is
+        drawn next does not depend on how far the blocks are read.
+        """
+        if block < 1:
+            raise ValueError("block must be >= 1")
+        first = self._claim_pairs(count, n)
+        return (
+            self._pairs_at(first, count, n, start, min(start + block, count))
+            for start in range(0, count, block)
+        )
+
+    def _claim_pairs(self, count: int, n: int) -> int:
         if n < 2:
             raise ValueError("need n >= 2 to form distinct pairs")
-        i = self.indices(count, n)
-        j = self.indices(count, n - 1)
+        return self._claim(2 * count)
+
+    def _pairs_at(
+        self, first: int, count: int, n: int, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs ``[start, stop)`` of the ``count`` drawn from position
+        ``first``: i from draws ``first + [start, stop)``, j from draws
+        ``first + count + [start, stop)``."""
+        i = _scaled(_uniforms(self._draws(first + start, stop - start)), n)
+        j = _scaled(_uniforms(self._draws(first + count + start, stop - start)), n - 1)
         j += j >= i
         return i, j

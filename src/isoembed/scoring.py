@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ZeroNormError
 from .flows import FlowModel, apply_flow
+from .flows.training import FORWARD_CHUNK_ROWS
 from .isotropy import row_norms
 from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, span_rows
 from .whitening import WhiteningTransform, apply_whitening
@@ -32,6 +33,9 @@ SCORER_COLBERT = "colbert"
 SCORER_REPBERT = "repbert"
 TOKEN_WISE = "token_wise"
 SEQUENCE_WISE = "sequence_wise"
+# Bytes of rows per block when ``rank_candidates`` transforms or pools the
+# rows it gathered, in place.
+ROW_BLOCK_BYTES = 1 << 22
 
 
 def _unit_rows(matrix: np.ndarray, context: str) -> np.ndarray:
@@ -74,6 +78,32 @@ def _run_transform(transform, matrix: np.ndarray) -> np.ndarray:
     return apply_flow(transform, matrix)
 
 
+def _block_rows(dim: int) -> int:
+    """Rows per post-processing call at width ``dim``: as many whole
+    FORWARD_CHUNK_ROWS chunks as fit in ROW_BLOCK_BYTES, at least one,
+    so a flow cuts every block into the chunks it would cut from all rows."""
+    return max(1, ROW_BLOCK_BYTES // (8 * dim * FORWARD_CHUNK_ROWS)) * FORWARD_CHUNK_ROWS
+
+
+def _transform_in_place(transform, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (owned by the caller) mapped through ``transform`` block by
+    block, each block's result written back over it; each row comes out
+    bitwise as from one call on all of ``rows``.
+
+    A one-row matrix product takes BLAS's gemv path, which can round
+    differently from the gemm a whitening runs on more rows, so a one-row
+    tail joins the block before it. Without a transform nothing is copied.
+    """
+    if transform is None:
+        return rows
+    n, step = rows.shape[0], _block_rows(rows.shape[1])
+    # An edge every ``step`` rows, but none that would leave one row after it.
+    edges = [0, *range(step, n - 1, step), n]
+    for start, stop in zip(edges, edges[1:]):
+        rows[start:stop] = _run_transform(transform, rows[start:stop])
+    return rows
+
+
 @dataclass(frozen=True)
 class PostProcessor:
     """Optional representation transform plus its placement granularity.
@@ -91,13 +121,16 @@ class PostProcessor:
         if self.granularity not in (TOKEN_WISE, SEQUENCE_WISE):
             raise ConfigurationError(f"unknown granularity {self.granularity!r}")
 
+    @property
+    def doc_side(self) -> WhiteningTransform | FlowModel | None:
+        """The transform documents take."""
+        return self.transform if self.doc_transform is None else self.doc_transform
+
     def apply_query(self, matrix: np.ndarray) -> np.ndarray:
         return _run_transform(self.transform, matrix)
 
     def apply_doc(self, matrix: np.ndarray) -> np.ndarray:
-        if self.doc_transform is not None:
-            return _run_transform(self.doc_transform, matrix)
-        return _run_transform(self.transform, matrix)
+        return _run_transform(self.doc_side, matrix)
 
 
 IDENTITY = PostProcessor(None)
@@ -113,8 +146,24 @@ class _Spans:
         self.starts = np.cumsum(counts) - counts
 
     def pooled(self, rows: np.ndarray) -> np.ndarray:
-        """Token mean of every sequence: (n_sequences, dim)."""
-        return np.add.reduceat(rows, self.starts, axis=0) / self.counts[:, None]
+        """Token mean of every sequence: (n_sequences, dim), written over
+        the first n_sequences of ``rows`` (which the caller owns) and
+        returned as a view of them.
+
+        Sequences are pooled ROW_BLOCK_BYTES of means at a time. Sequence k
+        starts at row k or later, so a block's means overwrite only rows
+        of sequences already summed. Each span is summed by
+        ``np.add.reduceat`` as one call over all rows would sum it.
+        """
+        n = self.counts.size
+        ends = self.starts + self.counts
+        step = max(1, ROW_BLOCK_BYTES // (8 * rows.shape[1]))
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            first = self.starts[a]
+            sums = np.add.reduceat(rows[first : ends[b - 1]], self.starts[a:b] - first, axis=0)
+            np.divide(sums, self.counts[a:b, None], out=rows[a:b])
+        return rows[:n]
 
     def unit_rows(self, rows: np.ndarray, kind: str) -> np.ndarray:
         """``rows`` scaled to unit norm, in place: the caller owns them."""
@@ -152,15 +201,17 @@ def rank_candidates(
     Returns ``{query_id: [(doc_id, score), ...]}`` in the mapping's order,
     each list by descending score with ties by doc_id ascending (code
     point order), as ``RankingRun`` takes it. Every needed query and
-    document is gathered once, documents in order of first appearance,
-    and transformed with one call per side. Token-wise placement
-    transforms the token rows, then scores; sequence-wise placement pools
-    each sequence to its token mean, transforms the pooled vectors, and
-    compares by cosine. Colbert scores a query against the concatenated
-    tokens of all its candidates in one product, then takes each query
-    token's best match within each document's span. An unknown id raises
-    UnknownIdError (a KeyError); a zero-norm token row or pooled vector
-    raises ZeroNormError (a ValueError).
+    document is gathered once, documents in order of first appearance.
+    The gathered rows are transformed and pooled in place, a block at a
+    time (see ``_transform_in_place`` and ``_Spans.pooled``), so no second
+    array of their size is made. Token-wise placement transforms the token
+    rows, then scores; sequence-wise placement pools each sequence to its
+    token mean, transforms the pooled vectors, and compares by cosine.
+    Colbert scores a query against the concatenated tokens of all its
+    candidates in one product, then takes each query token's best match
+    within each document's span. An unknown id raises UnknownIdError (a
+    KeyError); a zero-norm token row or pooled vector raises
+    ZeroNormError (a ValueError).
     """
     if scorer not in (SCORER_COLBERT, SCORER_REPBERT):
         raise ConfigurationError(f"unknown scorer {scorer!r}")
@@ -194,11 +245,11 @@ def rank_candidates(
     queries, docs = _Spans(query_ids, q_counts), _Spans(doc_ids, d_counts)
 
     if post.granularity == SEQUENCE_WISE:
-        q_rows = post.apply_query(queries.pooled(q_rows))
-        d_rows = post.apply_doc(docs.pooled(d_rows))
+        q_rows = _transform_in_place(post.transform, queries.pooled(q_rows))
+        d_rows = _transform_in_place(post.doc_side, docs.pooled(d_rows))
     else:
-        q_rows = post.apply_query(q_rows)
-        d_rows = post.apply_doc(d_rows)
+        q_rows = _transform_in_place(post.transform, q_rows)
+        d_rows = _transform_in_place(post.doc_side, d_rows)
         if scorer == SCORER_REPBERT:
             q_rows, d_rows = queries.pooled(q_rows), docs.pooled(d_rows)
     if scorer == SCORER_REPBERT:

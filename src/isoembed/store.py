@@ -41,7 +41,9 @@ def as_matrix(values, dim: int | None = None) -> np.ndarray:
         raise ValueError("embedding matrix needs dim >= 1")
     if dim is not None and matrix.shape[1] != dim:
         raise ValueError(f"expected dim {dim}, got {matrix.shape[1]}")
-    if matrix.size and not np.isfinite(matrix).all():
+    # min and max propagate NaN, and an infinity is one of them, so the
+    # two reductions check every entry without a mask of the matrix's size.
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
         raise ValueError("embedding matrix contains NaN or Inf")
     return matrix
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,24 @@ def aniso_corpus():
 @pytest.fixture(scope="session")
 def aniso_matrix(aniso_corpus) -> np.ndarray:
     return aniso_corpus.matrix
+
+
+class TracedPeak:
+    """``with TracedPeak() as traced:`` traces the allocations made inside
+    the block, numpy's buffers included; afterwards ``traced.peak`` is
+    their peak in bytes."""
+
+    peak = 0
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return TracedPeak

@@ -4,7 +4,6 @@ Jacobians, gradients against finite differences, and training contracts."""
 import hashlib
 import math
 import struct
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -472,16 +471,12 @@ class TestFormatValidation:
         ],
         ids=["nice-paper-width", "glow-paper-width", "huge-depth", "huge-levels", "huge-n-hidden"],
     )
-    def test_wide_header_with_short_payload_rejected_before_allocating(self, arch):
+    def test_wide_header_with_short_payload_rejected_before_allocating(self, arch, traced_peak):
         blob = arch + bytes(64)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(CorpusFormatError):
                 flow_from_bytes(blob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        assert traced.peak < 1_000_000
 
     @pytest.mark.parametrize(
         "arch",

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,16 +123,21 @@ class TestAvgPairwiseCosine:
         expected = float(np.clip(np.einsum("ij,ij->i", unit[i], unit[j]).mean(), -1.0, 1.0))
         assert avg_pairwise_cosine(w, mode="sampled", pairs=1000, seed=5) == expected
 
-    def test_sampled_memory_is_bounded(self):
+    def test_sampled_memory_is_bounded(self, traced_peak):
         """10^6 pairs over 50,000 x 64 rows without gathering 2 x 10^6 rows."""
         w = np.random.default_rng(9).normal(size=(50_000, 64)) + 0.5
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             avg_pairwise_cosine(w, mode="sampled", pairs=1_000_000, seed=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64_000_000
+        assert traced.peak < 64_000_000
+
+    def test_sampled_peak_is_unit_rows_dots_and_blocks(self, traced_peak):
+        """The pairs' indices are drawn a block at a time too: 16 MB of them
+        for 10^6 pairs never exist at once."""
+        w = np.random.default_rng(9).normal(size=(50_000, 64)) + 0.5
+        pairs = 1_000_000
+        with traced_peak() as traced:
+            avg_pairwise_cosine(w, mode="sampled", pairs=pairs, seed=2)
+        assert traced.peak <= w.nbytes + 8 * pairs + 3 * isotropy.COSINE_BLOCK_BYTES
 
     def test_zero_norm_row_named(self):
         with pytest.raises(ValueError, match="row 1"):
@@ -163,16 +167,12 @@ class TestRowNorms:
         f_order = np.asfortranarray(w)
         assert isotropy.row_norms(f_order).tobytes() == isotropy.row_norms(w).tobytes()
 
-    def test_squares_in_bounded_blocks(self):
+    def test_squares_in_bounded_blocks(self, traced_peak):
         """No temporary as large as the 16 MB input."""
         w = np.random.default_rng(3).normal(size=(32_768, 64))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             isotropy.row_norms(w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < w[:, 0].nbytes + isotropy.NORM_BLOCK_BYTES + 100_000
+        assert traced.peak < w[:, 0].nbytes + isotropy.NORM_BLOCK_BYTES + 100_000
 
 
 class TestGaussianBaseline:

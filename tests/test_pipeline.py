@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoembed import load_corpus, store
+from isoembed import load_corpus, scoring, store
 from isoembed.errors import IsoembedError, ParseError
 from isoembed.rng import PinnedRng
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY, EmbeddingCorpus, SequenceRecord, save_corpus
@@ -645,6 +645,38 @@ class TestRerankRunBytes:
                         "shared.jsonl", "--out", "r.run", *flags]) == 0
             digests[name] = hashlib.sha256((tmp_path / "r.run").read_bytes()).hexdigest()
         assert digests == self.DIGESTS
+
+    # Recorded from the code that whitened all gathered rows in one call. At
+    # seed 3, whitening the last row alone changes both token-wise files.
+    BLOCK_DIGESTS = {
+        "colbert/whiten": "c1db765db9424c736d4888712c470de3d732e26276c7803c2726a7bf53399495",
+        "repbert/whiten/token_wise": "41c1530578acac355d5f116f51552e6846b309501d14afcbbc862a0d6f44ec1c",
+        "repbert/whiten/sequence_wise": "d8b0f58901a0eb1eafcf2dbf0ab3e5d0de54cff837fb81dbff4bc5ac3298d8ee",
+    }
+
+    def test_gathered_rows_span_blocks_and_a_one_row_tail(self, tmp_path, monkeypatch):
+        """29 queries x 113 candidates of 5 tokens at width 64: the 16,385
+        gathered document rows are two whitening blocks plus one row."""
+        monkeypatch.chdir(tmp_path)
+        with open("cfg.json", "w", encoding="utf-8") as fh:
+            json.dump({"tokens_per_doc": 5}, fh)
+        assert run(["scenario", "--config", "cfg.json", "--out-dir", ".", "--seed", "3",
+                    "--n-queries", "29", "--n-docs", "113", "--dim", "64"]) == 0
+        assert 29 * 113 * 5 == 2 * scoring._block_rows(64) + 1
+        assert run(["fit-whiten", "--source-corpus", "corpus.emb", "--out", "w.wht"]) == 0
+        whiten = ["--post", "whiten", "--post-path", "w.wht"]
+        cases = {
+            "colbert/whiten": ["--scorer", "colbert", *whiten],
+            "repbert/whiten/token_wise": ["--scorer", "repbert", *whiten],
+            "repbert/whiten/sequence_wise": ["--scorer", "repbert", *whiten,
+                                             "--granularity", "sequence_wise"],
+        }
+        digests = {}
+        for name, flags in cases.items():
+            assert run(["rerank", "--target-corpus", "corpus.emb", "--candidates",
+                        "candidates.jsonl", "--out", "r.run", *flags]) == 0
+            digests[name] = hashlib.sha256((tmp_path / "r.run").read_bytes()).hexdigest()
+        assert digests == self.BLOCK_DIGESTS
 
 
 class TestRerankDataErrors:

@@ -1,8 +1,9 @@
 """Pinned random stream: reference-implementation equality, draw
 conventions, and determinism."""
 
-import numpy as np
+import hashlib
 
+import numpy as np
 import pytest
 
 from isoembed.rng import GAUSSIAN_BLOCK, PinnedRng
@@ -175,3 +176,81 @@ class TestDerivedDraws:
         assert np.all(i != j)
         assert i.min() >= 0 and i.max() < 13
         assert j.min() >= 0 and j.max() < 13
+
+
+# index_pairs(count, n) from PinnedRng(seed): sha256 of i's bytes then j's,
+# the draw count afterwards and the next three raw outputs, recorded from
+# the code that drew every pair at once.
+RECORDED_PAIRS = {
+    (1_000, 300, 5): (
+        "6e6a7142c192df0168d841286efbe07049d32dea4d60228b09a8ee68f22e2aba",
+        2_000,
+        [3272177678366930258, 3702912831340834695, 4141479417140589672],
+    ),
+    (5_000, 13, 6): (
+        "9ad58732bc5cab8462012c39bcb3106faba8fc6f65d741bfd7053357c25abe1b",
+        10_000,
+        [8655407281023824973, 9008162555421820750, 11541601729421381124],
+    ),
+    (7, 2, 1): (
+        "c7a85d5392955e02698f060b75a70793eb04f277c3b270219d568313e99ec81e",
+        14,
+        [8042142155559163816, 3081251696030599739, 11904322950028659555],
+    ),
+    (0, 5, 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+        [10905525725756348110, 13819372491320860226, 10987583248141275951],
+    ),
+    (1_000_000, 120_800, 0): (
+        "e4197d8cbf0634ad1e2b6d92575c5ffdf7c91bfcf3cfbb21a9aa2687fea05e4c",
+        2_000_000,
+        [9584470904141973250, 4404974325611227303, 14444630088142231118],
+    ),
+}
+
+
+def pair_digest(blocks) -> str:
+    blocks = list(blocks)
+    digest = hashlib.sha256()
+    for side in (0, 1):
+        for block in blocks:
+            digest.update(block[side].tobytes())
+    return digest.hexdigest()
+
+
+class TestIndexPairBlocks:
+    @pytest.mark.parametrize("count, n, seed", list(RECORDED_PAIRS))
+    def test_blocks_concatenate_to_the_recorded_pairs(self, count, n, seed):
+        expected, draws, following = RECORDED_PAIRS[(count, n, seed)]
+        # Block sizes that divide the count, that do not, and that exceed it.
+        blocks = (1000, 65_536, count + 3) if count > 100_000 else (1, 7, 64, 999, count + 3)
+        for block in blocks:
+            rng = PinnedRng(seed)
+            assert pair_digest(rng.index_pair_blocks(count, n, block)) == expected, block
+            assert rng.draws == draws
+            assert rng.u64(3).tolist() == following
+        rng = PinnedRng(seed)
+        assert pair_digest([rng.index_pairs(count, n)]) == expected
+        assert rng.draws == draws
+
+    def test_blocks_have_the_asked_size(self):
+        sizes = [i.size for i, _ in PinnedRng(1).index_pair_blocks(1000, 300, 64)]
+        assert sizes == [64] * 15 + [40]
+
+    def test_stream_advances_at_the_call(self):
+        """The stream's next draws do not depend on how far the blocks are read."""
+        _, draws, following = RECORDED_PAIRS[(1000, 300, 5)]
+        rng = PinnedRng(5)
+        blocks = rng.index_pair_blocks(1000, 300, 64)
+        assert rng.draws == draws
+        assert rng.u64(3).tolist() == following
+        next(blocks)
+        assert rng.draws == draws + 3
+
+    def test_bad_arguments_raise_at_the_call(self):
+        rng = PinnedRng(0)
+        for count, n, block in ((10, 1, 4), (10, 5, 0), (-1, 5, 4)):
+            with pytest.raises(ValueError):
+                rng.index_pair_blocks(count, n, block)
+        assert rng.draws == 0

@@ -1,5 +1,6 @@
 """Relevance aggregators against naive oracles, and re-ranking contracts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,9 +23,11 @@ from isoembed import (
     rank_candidates,
     repbert_score,
 )
+from isoembed import scoring
 from isoembed.errors import ConfigurationError, IsoembedError, UnknownIdError, ZeroNormError
+from isoembed.flows import apply_flow
 from isoembed.scoring import SEQUENCE_WISE, TOKEN_WISE
-from isoembed.store import KIND_DOCUMENT, KIND_QUERY
+from isoembed.store import KIND_DOCUMENT, KIND_QUERY, blocked_corpus
 
 
 def cosine(a, b):
@@ -480,3 +483,89 @@ class TestTieOrder:
                 by_block.setdefault(shares[doc_id], set()).add(score)
             assert all(len(scores) == 1 for scores in by_block.values())
         RankingRun(ranked)
+
+
+# Rows per post-processing block at width 64.
+BLOCK = 8192
+# sha256 of one call of each transform on the first ``height`` rows of
+# ``block_inputs``' matrix, recorded from the code that transformed all
+# gathered rows in one call.
+ONE_SHOT_DIGESTS = {
+    "whiten": {
+        1: "ca30edca533bbd94807a1e9dc094586b8db0e18cd01d14b5947ab4a5dbd995a6",
+        2: "3219813da15f76e44bb3fb9d514e94cd00f913bfe9096c6d618a9ec3c6e6481d",
+        8191: "b7045d859216d1b724fedc999a309e23fa861d266de175c217c9c9c911bfb3e5",
+        8192: "9decd165afcfe3d1b8a8a1a5575a6bbc69f8abf8e76594f3ef0ce38662ab6c83",
+        8193: "4e6a3713d1aebb696bd9cbd405435633df56c4d8e6b0d75b92487e2dd21f8e3c",
+        16385: "15c233dbfd538708c85d4e0ce870eceb751efecbe920e7e38eb36ba963428ad0",
+    },
+    "glow": {
+        1: "ff1758308f3ca58999e099b9bed4135245bcf83e45fd4528002d989513c846c8",
+        2: "b5b5e07ec9f771adafed8f290257aa5af4897855f57e35864581dcf922286e7d",
+        8191: "0d493ec673c11d9c02c9ea373491a4a6dc9f86d3d1895e117a1a7bd8e8b34f44",
+        8192: "d0b643eb030cfd965c91a170e3ae83007ccdf37ef09c5768c15649a6b4a75919",
+        8193: "16acd0f7b52c4c7accf6eee264b3dc9ca749d9be5fd868edc7f8ff56f7ebe418",
+        16385: "8ffc485de6d92f0c4e3892ebf546d40d9bc7676fb340535d66c191c63a06cfb4",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def block_inputs():
+    x = np.random.default_rng(11).normal(size=(2 * BLOCK + 1, 64)) * 3.0 + 1.0
+    glow = GlowModel.build(64, GlowSpec(levels=2, depth=2, hidden=(16,)), seed=3)
+    glow.slab[...] += np.random.default_rng(4).normal(0.0, 0.05, glow.slab.shape)
+    return x, {"whiten": fit_whitening(x[:4000]), "glow": glow}
+
+
+class TestBlockwiseTransform:
+    def test_block_size(self):
+        assert scoring._block_rows(64) == BLOCK
+
+    @pytest.mark.parametrize("height", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("kind", ["whiten", "glow"])
+    def test_in_place_blocks_match_one_call(self, block_inputs, kind, height):
+        """A one-row tail joins its block: alone, it would round as gemv."""
+        x, transforms = block_inputs
+        apply = apply_whitening if kind == "whiten" else apply_flow
+        one_shot = apply(transforms[kind], x[:height])
+        rows = x[:height].copy()
+        assert scoring._transform_in_place(transforms[kind], rows) is rows
+        assert rows.tobytes() == one_shot.tobytes()
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == ONE_SHOT_DIGESTS[kind][height]
+
+    def test_no_transform_copies_nothing(self):
+        rows = np.ones((3, 2))
+        assert scoring._transform_in_place(None, rows) is rows
+
+
+class TestPooledInPlace:
+    @pytest.mark.parametrize("per_block", [1, 3, 1000])
+    def test_blocks_pool_as_one_reduceat(self, per_block, monkeypatch):
+        """Means overwrite the first rows, block by block, with the bits of
+        one ``np.add.reduceat`` over all rows."""
+        rng = np.random.default_rng(per_block)
+        counts = rng.integers(1, 12, size=40)
+        rows = rng.normal(size=(int(counts.sum()), 5)) * 10.0 ** rng.integers(-5, 5, size=(1, 5))
+        starts = np.cumsum(counts) - counts
+        expected = np.add.reduceat(rows, starts, axis=0) / counts[:, None]
+        monkeypatch.setattr(scoring, "ROW_BLOCK_BYTES", 8 * 5 * per_block)
+        owned = rows.copy()
+        pooled = scoring._Spans([f"s{k}" for k in range(40)], counts).pooled(owned)
+        assert pooled.tobytes() == expected.tobytes()
+        assert np.shares_memory(pooled, owned)
+
+
+class TestRankMemory:
+    @pytest.mark.parametrize("scorer", ["colbert", "repbert"])
+    def test_whitened_rows_take_a_few_blocks_beyond_the_gather(self, scorer, traced_peak):
+        """32,160 gathered rows (16.5 MB, almost 4 blocks) are whitened in
+        place; whitening them in one call would add two arrays of their size."""
+        matrix = np.random.default_rng(5).normal(size=(40 * 4 + 4000 * 8, 64)) + 1.0
+        corpus = blocked_corpus(matrix, 40, 4, 4000, 8)
+        candidates = {f"q{q}": [f"d{d}" for d in range(100 * q, 100 * q + 100)] for q in range(40)}
+        post = PostProcessor(fit_whitening(matrix), TOKEN_WISE)
+        with traced_peak() as traced:
+            ranked = rank_candidates(corpus, candidates, scorer, post)
+        assert len(ranked) == 40
+        assert traced.peak <= matrix.nbytes + 3 * scoring.ROW_BLOCK_BYTES

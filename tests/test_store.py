@@ -4,13 +4,13 @@ import importlib.util
 import re
 import struct
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isoembed import (
     EmbeddingCorpus,
@@ -23,7 +23,7 @@ from isoembed import (
     save_corpus,
 )
 from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError, UnknownIdError
-from isoembed.store import KIND_CODES, KIND_DOCUMENT, KIND_QUERY, rows_of_kind
+from isoembed.store import KIND_CODES, KIND_DOCUMENT, KIND_QUERY, as_matrix, rows_of_kind
 
 
 def tiny_corpus() -> EmbeddingCorpus:
@@ -33,6 +33,41 @@ def tiny_corpus() -> EmbeddingCorpus:
         SequenceRecord("d0", KIND_DOCUMENT, 2, 3),
     )
     return EmbeddingCorpus(matrix, sequences)
+
+
+# Entries that a finiteness check must tell apart: signed zeros,
+# subnormals, the largest finite values (a few of them sum to inf, so a
+# check through a sum would fail), infinities and NaN.
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -2.5,
+                1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+
+
+class TestAsMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.one_of(st.sampled_from(EDGE_ENTRIES), st.floats(width=64)),
+        )
+    )
+    @example(np.array([[1.7e308, 1.7e308], [1.7e308, 1.7e308]]))
+    @example(np.array([[-0.0, 5e-324]]))
+    @example(np.array([[1.0, np.nan, 2.0]]))
+    @example(np.array([[np.inf], [-np.inf]]))
+    def test_raises_iff_an_entry_is_not_finite(self, values):
+        if np.isfinite(values).all():
+            assert as_matrix(values).tobytes() == values.tobytes()
+        else:
+            with pytest.raises(ValueError, match="embedding matrix contains NaN or Inf"):
+                as_matrix(values)
+
+    def test_check_allocates_nothing_of_the_matrix_size(self, traced_peak):
+        """An 8 MB matrix is checked without a mask of its entries (1 MB)."""
+        matrix = np.random.default_rng(4).normal(size=(16_384, 64))
+        with traced_peak() as traced:
+            assert as_matrix(matrix) is matrix
+        assert traced.peak < 4096
 
 
 class TestCorpusInvariants:
@@ -172,34 +207,26 @@ class TestAllocation:
         ],
         ids=["2^40-rows", "largest-shape", "largest-sequence-count"],
     )
-    def test_oversized_header_rejected_before_allocating(self, tmp_path, header):
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, header, traced_peak):
         """The header alone decides; nothing near the announced size, nor
         the 1 MiB file itself, is read or allocated."""
         path = tmp_path / "huge.emb"
         path.write_bytes(header + bytes(1 << 20))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(CorpusFormatError, match="truncated"):
                 load_corpus(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 65_536
+        assert traced.peak < 65_536
 
-    def test_load_peaks_near_the_matrix_size(self, tmp_path):
+    def test_load_peaks_near_the_matrix_size(self, tmp_path, traced_peak):
         matrix = np.random.default_rng(8).normal(size=(16_384, 64))
         sequences = tuple(
             SequenceRecord(f"d{i}", KIND_DOCUMENT, 256 * i, 256) for i in range(64)
         )
         path = tmp_path / "big.emb"
         save_corpus(EmbeddingCorpus(matrix, sequences), path)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             loaded = load_corpus(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * matrix.nbytes
+        assert traced.peak <= 1.2 * matrix.nbytes
         assert loaded.matrix.tobytes() == matrix.tobytes()
         flags = loaded.matrix.flags
         assert flags.owndata and flags.c_contiguous and flags.writeable
