@@ -32,6 +32,15 @@ COSINE_BLOCK_BYTES = 1 << 22
 # run as fast, but at 1 MiB the walkthrough's glow rerank peaked 0.6 MB
 # higher: fewer multi-megabyte frees left glibc's heap arranged otherwise.
 NORM_BLOCK_BYTES = 1 << 22
+# Bytes of squared deviations per block of ``dimension_profile``'s std.
+PROFILE_BLOCK_BYTES = 1 << 22
+# Columns of the projections that ``partition_ratio`` copies into
+# contiguous rows at a time: eight doubles are one cache line of a row.
+PARTITION_COLUMNS = 8
+# Rows per step of that copy: the 64 KB of cache lines read and the 64 KB
+# written stay in cache. Copying whole strips of 120,800 rows took twice
+# as long.
+PARTITION_ROWS = 1024
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -84,11 +93,22 @@ class DimensionProfile:
     outlier_factor: float
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = np.max(values)
-    if not np.isfinite(top):  # all -inf only when values is empty of mass
+def _logsumexp(x: np.ndarray, shifted: np.ndarray, negate: bool = False) -> float:
+    """log sum exp(v) for v = -x if ``negate`` else x, over a contiguous
+    row ``x``; ``shifted`` receives v - max(v).
+
+    min(x) - x rounds as -x - (-min(x)) does, round-to-nearest being
+    symmetric, so the negated half has the bits of a log-sum-exp of -x
+    without negating x first.
+    """
+    top = -x.min() if negate else x.max()
+    if not np.isfinite(top):  # the projections overflowed
         return float(top)
-    return float(top + np.log(np.exp(values - top).sum()))
+    if negate:
+        np.subtract(-top, x, out=shifted)
+    else:
+        np.subtract(x, top, out=shifted)
+    return float(top + np.log(np.add.reduce(np.exp(shifted, out=shifted))))
 
 
 def partition_ratio(matrix) -> float:
@@ -108,10 +128,21 @@ def partition_ratio(matrix) -> float:
     _, vectors = np.linalg.eigh(gram)
     # projections: row i, eigenvector k -> w_i . v_k
     projections = w @ vectors
-    log_q = np.empty(2 * vectors.shape[1])
-    for k in range(vectors.shape[1]):
-        log_q[2 * k] = _logsumexp(projections[:, k])
-        log_q[2 * k + 1] = _logsumexp(-projections[:, k])
+    n, dim = projections.shape
+    # A column of the projections is strided by a whole row; each pass
+    # copies PARTITION_COLUMNS of them into contiguous rows, so every
+    # log-sum-exp reads memory in order.
+    rows = np.empty((min(dim, PARTITION_COLUMNS), n))
+    shifted = np.empty(n)
+    log_q = np.empty(2 * dim)
+    for start in range(0, dim, PARTITION_COLUMNS):
+        columns = projections[:, start : start + PARTITION_COLUMNS]
+        block = rows[: columns.shape[1]]
+        for row in range(0, n, PARTITION_ROWS):
+            np.copyto(block[:, row : row + PARTITION_ROWS], columns[row : row + PARTITION_ROWS].T)
+        for k, x in enumerate(block, start):
+            log_q[2 * k] = _logsumexp(x, shifted)
+            log_q[2 * k + 1] = _logsumexp(x, shifted, negate=True)
     ratio = float(np.exp(log_q.min() - log_q.max()))
     return min(ratio, 1.0)
 
@@ -152,7 +183,13 @@ def avg_pairwise_cosine(
         blocks = PinnedRng(seed).index_pair_blocks(pairs, n, step)
         dots = np.empty(pairs)
         for start, (i, j) in zip(range(0, pairs, step), blocks):
-            np.einsum("ij,ij->i", unit[i], unit[j], out=dots[start : start + step])
+            # take gathers the rows of unit[i], bounds-checked, but faster
+            np.einsum(
+                "ij,ij->i",
+                unit.take(i, axis=0),
+                unit.take(j, axis=0),
+                out=dots[start : start + step],
+            )
         return float(np.clip(dots.mean(), -1.0, 1.0))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -212,6 +249,28 @@ def measure(
     )
 
 
+def _column_std(w: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``w.std(axis=0)`` for a C-contiguous matrix of two or more columns,
+    bit for bit, squaring PROFILE_BLOCK_BYTES of deviations at a time.
+
+    numpy sums each column of such a matrix row after row. Row 0 of the
+    block buffer carries the running sum, so reducing rows 0..m of it
+    continues that sum in the same order.
+    """
+    n, dim = w.shape
+    step = max(1, PROFILE_BLOCK_BYTES // (8 * dim))
+    squares = np.empty((min(n, step) + 1, dim))
+    total = np.zeros(dim)
+    for start in range(0, n, step):
+        block = w[start : start + step]
+        rows = squares[: block.shape[0] + 1]
+        deviations = np.subtract(block, mean, out=rows[1:])
+        np.multiply(deviations, deviations, out=deviations)
+        rows[0] = total
+        np.add.reduce(rows, axis=0, out=total)
+    return np.sqrt(total / n)
+
+
 def dimension_profile(matrix, outlier_factor: float = 5.0) -> DimensionProfile:
     """Per-dimension mean/std/max-abs with spiky-dimension flags.
 
@@ -223,11 +282,17 @@ def dimension_profile(matrix, outlier_factor: float = 5.0) -> DimensionProfile:
     w = as_matrix(matrix)
     if w.shape[0] == 0:
         raise EmptyInputError("dimension_profile needs at least one row")
-    max_abs = np.abs(w).max(axis=0)
+    n, dim = w.shape
+    # |x| peaks at max(x) or at -min(x); + 0.0 turns the -0.0 of an
+    # all-(-0.0) column into the 0.0 that np.abs gives.
+    max_abs = np.maximum(w.max(axis=0), -w.min(axis=0)) + 0.0
+    mean = np.add.reduce(w, axis=0) / n  # w.mean(axis=0), bit for bit
+    # numpy sums a lone column pairwise, not row after row.
+    std = w.std(axis=0) if dim == 1 else _column_std(w, mean)
     threshold = outlier_factor * np.median(max_abs)
     return DimensionProfile(
-        mean=w.mean(axis=0),
-        std=w.std(axis=0),
+        mean=mean,
+        std=std,
         max_abs=max_abs,
         outlier_flags=max_abs > threshold,
         outlier_factor=outlier_factor,

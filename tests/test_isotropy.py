@@ -1,7 +1,9 @@
 """Isotropy metrics: frozen anchors, enumeration oracles, and invariances."""
 
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from isoembed import (
 from isoembed import isotropy
 from isoembed.errors import EmptyInputError
 from isoembed.pipeline import run
-from isoembed.store import KIND_DOCUMENT, save_corpus
+from isoembed.store import KIND_DOCUMENT, blocked_corpus, save_corpus
 from isoembed.rng import PinnedRng
 
 
@@ -30,6 +32,12 @@ def cosine_enumeration_oracle(matrix: np.ndarray) -> float:
             a, b = matrix[i], matrix[j]
             total += a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
     return total / (n * (n - 1) / 2)
+
+
+def guard_matrix(n: int, dim: int, seed: int = 31) -> np.ndarray:
+    """Pinned Gaussians with a different scale and offset per dimension."""
+    w = PinnedRng(seed).gaussians(n * dim).reshape(n, dim)
+    return w * np.linspace(0.5, 3.0, dim) + np.linspace(-1.0, 2.0, dim)
 
 
 class TestPartitionRatio:
@@ -68,6 +76,15 @@ class TestPartitionRatio:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             partition_ratio(np.zeros((0, 3)))
+
+    def test_peak_is_projections_and_a_few_column_blocks(self, traced_peak):
+        """Columns reach contiguous rows PARTITION_COLUMNS at a time; a
+        transposed copy of every projection would double the peak."""
+        w = guard_matrix(20_000, 64)
+        with traced_peak() as traced:
+            partition_ratio(w)
+        block = 8 * isotropy.PARTITION_COLUMNS * w.shape[0]
+        assert traced.peak <= w.nbytes + 3 * block
 
 
 class TestAvgPairwiseCosine:
@@ -277,6 +294,13 @@ class TestDimensionProfile:
         with pytest.raises(EmptyInputError):
             dimension_profile(np.zeros((0, 2)))
 
+    def test_allocates_nothing_the_size_of_the_matrix(self, traced_peak):
+        """No |w| and no w - mean as large as the 16 MB input."""
+        w = guard_matrix(32_768, 64)
+        with traced_peak() as traced:
+            dimension_profile(w)
+        assert traced.peak < isotropy.PROFILE_BLOCK_BYTES + 100_000
+
     @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
     def test_outlier_factor_must_be_positive_and_finite(self, factor):
         with pytest.raises(ValueError, match="outlier_factor must be positive and finite"):
@@ -316,3 +340,135 @@ class TestCollapsedCorpus:
         out = tmp_path / "m.json"
         assert run(["measure", "--corpus", str(tmp_path / "c.emb"), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["avg_cos"] == 1.0
+
+
+# Bitwise guards. Every digest and value below was recorded from the code
+# that took each log-sum-exp over a strided column of the projections,
+# gathered sampled rows by fancy indexing and profiled with ``np.abs``,
+# ``mean`` and ``std`` over the whole matrix. Do not re-record them to
+# make a test pass.
+
+
+def float_digest(values) -> str:
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+# One more than numpy's 128-element pairwise-summation block.
+GUARD_ROW_COUNTS = (1, 2, 7, 129)
+
+
+def partition_digest(dim: int) -> str:
+    """partition_ratio at every row count, at unit scale and at a scale
+    where the projections reach the hundreds, so the log-sum-exp shift
+    and its rounding both matter."""
+    return float_digest(
+        [
+            partition_ratio(guard_matrix(n, dim, seed=dim) * scale)
+            for n in GUARD_ROW_COUNTS
+            for scale in (1.0, 20.0)
+        ]
+    )
+
+
+PARTITION_DIGESTS = {
+    1: "af9884b064d1dc797d508c5378397c32d81482f39332da59f246492dd345841f",
+    5: "bd20f65ca74de266997d535926ee427644d2413a7df4c24650088e79862c494e",
+    8: "53ea46d8fe47599b7cbfeb537f96e1e44ad322374c6910953d382610c5b82c9c",
+    13: "4809ea0ca83fc7c8a3ffe3c380f57697979b5b3d65135a3ed89ef81aaa83bfd3",
+    64: "ea5cd6b84c23701704957b73b758fcc208762d52dd080297ddb8d9d2cde0fe7e",
+}
+
+# Sampled cosine over 20,001 x 8 rows, the size ``measure`` samples at.
+SAMPLED_COSINE = {0: "0x1.e73637f3191efp-3", 7: "0x1.e769af0cb75aap-3"}
+
+
+def sampled_cosine_hex(seed: int) -> str:
+    return avg_pairwise_cosine(guard_matrix(20_001, 8), mode="sampled", seed=seed).hex()
+
+
+def profile_case(name: str) -> np.ndarray:
+    """Matrices with an all-zero and an all-(-0.0) column: one row, one
+    more row than a block of 16, and blocks of 16, 16 and 8 rows."""
+    if name == "one_row":
+        w = guard_matrix(1, 6)
+    elif name == "two_rows":
+        w = guard_matrix(2, 6)
+    elif name == "block_plus_one":
+        w = guard_matrix(17, 6)
+    elif name == "three_blocks":
+        w = guard_matrix(40, 6)
+    elif name == "one_column":
+        return guard_matrix(17, 1)
+    elif name == "negative_zero_column":
+        return np.full((7, 1), -0.0)
+    else:
+        raise KeyError(name)
+    w[:, 2] = 0.0
+    w[:, 3] = -0.0
+    return w
+
+
+def profile_digest(profile) -> str:
+    parts = (profile.mean, profile.std, profile.max_abs)
+    return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+
+
+PROFILE_DIGESTS = {
+    "one_row": "23fa31afb8909d2b9d211a2758840ca4b31f5faceb176e4c275a1bf11f0a10a5",
+    "two_rows": "03c4e45bd5f5e22e638b4eeb5b37c8600536a37587042dc9fb1eb21c3ea74397",
+    "block_plus_one": "c97e041e0990c9c6b931dee877011f65e73d78bf8b902b95071e416421836a2f",
+    "three_blocks": "57f8616c6cd929493eb63d9319c1d60997c2a507f2bebed7e471ec9a0c93adb3",
+    "one_column": "c41bb7cac90d03e88224136d983eb22946e54f9220778bb8b7dfa1d6a2af557d",
+    "negative_zero_column": "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+}
+
+
+def measure_corpus() -> np.ndarray:
+    """20,480 x 64 rows, over the exact-cosine limit and several profile
+    blocks, with an all-zero and an all-(-0.0) column."""
+    w = guard_matrix(20_480, 64)
+    w[:, 5] = 0.0
+    w[:, 9] = -0.0
+    return w
+
+
+def measure_digests() -> dict:
+    """sha256 of measure.json and profile.csv from a CLI measure run in
+    the working directory; the config hash records the corpus path."""
+    save_corpus(blocked_corpus(measure_corpus(), 32, 8, 2528, 8), "c.emb")
+    args = ["measure", "--corpus", "c.emb", "--out", "m.json", "--csv", "p.csv"]
+    assert run(args) == 0
+    return {
+        name: hashlib.sha256(open(name, "rb").read()).hexdigest() for name in ("m.json", "p.csv")
+    }
+
+
+MEASURE_DIGESTS = {
+    "m.json": "37c5c6cb7ac02d9ed038d14b6571d1876b6f1a53b840f3efd201ccfa1669a558",
+    "p.csv": "da429071c67ebddaf2f986ac7afb4cda1a7159a29709b4c73502d3221e7ab932",
+}
+
+
+class TestBitwiseGuards:
+    @pytest.mark.parametrize("copy_rows", [3, None])
+    @pytest.mark.parametrize("dim", sorted(PARTITION_DIGESTS))
+    def test_partition_ratio(self, dim, copy_rows, monkeypatch):
+        if copy_rows is not None:
+            monkeypatch.setattr(isotropy, "PARTITION_ROWS", copy_rows)
+        assert partition_digest(dim) == PARTITION_DIGESTS[dim]
+
+    @pytest.mark.parametrize("seed", sorted(SAMPLED_COSINE))
+    def test_sampled_cosine(self, seed):
+        assert sampled_cosine_hex(seed) == SAMPLED_COSINE[seed]
+
+    @pytest.mark.parametrize("block_rows", [1, 16, None])
+    @pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+    def test_dimension_profile(self, name, block_rows, monkeypatch):
+        w = profile_case(name)
+        if block_rows is not None:
+            monkeypatch.setattr(isotropy, "PROFILE_BLOCK_BYTES", 8 * w.shape[1] * block_rows)
+        assert profile_digest(dimension_profile(w)) == PROFILE_DIGESTS[name]
+
+    def test_cli_measure_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert measure_digests() == MEASURE_DIGESTS
