@@ -1,16 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Two kinds of graph node. Generic ops (broadcast add/mul, exp, column
-slices side by side, sums) build the likelihood around a flow. ``fused``
-runs a whole flow layer as one node: the layer's numpy kernel computes
-the output and keeps a small cache, and its hand-written backward writes
-the gradients of the layer's parameters itself and routes the rest to the
-layer's input, so the node's only parent is that input. Each node whose
-output needs a gradient records its parents and a closure;
-``Tensor.backward`` runs the closures in reverse topological order. Inside
-``with no_grad():`` nodes record neither, layers keep no cache, and a
-forward pass costs only its arithmetic. All data is float64 and reductions
-run in fixed index order, so gradients are deterministic for a given graph.
+Two kinds of graph node. Generic ops (broadcast add/mul and total) combine
+tensors. ``fused`` runs a whole flow layer, or a whole flow model, as one
+node: its numpy kernel computes the output and keeps a small cache, and its
+hand-written backward writes the gradients of its parameters itself and
+routes the rest to its input, so the node's only parent is that input. A
+flow's likelihood is one node over the model's kernel chain
+(``flows.training.nll_tensor``). Each node whose output needs a gradient
+records its parents and a closure; ``Tensor.backward`` runs the closures in
+reverse topological order. Inside ``with no_grad():`` nodes record neither,
+kernels keep no cache, and a forward pass costs only its arithmetic. All
+data is float64 and reductions run in fixed index order, so gradients are
+deterministic for a given graph.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """False inside ``no_grad``: nodes made now record no graph."""
+    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,7 +111,7 @@ def parameter(data) -> Tensor:
 
 
 def fused(layer, x: Tensor, logdet: Tensor | None = None):
-    """Run a flow layer as one graph node; returns ``(y, logdet)``.
+    """Run a flow layer or model as one graph node; returns ``(y, logdet)``.
 
     ``layer.kernel(x, keep)`` returns the output, the layer's log-det
     contribution (None for a layer without one) and, when ``keep``, the
@@ -166,45 +172,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
 
     return Tensor(a.data * b.data, parents=(a, b), backward=backward)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    value = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * value)
-
-    return Tensor(value, parents=(a,), backward=backward)
-
-
-def columns(parts: list[tuple[Tensor, slice]]) -> Tensor:
-    """Side by side, a slice of the columns of each ``(tensor, slice)`` part."""
-    blocks = [t.data[:, cols] for t, cols in parts]
-
-    def backward(grad):
-        stop = 0
-        for (t, cols), block in zip(parts, blocks):
-            start, stop = stop, stop + block.shape[1]
-            if t.requires_grad:
-                full = np.zeros_like(t.data)
-                full[:, cols] = grad[:, start:stop]
-                t._accumulate(full)
-
-    data = np.concatenate(blocks, axis=1)
-    return Tensor(data, parents=tuple(t for t, _ in parts), backward=backward)
-
-
-def sum_rows(a) -> Tensor:
-    """Row sums of a 2-D tensor: (n, d) -> (n,)."""
-    a = _as_tensor(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(np.repeat(grad[:, None], a.data.shape[1], axis=1))
-
-    return Tensor(a.data.sum(axis=1), parents=(a,), backward=backward)
 
 
 def total(a) -> Tensor:

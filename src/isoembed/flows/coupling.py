@@ -97,8 +97,8 @@ def rectify(h: np.ndarray) -> np.ndarray:
 
 class Coupling:
     """The columns of one parity feed a net whose output transforms the
-    other parity's columns. A subclass defines ``forward``, and how the net
-    output ``out`` moves its half: ``_transform(x_moved, out, keep)`` gives
+    other parity's columns. A subclass defines how the net output ``out``
+    moves its half: ``_transform(x_moved, out, keep)`` gives
     the moved half, the log-det contribution and a cache;
     ``_transform_backward(cache, grad_moved, logdet_grad)`` the gradients
     of ``out`` and ``x_moved``; ``_untransform(y_moved, out)`` the inverse.

@@ -145,20 +145,20 @@ class LuLinear:
         self.lower = lower
         self.upper = upper
         self.log_diag = log_diag
-        self._perm_matrix = np.eye(dim)[:, permutation]
 
     def parameters(self):
         return [self.lower, self.log_diag, self.upper]
 
     def _factors(self):
-        """(L, U, exp(log_diag), W = P (L U)) from the current parameters."""
+        """(L, U, exp(log_diag), W = P (L U)) from the current parameters;
+        P applies as a row gather, where its product would add exact zeros."""
         lower = np.eye(self.dim)
         lower.ravel()[self._lower_flat] = self.lower.data
         diag = np.exp(self.log_diag.data)
         upper = np.zeros((self.dim, self.dim))
         upper.ravel()[self._upper_flat] = self.upper.data
         upper.ravel()[self._diag_flat] = diag * self.signs
-        return lower, upper, diag, self._perm_matrix @ (lower @ upper)
+        return lower, upper, diag, (lower @ upper).take(np.argsort(self.permutation), axis=0)
 
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):
         return ad.fused(self, x, logdet)
@@ -172,7 +172,7 @@ class LuLinear:
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
         x, lower, upper, diag, matrix = cache
         self.log_diag._accumulate(np.full_like(diag, float(logdet_grad.sum(axis=0))))
-        grad_lu = self._perm_matrix.T @ (x.T @ grad)
+        grad_lu = (x.T @ grad).take(self.permutation, axis=0)  # P^T (x^T grad)
         self.lower._accumulate((grad_lu @ upper.T).take(self._lower_flat))
         grad_upper = lower.T @ grad_lu
         self.upper._accumulate(grad_upper.take(self._upper_flat))
@@ -221,17 +221,10 @@ class GlowStep:
         self.actnorm = actnorm
         self.linear = linear
         self.coupling = coupling
+        self.layers = (actnorm, linear, coupling)
 
     def parameters(self):
-        return self.actnorm.parameters() + self.linear.parameters() + self.coupling.parameters()
-
-    def forward(self, x: ad.Tensor, logdet: ad.Tensor, label: str):
-        x, logdet = self.actnorm.forward(x, logdet)
-        x, logdet = self.linear.forward(x, logdet)
-        x, logdet = self.coupling.forward(x, logdet)
-        if not np.isfinite(x.data).all():
-            raise NumericError(f"glow step {label} produced non-finite values")
-        return x, logdet
+        return [p for layer in self.layers for p in layer.parameters()]
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return self.actnorm.inverse(self.linear.inverse(self.coupling.inverse(y)))
@@ -304,27 +297,49 @@ class GlowModel:
     def initialize_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent init: run the batch through, initializing each
         actnorm from the activations that reach it."""
-        with ad.no_grad():
-            self.forward_tensors(ad.constant(batch), init_actnorms=True)
+        self.kernel(batch, init_actnorms=True)
 
-    def forward_tensors(
-        self, x: ad.Tensor, init_actnorms: bool = False
-    ) -> tuple[ad.Tensor, ad.Tensor]:
-        """With ``init_actnorms``, each actnorm not yet initialized is
-        data-initialized from its input just before it runs."""
-        logdet = ad.constant(np.zeros(x.data.shape[0]))
+    def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        return ad.fused(self, x, ad.constant(np.zeros(x.data.shape[0])))
+
+    def kernel(self, x: np.ndarray, keep: bool = False, init_actnorms: bool = False):
+        """``(z, per-row log-det, tape)``: every layer's kernel in order; each
+        level's factored columns keep their positions in ``z``. With
+        ``init_actnorms``, each actnorm not yet initialized is data-initialized
+        from its input just before it runs."""
+        z = np.empty(x.shape)
+        logdet = np.zeros(x.shape[0])
+        tape = []
         active = x
-        factored = []
-        for li, steps in enumerate(self.levels):
+        for li, (size, kept, steps) in enumerate(zip(self.sizes, self.sizes[1:] + [0], self.levels)):
             for si, step in enumerate(steps):
                 if init_actnorms and not step.actnorm.initialized:
-                    step.actnorm.data_init(active.data)
-                active, logdet = step.forward(active, logdet, f"{li}.{si}")
-            if li < len(self.levels) - 1:
-                keep = self.sizes[li + 1]
-                factored.append((active, slice(keep, None)))
-                active = ad.columns([(active, slice(None, keep))])
-        return ad.columns([(active, slice(None)), *reversed(factored)]), logdet
+                    step.actnorm.data_init(active)
+                for layer in step.layers:
+                    active, contribution, cache = layer.kernel(active, keep)
+                    logdet = logdet + contribution
+                    tape.append(cache)
+                if not np.isfinite(active).all():
+                    raise NumericError(f"glow step {li}.{si} produced non-finite values")
+            z[:, kept:size] = active[:, kept:]
+            active = active[:, :kept].copy()
+        return z, logdet, tape if keep else None
+
+    def backward(self, tape, grad: np.ndarray, logdet_grad, need_dx: bool):
+        """The layers' backwards in reverse. Entering a level, the input
+        gradient of the level above joins the gradient of the columns this
+        level factored out as zeros plus each part, so -0.0 becomes +0.0."""
+        caches = reversed(tape)
+        first = self.levels[0][0].actnorm
+        dx = grad[:, : self.sizes[-1]].copy()
+        for size, steps in reversed(list(zip(self.sizes, self.levels))):
+            if dx.shape[1] < size:
+                dx = np.concatenate([dx, grad[:, dx.shape[1] : size]], axis=1)
+                dx += 0.0
+            for step in reversed(steps):
+                for layer in reversed(step.layers):
+                    dx = layer.backward(next(caches), dx, logdet_grad, need_dx or layer is not first)
+        return dx
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
         x = np.array(z, dtype=np.float64)

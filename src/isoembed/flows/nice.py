@@ -36,9 +36,6 @@ class NiceSpec:
 class AdditiveCoupling(Coupling):
     """Shifts one parity half by a net of the other: y_b = x_b + t(x_a)."""
 
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.fused(self, x)[0]
-
     def _transform(self, x_moved: np.ndarray, shift: np.ndarray, keep: bool):
         return x_moved + shift, None, None
 
@@ -98,20 +95,33 @@ class NiceModel:
         params.append(self.log_scale)
         return params
 
-    def forward_tensors(
-        self, x: ad.Tensor, init_actnorms: bool = False
-    ) -> tuple[ad.Tensor, ad.Tensor]:
-        """``init_actnorms`` is accepted for the glow model's sake; NICE has
-        no actnorms."""
+    def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        return ad.fused(self, x, ad.constant(np.zeros(x.data.shape[0])))
+
+    def kernel(self, x: np.ndarray, keep: bool = False, init_actnorms: bool = False):
+        """``(z, per-row log-det, tape)``; NICE has no actnorms to initialize."""
+        tape = []
         h = x
         for i, coupling in enumerate(self.couplings):
-            h = coupling.forward(h)
-            if not np.isfinite(h.data).all():
+            h, _, cache = coupling.kernel(h, keep)
+            tape.append(cache)
+            if not np.isfinite(h).all():
                 raise NumericError(f"nice coupling {i} produced non-finite values")
-        z = ad.mul(h, ad.exp(self.log_scale))
-        if not np.isfinite(z.data).all():
+        scale = np.exp(self.log_scale.data)
+        z = h * scale
+        if not np.isfinite(z).all():
             raise NumericError("nice scaling layer produced non-finite values")
-        return z, ad.add(np.zeros(x.data.shape[0]), ad.total(self.log_scale))
+        tape.append((h, scale))
+        return z, np.zeros(x.shape[0]) + self.log_scale.data.sum(), tape if keep else None
+
+    def backward(self, tape, grad: np.ndarray, logdet_grad, need_dx: bool):
+        h, scale = tape[-1]
+        self.log_scale._accumulate(np.full_like(scale, float(logdet_grad.sum(axis=0))))
+        self.log_scale._accumulate((grad * h).sum(axis=0) * scale)
+        grad = grad * scale
+        for i in reversed(range(len(self.couplings))):
+            grad = self.couplings[i].backward(tape[i], grad, None, need_dx or i > 0)
+        return grad
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
         h = np.asarray(z, dtype=np.float64) * np.exp(-self.log_scale.data)

@@ -149,17 +149,14 @@ def _check_batch(model: FlowModel, batch) -> np.ndarray:
 def flow_forward(model: FlowModel, batch) -> tuple[np.ndarray, np.ndarray]:
     """Transform a batch; returns (z, per-row log|det Jacobian|).
 
-    Runs without recording a graph, in chunks of FORWARD_CHUNK_ROWS rows.
+    Runs the kernel chain without a tape, in chunks of FORWARD_CHUNK_ROWS rows.
     """
     x = _check_batch(model, batch)
     zs, logdets = [], []
-    with ad.no_grad():
-        for start in range(0, max(x.shape[0], 1), FORWARD_CHUNK_ROWS):
-            z, logdet = model.forward_tensors(
-                ad.constant(x[start : start + FORWARD_CHUNK_ROWS])
-            )
-            zs.append(z.data)
-            logdets.append(logdet.data)
+    for start in range(0, max(x.shape[0], 1), FORWARD_CHUNK_ROWS):
+        z, logdet, _ = model.kernel(x[start : start + FORWARD_CHUNK_ROWS])
+        zs.append(z)
+        logdets.append(logdet)
     return np.concatenate(zs), np.concatenate(logdets)
 
 
@@ -173,12 +170,22 @@ def apply_flow(model: FlowModel, matrix) -> np.ndarray:
 
 
 def nll_tensor(model: FlowModel, x: np.ndarray, init_actnorms: bool = False) -> ad.Tensor:
-    """The graph of ``nll``; ``init_actnorms`` data-initializes a glow's
-    actnorms from this batch on the way (see ``GlowModel.forward_tensors``)."""
-    z, logdet = model.forward_tensors(ad.constant(x), init_actnorms=init_actnorms)
-    per_row = ad.add(ad.mul(ad.sum_rows(ad.mul(z, z)), 0.5), ad.mul(logdet, -1.0))
-    mean = ad.mul(ad.total(per_row), 1.0 / x.shape[0])
-    return ad.add(mean, 0.5 * model.dim * math.log(2.0 * math.pi))
+    """``nll`` as one graph node over the model's kernel chain, which keeps
+    its tape unless inside ``no_grad``; ``init_actnorms`` data-initializes a
+    glow's actnorms from this batch on the way. The value and the backward's
+    seeds (``g*z + g*z`` with g = 1/2n, and -1/n per row for the log-det)
+    keep this order of operations: the training goldens pin their bits."""
+    n = x.shape[0]
+    z, logdet, tape = model.kernel(x, ad.grad_enabled(), init_actnorms)
+    per_row = (z * z).sum(axis=1) * 0.5 + logdet * -1.0
+    loss = per_row.sum() * (1.0 / n) + 0.5 * model.dim * math.log(2.0 * math.pi)
+
+    def backward(grad):
+        scale = float(grad) * (1.0 / n)
+        gz = z * (scale * 0.5)
+        model.backward(tape, gz + gz, np.full(n, -scale), False)
+
+    return ad.Tensor(loss, requires_grad=tape is not None, backward=backward)
 
 
 def nll(model: FlowModel, batch) -> float:
@@ -260,8 +267,7 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
             if not math.isfinite(value):
                 raise TrainingError(f"step {step}: nll is not finite")
             loss.backward()
-            # Free the step's activations and intermediate gradients before
-            # the update and the next forward pass.
+            # Free the step's tape before the update and the next forward pass.
             del loss
             optimizer.step()
             batch_losses.append(value)

@@ -17,6 +17,7 @@ from isoembed.flows import training
 from isoembed.flows.coupling import ParameterSlab, rectify
 from isoembed.flows import (
     CLAMP,
+    AffineCoupling,
     FlowTrainConfig,
     GlowModel,
     GlowSpec,
@@ -150,7 +151,6 @@ class TestLogDet:
         model = build_model(2, GlowSpec(levels=1, depth=1, hidden=(4,)), seed=1)
         step = model.levels[0][0]
         step.linear.permutation = np.array([0, 1])
-        step.linear._perm_matrix = np.eye(2)
         step.linear.log_diag.data = np.log(np.array([2.0, 0.5]))
         x = np.array([[1.0, 1.0], [2.0, -1.0]])
         z, logdet = flow_forward(model, x)
@@ -175,8 +175,9 @@ class TestLogDet:
         _, whole = flow_forward(model, x)
         h = ad.constant(x)
         total = ad.constant(np.zeros(7))
-        for si, step in enumerate(model.levels[0]):
-            h, total = step.forward(h, total, f"0.{si}")
+        for step in model.levels[0]:
+            for layer in step.layers:
+                h, total = layer.forward(h, total)
         np.testing.assert_allclose(whole, total.data, atol=1e-12)
 
 
@@ -233,10 +234,11 @@ class TestGradients:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_walkthrough_glow_graph_has_one_node_per_layer(self):
-        """Each flow layer and each log-det update is one node: 6 steps x 6,
-        3 for factoring the levels, 8 for the likelihood (227 as per-op
-        graph). Parameters are not graph nodes, so backward's walk visits
-        only the nodes with a closure."""
+        """The likelihood is one node over the model's kernel chain, which
+        runs the layer backwards itself (47 nodes when each layer, log-det
+        update, level split and likelihood op was a node; 227 as per-op
+        graph). The input is a plain array, so backward's walk visits that
+        node alone."""
         model = build_model(64, GlowSpec(levels=2, depth=3, hidden=(64, 64)), seed=0)
         loss = training.nll_tensor(model, np.random.default_rng(9).normal(size=(64, 64)))
         nodes, visited, seen, stack = 0, 0, set(), [loss]
@@ -249,8 +251,28 @@ class TestGradients:
                 # ends the walk.
                 visited += node.requires_grad
                 stack.extend(node._parents)
-        assert nodes <= 60
-        assert visited <= 46
+        assert nodes <= 2
+        assert visited <= 2
+
+    def test_level_boundary_turns_negative_zero_gradients_positive(self, monkeypatch):
+        """Entering a level, the gradient of the columns it factored out
+        joins the input gradient of the level above as zeros plus each part,
+        as the per-op graph's column merge did, so -0.0 arrives as +0.0."""
+        model = build_model(8, SMALL_GLOW, seed=70)
+        z, _, tape = model.kernel(np.random.default_rng(71).normal(size=(4, 8)), keep=True)
+        received = []
+        backward = AffineCoupling.backward
+
+        def record(layer, cache, grad, logdet_grad, need_dx):
+            received.append(grad.copy())
+            return backward(layer, cache, grad, logdet_grad, need_dx)
+
+        monkeypatch.setattr(AffineCoupling, "backward", record)
+        model.backward(tape, np.full(z.shape, -0.0), np.zeros(4), False)
+        # Couplings run backward from the last; level 0's last is next after
+        # the depth couplings of level 1.
+        assert np.signbit(received[0]).all()
+        assert not np.signbit(received[SMALL_GLOW.depth][:, model.sizes[1] :]).any()
 
 
 class TestTraining:
