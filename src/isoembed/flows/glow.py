@@ -133,7 +133,8 @@ class LuLinear:
     def _assign(self, permutation, signs, lower, log_diag, upper) -> None:
         dim = len(permutation)
         self.dim = dim
-        self.permutation = permutation
+        self.permutation = permutation  # fixed from here on, as is its inverse
+        self._unpermute = np.argsort(permutation)
         self.signs = signs
         # Row-major flat positions of the strict-lower, strict-upper and
         # diagonal entries of a (dim, dim) matrix.
@@ -158,7 +159,7 @@ class LuLinear:
         upper = np.zeros((self.dim, self.dim))
         upper.ravel()[self._upper_flat] = self.upper.data
         upper.ravel()[self._diag_flat] = diag * self.signs
-        return lower, upper, diag, (lower @ upper).take(np.argsort(self.permutation), axis=0)
+        return lower, upper, diag, (lower @ upper).take(self._unpermute, axis=0)
 
     def forward(self, x: ad.Tensor, logdet: ad.Tensor):
         return ad.fused(self, x, logdet)
@@ -223,9 +224,6 @@ class GlowStep:
         self.coupling = coupling
         self.layers = (actnorm, linear, coupling)
 
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return self.actnorm.inverse(self.linear.inverse(self.coupling.inverse(y)))
 
@@ -284,11 +282,15 @@ class GlowModel:
         return count
 
     def parameters(self) -> list[ad.Tensor]:
-        params = []
-        for steps in self.levels:
-            for step in steps:
-                params.extend(step.parameters())
-        return params
+        return [p for params in self.layer_parameters() for p in params]
+
+    def layer_parameters(self) -> list[list[ad.Tensor]]:
+        """Each layer's parameters, in traversal order."""
+        steps = [step for steps in self.levels for step in steps]
+        return [layer.parameters() for step in steps for layer in step.layers]
+
+    def layer_done(self) -> None:
+        """``backward`` calls this after each layer; an optimizer hooks in here."""
 
     @property
     def actnorms_initialized(self) -> bool:
@@ -326,9 +328,9 @@ class GlowModel:
         return z, logdet, tape if keep else None
 
     def backward(self, tape, grad: np.ndarray, logdet_grad, need_dx: bool):
-        """The layers' backwards in reverse. Entering a level, the input
-        gradient of the level above joins the gradient of the columns this
-        level factored out as zeros plus each part, so -0.0 becomes +0.0."""
+        """The layers' backwards in reverse, each followed by ``layer_done``.
+        Entering a level, the input gradient of the level above joins the
+        gradient of the columns it factored out as zeros plus each part."""
         caches = reversed(tape)
         first = self.levels[0][0].actnorm
         dx = grad[:, : self.sizes[-1]].copy()
@@ -339,6 +341,7 @@ class GlowModel:
             for step in reversed(steps):
                 for layer in reversed(step.layers):
                     dx = layer.backward(next(caches), dx, logdet_grad, need_dx or layer is not first)
+                    self.layer_done()
         return dx
 
     def inverse(self, z: np.ndarray) -> np.ndarray:

@@ -89,11 +89,14 @@ class NiceModel:
         )
 
     def parameters(self) -> list[ad.Tensor]:
-        params = []
-        for coupling in self.couplings:
-            params.extend(coupling.parameters())
-        params.append(self.log_scale)
-        return params
+        return [p for params in self.layer_parameters() for p in params]
+
+    def layer_parameters(self) -> list[list[ad.Tensor]]:
+        """Each layer's parameters, in traversal order; the scaling is last."""
+        return [coupling.parameters() for coupling in self.couplings] + [[self.log_scale]]
+
+    def layer_done(self) -> None:
+        """``backward`` calls this after each layer; an optimizer hooks in here."""
 
     def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         return ad.fused(self, x, ad.constant(np.zeros(x.data.shape[0])))
@@ -119,8 +122,10 @@ class NiceModel:
         self.log_scale._accumulate(np.full_like(scale, float(logdet_grad.sum(axis=0))))
         self.log_scale._accumulate((grad * h).sum(axis=0) * scale)
         grad = grad * scale
+        self.layer_done()
         for i in reversed(range(len(self.couplings))):
             grad = self.couplings[i].backward(tape[i], grad, None, need_dx or i > 0)
+            self.layer_done()
         return grad
 
     def inverse(self, z: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ conventional (0.9, 0.999, 1e-8) constants and a pinned-PRNG shuffle, so a
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -67,47 +68,66 @@ class TrainReport:
 
 
 class Adam:
-    """Adaptive-moment updates of a flow model's parameter slab, in place.
+    """Adaptive-moment updates of a flow model's parameter slab, in place,
+    made during the backward pass as each layer's gradients become final.
 
-    ``model.slab`` holds every parameter's ``.data``, in traversal order.
-    The gradients and the first and second moments live in three more slabs
-    of its length, and each parameter's ``.grad`` is a view of the gradient
-    slab, so backward accumulates straight into it. ``step`` updates every
-    parameter in one pass over the slabs in blocks of ADAM_BLOCK elements,
-    zeroing each gradient block once it is used. A parameter that receives
-    no gradient sees zeros. While the optimizer is in use, parameter values
-    must be written in place (``p.data[...] = value``): rebinding ``.data``
-    detaches it from the slab.
+    The moments live in two slabs of ``model.slab``'s length. The model's
+    backward calls ``model.layer_done`` after each layer, in reverse
+    traversal order. In that order, layers form update groups that close at
+    ADAM_BLOCK elements or at the first layer. Each parameter's ``.grad`` is
+    a fixed view at its offset in its group's window of one shared buffer
+    (the largest group's size). A closing group's slab range is updated in
+    blocks, each gradient block zeroed once used. ``step`` updates any group
+    the backward did not reach (zero gradient) and ends the step. A backward
+    run without the hook while the optimizer is attached (a layer's own
+    ``backward``) would mix groups in the buffer, and ``nll_gradient``
+    detaches the views. Write parameter values in place (``p.data[...] =``).
     """
 
     def __init__(self, model: FlowModel, learning_rate: float):
         self.params = model.parameters()
         self.lr = learning_rate
         self.data = model.slab
-        size = self.data.size
-        self.grad = np.zeros(size)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(self.data.size)
+        self.v = np.zeros(self.data.size)
+        # (layers the backward has finished when the group closes, slab range)
+        layers = model.layer_parameters()
+        self.groups = []
+        stop = end = self.data.size
+        for count, params in enumerate(reversed(layers), 1):
+            end -= sum(p.data.size for p in params)
+            if stop - end >= ADAM_BLOCK or count == len(layers):
+                self.groups.append((count, slice(end, stop)))
+                stop = end
+        self.grad = np.zeros(max(group.stop - group.start for _, group in self.groups))
+        starts = [group.start for _, group in reversed(self.groups)]
         offset = 0
         for p in self.params:
-            stop = offset + p.data.size
-            p.grad = self.grad[offset:stop].reshape(p.data.shape)
-            offset = stop
-        block = min(ADAM_BLOCK, size)
+            at = offset - starts[bisect.bisect_right(starts, offset) - 1]
+            p.grad = self.grad[at : at + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        block = min(ADAM_BLOCK, self.grad.size)
         self._scratch = (np.empty(block), np.empty(block))
-        self.t = 0
+        self.model = model
+        model.layer_done = self._layer_done
+        self.t = self._layers_done = self._groups_done = 0
 
-    def step(self) -> None:
-        """One update of every parameter; per element the same operations in
-        the same order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
-        ``p -= lr * (m/bias_1) / (sqrt(v/bias_2) + eps)``. The gradient
-        slab is left zeroed, ready for the next backward."""
-        self.t += 1
-        bias_1 = 1.0 - ADAM_BETA_1**self.t
-        bias_2 = 1.0 - ADAM_BETA_2**self.t
-        for start in range(0, self.data.size, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)
-            p, g, m, v = self.data[block], self.grad[block], self.m[block], self.v[block]
+    def _layer_done(self) -> None:
+        self._layers_done += 1
+        count, group = self.groups[self._groups_done]
+        if self._layers_done == count:
+            self._update(group)
+
+    def _update(self, group: slice) -> None:
+        """Step t+1 over one group; per element the same operations in the
+        same order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+        ``p -= lr * (m/bias_1) / (sqrt(v/bias_2) + eps)``."""
+        bias_1 = 1.0 - ADAM_BETA_1 ** (self.t + 1)
+        bias_2 = 1.0 - ADAM_BETA_2 ** (self.t + 1)
+        for start in range(group.start, group.stop, ADAM_BLOCK):
+            block = slice(start, min(start + ADAM_BLOCK, group.stop))
+            p, m, v = self.data[block], self.m[block], self.v[block]
+            g = self.grad[start - group.start : block.stop - group.start]
             a, b = (buf[: p.size] for buf in self._scratch)
             np.multiply(m, ADAM_BETA_1, out=m)
             np.multiply(g, 1 - ADAM_BETA_1, out=a)
@@ -124,11 +144,21 @@ class Adam:
             np.add(b, ADAM_EPS, out=b)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
+        self._groups_done += 1
+
+    def step(self) -> None:
+        """Ends one update of every parameter; leaves the buffer zeroed."""
+        for _, group in self.groups[self._groups_done :]:
+            self._update(group)
+        self.t += 1
+        self._layers_done = self._groups_done = 0
 
     def release(self) -> None:
-        """Detach the gradient views; parameters keep their slab views."""
+        """Detach the gradient views and the hook; parameters keep their
+        slab views."""
         for p in self.params:
             p.grad = None
+        del self.model.layer_done
 
 
 def build_model(dim: int, spec: FlowSpec, seed: int = 0) -> FlowModel:
@@ -267,7 +297,7 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
             if not math.isfinite(value):
                 raise TrainingError(f"step {step}: nll is not finite")
             loss.backward()
-            # Free the step's tape before the update and the next forward pass.
+            # Free the step's tape before the next forward pass.
             del loss
             optimizer.step()
             batch_losses.append(value)

@@ -1,5 +1,5 @@
-"""The slab-backed, blocked Adam against the per-parameter formula it
-replaced, and the slab views it hands to parameters."""
+"""The group-wise Adam against the per-parameter formula it replaced, the
+update groups it forms, and the views it hands to parameters."""
 
 import numpy as np
 import pytest
@@ -36,36 +36,93 @@ class PerParameterAdam:
             v_hat = self.v[i] / bias_2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
+    def assert_matches(self, optimizer):
+        assert optimizer.m.tobytes() == np.concatenate([m.ravel() for m in self.m]).tobytes()
+        assert optimizer.v.tobytes() == np.concatenate([v.ravel() for v in self.v]).tobytes()
+
 
 class SlabModel:
-    """Stand-in for a flow model: parameters of the given starting values,
-    laid over one slab in order, as ``assemble`` lays a flow's."""
+    """Stand-in for a flow model: layers of parameters with the given
+    starting values, laid over one slab in order, as ``assemble`` lays a
+    flow's. ``backward`` writes each layer's gradient in reverse layer order
+    and calls ``layer_done`` after each, as a flow's backward does."""
 
-    def __init__(self, arrays):
-        params = ParameterSlab(np.concatenate([a.ravel() for a in arrays]))
-        self._params = [params.take(*a.shape) for a in arrays]
+    def __init__(self, layers):
+        params = ParameterSlab(np.concatenate([a.ravel() for layer in layers for a in layer]))
+        self._layers = [[params.take(*a.shape) for a in layer] for layer in layers]
         self.slab = params.used_up()
 
+    def layer_parameters(self):
+        return self._layers
+
     def parameters(self):
-        return self._params
+        return [p for layer in self._layers for p in layer]
+
+    def layer_done(self):
+        pass
+
+    def backward(self, grads):
+        """``grads`` per parameter in traversal order; None leaves one silent."""
+        grads = iter(reversed(grads))
+        for layer in reversed(self._layers):
+            for p in reversed(layer):
+                g = next(grads)
+                if g is not None:
+                    p.grad[...] = g
+            self.layer_done()
 
 
-# Parameter shapes whose total size lies below, at, just above and at no
-# multiple of the block.
+def expected_groups(layer_sizes):
+    """The layers of each update group, in backward order: a group closes
+    once it holds ADAM_BLOCK elements, or at the first layer."""
+    groups, current, held = [], [], 0
+    for i in reversed(range(len(layer_sizes))):
+        current.append(i)
+        held += layer_sizes[i]
+        if held >= ADAM_BLOCK or i == 0:
+            groups.append(current)
+            current, held = [], 0
+    return groups
+
+
+def layer_sizes(model):
+    return [sum(p.data.size for p in params) for params in model.layer_parameters()]
+
+
+# Layers of parameter shapes whose total size lies below, at, just above and
+# at no multiple of the block, and that form one, two and three groups; the
+# ragged layout has a layer larger than the block.
 LAYOUTS = {
-    "below": [(3, 4), (5,), (7,)],
-    "at": [(128, 128), (ADAM_BLOCK - 128 * 128,)],
-    "above": [(ADAM_BLOCK,), (1,)],
-    "ragged": [(100, 700), (333,), (2, 3, 5)],
+    "below": [[(3, 4), (5,)], [(7,)]],
+    "at": [[(128, 128)], [(ADAM_BLOCK - 128 * 128,)]],
+    "above": [[(ADAM_BLOCK,)], [(1,)]],
+    "two": [[(1,)], [(ADAM_BLOCK,)]],
+    "ragged": [[(9,)], [(100, 300)], [(40000,), (5,)], [(333,), (2, 3, 5)],
+               [(ADAM_BLOCK + 1,)], [(7, 11)]],
 }
+GROUPS = {"below": 1, "at": 1, "above": 1, "two": 2, "ragged": 3}
+
+
+def layered(layout, arrays):
+    """A ``SlabModel`` of ``arrays``, in order, in the layers of a layout."""
+    arrays = iter(arrays)
+    return SlabModel([[next(arrays) for _ in layer] for layer in LAYOUTS[layout]])
 
 
 def test_layouts_cover_the_block_boundaries():
-    totals = {name: sum(int(np.prod(s)) for s in shapes) for name, shapes in LAYOUTS.items()}
+    totals = {
+        name: sum(int(np.prod(s)) for layer in layers for s in layer)
+        for name, layers in LAYOUTS.items()
+    }
     assert totals["below"] < ADAM_BLOCK
     assert totals["at"] == ADAM_BLOCK
     assert totals["above"] == ADAM_BLOCK + 1
     assert totals["ragged"] > 2 * ADAM_BLOCK and totals["ragged"] % ADAM_BLOCK
+    assert max(int(np.prod(s)) for layer in LAYOUTS["ragged"] for s in layer) > ADAM_BLOCK
+    for name, layers in LAYOUTS.items():
+        model = layered(name, [np.zeros(s) for layer in layers for s in layer])
+        optimizer = Adam(model, 1e-3)
+        assert len(optimizer.groups) == GROUPS[name] == len(expected_groups(layer_sizes(model)))
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -79,54 +136,73 @@ def test_layouts_cover_the_block_boundaries():
 def test_blocked_step_is_bitwise_the_per_parameter_formula(
     layout, seed, learning_rate, steps, no_grad
 ):
-    """Over several steps, with gradients spanning many magnitudes, signed
-    zeros, and one parameter that never receives a gradient."""
-    shapes = LAYOUTS[layout]
+    """Over several steps, each through the backward hook, with gradients
+    spanning many magnitudes, signed zeros, and one parameter that never
+    receives a gradient."""
+    shapes = [s for layer in LAYOUTS[layout] for s in layer]
     silent = no_grad % len(shapes)
     rng = np.random.default_rng(seed)
     start = [rng.normal(size=s) * 3.0 for s in shapes]
-    model = SlabModel(start)
+    model = layered(layout, start)
     fast = model.parameters()
     slow = [ad.parameter(a) for a in start]
     optimizer = Adam(model, learning_rate)
     oracle = PerParameterAdam(slow, learning_rate)
     for _ in range(steps):
-        # The gradient slab starts zeroed and each step leaves it zeroed, so
-        # the silent parameter's gradient is zero.
-        for i, (f, s) in enumerate(zip(fast, slow)):
-            if i == silent:
-                s.grad = None
-                continue
+        grads = []
+        for i, f in enumerate(fast):
             g = rng.normal(size=f.data.shape) * 10.0 ** rng.uniform(-8, 3, size=f.data.shape)
             g.ravel()[::7] = -0.0
-            f.grad[...] = g
-            s.grad = g.copy()
+            grads.append(None if i == silent else g)
+        for s, g in zip(slow, grads):
+            s.grad = None if g is None else g.copy()
+        model.backward(grads)
         optimizer.step()
         oracle.step()
         for f, s in zip(fast, slow):
             assert f.data.tobytes() == s.data.tobytes()
-    assert optimizer.m.tobytes() == np.concatenate([m.ravel() for m in oracle.m]).tobytes()
-    assert optimizer.v.tobytes() == np.concatenate([v.ravel() for v in oracle.v]).tobytes()
+        assert not optimizer.grad.any()
+    oracle.assert_matches(optimizer)
 
 
-def assert_views_of_slabs(params, optimizer):
-    offset = 0
-    for p in params:
-        size = p.data.size
-        assert p.data.base is optimizer.data
-        assert p.grad.base is optimizer.grad
-        assert np.shares_memory(p.data, optimizer.data[offset : offset + size])
-        assert np.shares_memory(p.grad, optimizer.grad[offset : offset + size])
-        offset += size
-    assert offset == optimizer.data.size
+def assert_views_of_slabs(model, optimizer):
+    """Each ``.data`` views the parameter slab at its offset, and each
+    ``.grad`` the gradient buffer at its offset in its group's window; the
+    buffer is as large as the largest group."""
+    params = model.layer_parameters()
+    sizes = [sum(p.data.size for p in layer) for layer in params]
+    groups = expected_groups(sizes)
+    assert optimizer.grad.size == max(sum(sizes[i] for i in group) for group in groups)
+    assert [count for count, _ in optimizer.groups] == np.cumsum([len(g) for g in groups]).tolist()
+    item = optimizer.data.itemsize
+    offset = optimizer.data.size
+    for group in groups:
+        start = offset - sum(sizes[i] for i in group)
+        at = 0
+        for p in (p for i in reversed(group) for p in params[i]):
+            assert p.data.base is optimizer.data
+            assert p.grad.base is optimizer.grad
+            assert address(p.data) == address(optimizer.data) + (start + at) * item
+            assert address(p.grad) == address(optimizer.grad) + at * item
+            at += p.data.size
+        offset = start
+    assert offset == 0
 
 
-@pytest.mark.parametrize("spec", [NiceSpec(couplings=2, hidden=(8,)), GlowSpec(2, 2, (8,))])
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
+SPECS = [NiceSpec(couplings=2, hidden=(8,)), GlowSpec(2, 2, (8,)), NiceSpec(3, (200, 200)),
+         GlowSpec(2, 2, (200, 200))]
+
+
+@pytest.mark.parametrize("spec", SPECS)
 def test_parameters_view_the_slabs_in_traversal_order(spec):
-    model = build_model(6, spec, seed=3)
+    model = build_model(16, spec, seed=3)
     before = [p.data.copy() for p in model.parameters()]
     optimizer = Adam(model, 1e-3)
-    assert_views_of_slabs(model.parameters(), optimizer)
+    assert_views_of_slabs(model, optimizer)
     for p, value in zip(model.parameters(), before):
         np.testing.assert_array_equal(p.data, value)
         assert not p.grad.any()
@@ -140,7 +216,7 @@ def test_parameters_stay_slab_views_after_actnorm_init():
     model.initialize_actnorms(batch)
     reference.initialize_actnorms(batch)
     assert model.actnorms_initialized
-    assert_views_of_slabs(model.parameters(), optimizer)
+    assert_views_of_slabs(model, optimizer)
     for p, q in zip(model.parameters(), reference.parameters()):
         assert p.data.tobytes() == q.data.tobytes()
     offset = 0
@@ -149,16 +225,113 @@ def test_parameters_stay_slab_views_after_actnorm_init():
         offset += p.data.size
 
 
-def test_backward_accumulates_into_the_gradient_slab():
-    x = np.random.default_rng(1).normal(size=(16, 6))
-    model = build_model(6, GlowSpec(2, 1, (8,)), seed=2)
+@pytest.mark.parametrize("spec", SPECS[2:], ids=["nice", "glow"])
+def test_backward_accumulates_into_the_gradient_buffer(spec, monkeypatch):
+    """Each group closes right after the backward of its last layer, holding
+    exactly the gradients ``nll_gradient`` gives its parameters; after the
+    backward every group is updated and the buffer is zero again."""
+    x = np.random.default_rng(1).normal(size=(16, 16))
+    model = build_model(16, spec, seed=2)
     optimizer = Adam(model, 1e-3)
-    expected = training.nll_gradient(build_model(6, GlowSpec(2, 1, (8,)), seed=2), x)
+    expected = training.nll_gradient(build_model(16, spec, seed=2), x)
+    expected = np.concatenate([g.ravel() for g in expected])
+    events = []
+    monkeypatch.setattr(model, "layer_done", lambda: (events.append("layer"), optimizer._layer_done()))
+    update = optimizer._update
+
+    def record(group):
+        events.append(group)
+        got = optimizer.grad[: group.stop - group.start]
+        assert got.tobytes() == expected[group].tobytes()
+        update(group)
+
+    optimizer._update = record
     training.nll_tensor(model, x).backward()
-    got = [p.grad for p in model.parameters()]
-    np.testing.assert_array_equal(np.concatenate([g.ravel() for g in got]), optimizer.grad)
-    for g, e in zip(got, expected):
-        assert g.tobytes() == e.tobytes()
+    assert len(optimizer.groups) >= 3
+    closes = [events[:i].count("layer") for i, e in enumerate(events) if e != "layer"]
+    assert closes == [count for count, _ in optimizer.groups]
+    assert [e for e in events if e != "layer"] == [group for _, group in optimizer.groups]
+    assert events[-1] != "layer" and not optimizer.grad.any()
+    optimizer.step()
+    assert optimizer.t == 1 and not optimizer.grad.any()
+
+
+def test_step_without_a_backward_updates_with_zero_gradients():
+    """A group the backward did not reach is updated by ``step`` as if its
+    gradients were zero: the moments of an earlier step carry it."""
+    rng = np.random.default_rng(4)
+    shapes = [s for layer in LAYOUTS["ragged"] for s in layer]
+    start = [rng.normal(size=s) for s in shapes]
+    model = layered("ragged", start)
+    slow = [ad.parameter(a) for a in start]
+    optimizer = Adam(model, 1e-2)
+    oracle = PerParameterAdam(slow, 1e-2)
+    grads = [rng.normal(size=s) for s in shapes]
+    for s, g in zip(slow, grads):
+        s.grad = g.copy()
+    model.backward(grads)
+    optimizer.step()
+    oracle.step()
+    for s in slow:
+        s.grad = None
+    optimizer.step()
+    oracle.step()
+    for f, s in zip(model.parameters(), slow):
+        assert f.data.tobytes() == s.data.tobytes()
+    oracle.assert_matches(optimizer)
+
+
+@pytest.mark.parametrize("spec", SPECS[2:], ids=["nice", "glow"])
+def test_training_is_bitwise_the_per_parameter_formula(spec):
+    """The steps of ``train_flow``, with shuffling and a short last batch,
+    against ``PerParameterAdam`` fed with ``nll_gradient`` on a second
+    copy, compared after every step."""
+    x = np.random.default_rng(9).normal(size=(37, 16)) * 2.0 + 0.5
+    model = build_model(16, spec, seed=11)
+    reference = build_model(16, spec, seed=11)
+    optimizer = Adam(model, 1e-2)
+    assert len(optimizer.groups) >= 3
+    oracle = PerParameterAdam(reference.parameters(), 1e-2)
+    rng = np.random.default_rng(10)
+    step = 0
+    for _ in range(2):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), 16):
+            batch = x[order[start : start + 16]]
+            training.nll_tensor(model, batch, init_actnorms=step == 0).backward()
+            optimizer.step()
+            if step == 0 and isinstance(spec, GlowSpec):
+                reference.initialize_actnorms(batch)
+            grads = training.nll_gradient(reference, batch)
+            for p, g in zip(reference.parameters(), grads):
+                p.grad = g
+            oracle.step()
+            for p, q in zip(model.parameters(), reference.parameters()):
+                assert p.data.tobytes() == q.data.tobytes()
+            oracle.assert_matches(optimizer)
+            step += 1
+    assert step == 6
+
+
+def test_optimizer_holds_no_full_gradient_slab(traced_peak):
+    """For a model of several groups the optimizer allocates its two moment
+    slabs and a buffer of the largest group's size, and a training step
+    allocates no array as large as the slab."""
+    model = build_model(32, GlowSpec(2, 3, (256, 256)), seed=1)
+    x = np.random.default_rng(3).normal(size=(8, 32))
+    with traced_peak() as built:
+        optimizer = Adam(model, 1e-3)
+    sizes = layer_sizes(model)
+    groups = expected_groups(sizes)
+    assert len(groups) >= 3
+    assert optimizer.grad.size == max(sum(sizes[i] for i in group) for group in groups)
+    assert built.peak < 2.5 * model.slab.nbytes
+    training.nll_tensor(model, x, init_actnorms=True).backward()
+    optimizer.step()
+    with traced_peak() as stepped:
+        training.nll_tensor(model, x).backward()
+        optimizer.step()
+    assert stepped.peak < model.slab.nbytes
 
 
 def test_training_releases_the_gradient_views():
@@ -166,5 +339,6 @@ def test_training_releases_the_gradient_views():
     model, _ = train_flow(x, GlowSpec(2, 1, (8,)), FlowTrainConfig(epochs=1, batch_size=16))
     params = model.parameters()
     assert all(p.grad is None for p in params)
+    assert "layer_done" not in vars(model)
     slab = params[0].data.base
     assert slab is not None and all(p.data.base is slab for p in params)

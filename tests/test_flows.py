@@ -660,13 +660,19 @@ class TestSeededBuild:
         with pytest.raises(ValueError):
             GlowModel.assemble(8, SMALL_GLOW, iter(steps), ParameterSlab(np.zeros(glow_size)))
 
-    def test_step_leaves_the_gradient_slab_zero(self):
+    def test_step_leaves_the_gradient_buffer_zero(self):
+        """The backward updates each group as it closes and zeroes the
+        buffer behind it, so ``step`` finds nothing left to update."""
         model = build_model(8, SMALL_GLOW, seed=62)
         optimizer = training.Adam(model, 1e-3)
+        before = model.slab.copy()
         x = np.random.default_rng(63).normal(size=(16, 8))
         training.nll_tensor(model, x).backward()
-        assert optimizer.grad.any()
+        assert not optimizer.grad.any()
+        assert (model.slab != before).any()
+        updated = model.slab.copy()
         optimizer.step()
+        assert model.slab.tobytes() == updated.tobytes()
         assert not optimizer.grad.any()
         assert all(p.grad.base is optimizer.grad for p in model.parameters())
 

@@ -4,6 +4,7 @@ drives each flow layer's forward and backward. A rename that breaks either
 fails here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,10 @@ def test_fit_flow_records_every_training_span(tmp_path, arch_args):
     names = [span[1] for span in tracer.spans]
     for name in FIT_SPANS:
         assert names.count(name) >= 1, name
+    # flows.train_steps counts this span: the update runs inside the
+    # backward, and ``Adam.step`` still ends each step once.
+    steps = json.loads((tmp_path / "model.flw.train.json").read_text())["steps"]
+    assert steps >= 2 and names.count("flows.adam_step") == steps
 
 
 def test_corpus_commands_record_the_claimed_spans(tmp_path):
