@@ -57,7 +57,6 @@ from .scoring import (
 )
 from .store import (
     EmbeddingCorpus,
-    SequenceRecord,
     SynthParams,
     generate_anisotropic,
     load_corpus,
@@ -88,7 +87,6 @@ __all__ = [
     "PostProcessor",
     "Qrels",
     "RankingRun",
-    "SequenceRecord",
     "SynthParams",
     "TrainReport",
     "WhiteningTransform",

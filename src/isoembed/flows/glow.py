@@ -292,10 +292,6 @@ class GlowModel:
     def layer_done(self) -> None:
         """``backward`` calls this after each layer; an optimizer hooks in here."""
 
-    @property
-    def actnorms_initialized(self) -> bool:
-        return all(step.actnorm.initialized for steps in self.levels for step in steps)
-
     def initialize_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent init: run the batch through, initializing each
         actnorm from the activations that reach it."""

@@ -80,8 +80,9 @@ class Adam:
     blocks, each gradient block zeroed once used. ``step`` updates any group
     the backward did not reach (zero gradient) and ends the step. A backward
     run without the hook while the optimizer is attached (a layer's own
-    ``backward``) would mix groups in the buffer, and ``nll_gradient``
-    detaches the views. Write parameter values in place (``p.data[...] =``).
+    ``backward``) would mix groups in the buffer, so ``nll_gradient``
+    refuses a model whose optimizer is not released. Write parameter values
+    in place (``p.data[...] =``).
     """
 
     def __init__(self, model: FlowModel, learning_rate: float):
@@ -229,10 +230,13 @@ def nll(model: FlowModel, batch) -> float:
 
 def nll_gradient(model: FlowModel, batch) -> list[np.ndarray]:
     """Exact reverse-mode gradient of nll for every parameter, in
-    parameter-traversal order."""
+    parameter-traversal order. A model with an ``Adam`` attached raises
+    TrainingError: its backward would run the optimizer's updates."""
     x = _check_batch(model, batch)
     if x.shape[0] == 0:
         raise EmptyInputError("nll_gradient needs a non-empty batch")
+    if "layer_done" in vars(model):
+        raise TrainingError("nll_gradient needs the model's optimizer released first")
     params = model.parameters()
     for p in params:
         p.grad = None

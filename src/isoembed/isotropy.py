@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, ZeroNormError
 from .rng import PinnedRng
 from .store import as_matrix
 
@@ -168,7 +168,7 @@ def avg_pairwise_cosine(
     norms = row_norms(w)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"row {zero[0]} has zero norm; cosine undefined")
+        raise ZeroNormError(f"row {zero[0]} has zero norm; cosine undefined")
     unit = w / norms[:, None]
     if mode == "exact":
         # sum over i<j of u_i . u_j == (|sum u|^2 - n) / 2

@@ -144,35 +144,27 @@ class PinnedRng:
             raise ValueError("bound must be positive")
         return _scaled(self.uniforms(n), bound)
 
-    def index_pairs(self, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` pairs (i, j) with i != j, both in [0, n).
-
-        Consumes 2*count uniforms: a block of i draws on [0, n) followed by
-        a block of j draws on [0, n-1), each j shifted past its i.
-        """
-        return self._pairs_at(self._claim_pairs(count, n), count, n, 0, count)
-
     def index_pair_blocks(
         self, count: int, n: int, block: int
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``index_pairs(count, n)`` as consecutive blocks of at most
-        ``block`` pairs, each drawn only when the iteration reaches it.
+        """``count`` pairs (i, j) with i != j, both in [0, n), as
+        consecutive blocks of at most ``block`` pairs, each drawn only when
+        the iteration reaches it.
 
-        The stream advances past all 2*count draws at the call, so what is
-        drawn next does not depend on how far the blocks are read.
+        Consumes 2*count uniforms: a run of i draws on [0, n) followed by a
+        run of j draws on [0, n-1), each j shifted past its i. The stream
+        advances past all of them at the call, so what is drawn next does
+        not depend on how far the blocks are read.
         """
         if block < 1:
             raise ValueError("block must be >= 1")
-        first = self._claim_pairs(count, n)
+        if n < 2:
+            raise ValueError("need n >= 2 to form distinct pairs")
+        first = self._claim(2 * count)
         return (
             self._pairs_at(first, count, n, start, min(start + block, count))
             for start in range(0, count, block)
         )
-
-    def _claim_pairs(self, count: int, n: int) -> int:
-        if n < 2:
-            raise ValueError("need n >= 2 to form distinct pairs")
-        return self._claim(2 * count)
 
     def _pairs_at(
         self, first: int, count: int, n: int, start: int, stop: int

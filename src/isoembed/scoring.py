@@ -126,12 +126,6 @@ class PostProcessor:
         """The transform documents take."""
         return self.transform if self.doc_transform is None else self.doc_transform
 
-    def apply_query(self, matrix: np.ndarray) -> np.ndarray:
-        return _run_transform(self.transform, matrix)
-
-    def apply_doc(self, matrix: np.ndarray) -> np.ndarray:
-        return _run_transform(self.doc_side, matrix)
-
 
 IDENTITY = PostProcessor(None)
 

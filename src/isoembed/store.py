@@ -48,23 +48,6 @@ def as_matrix(values, dim: int | None = None) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    """One query or document: a span of token rows inside the corpus matrix.
-
-    A record is a plain value; the corpus built from it checks it.
-    """
-
-    id: str
-    kind: str
-    row_offset: int
-    token_count: int
-
-    @property
-    def rows(self) -> slice:
-        return slice(self.row_offset, self.row_offset + self.token_count)
-
-
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.flags.writeable = False
     return column
@@ -73,55 +56,32 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 class EmbeddingCorpus:
     """Immutable matrix + sequence table; the spans must partition the rows.
 
-    The table is held as read-only columns in table order: ``ids`` (a
-    tuple of str), ``kinds`` (uint8 codes, see ``KIND_CODES``), and
+    ``EmbeddingCorpus(matrix, ids, kinds, offsets, counts)`` takes the
+    table as columns in table order: ids, and integer arrays of kind codes
+    (see ``KIND_CODES``), row offsets and token counts. The corpus holds
+    them read-only as ``ids`` (a tuple of str), ``kinds`` (uint8), and
     ``offsets`` and ``counts`` (intp: first row and token count of each
-    span). ``EmbeddingCorpus(matrix, records)`` builds the table from
-    SequenceRecords and ``EmbeddingCorpus.from_columns`` from columns; both
-    run the same checks. A non-finite matrix or an unknown kind raises
-    ValueError; a span that is empty, negative, beyond the matrix or
-    overlapping another, rows no span covers, or an id used twice within
-    a kind raise IntegrityError.
+    span). A non-finite matrix, a column that is not an integer array, or
+    an unknown kind code raises ValueError; a span that is empty,
+    negative, beyond the matrix or overlapping another, rows no span
+    covers, or an id used twice within a kind raise IntegrityError.
     """
 
-    __slots__ = ("_matrix", "_ids", "_kinds", "_offsets", "_counts", "_sequences", "_lookup")
+    __slots__ = ("_matrix", "_ids", "_kinds", "_offsets", "_counts", "_lookup")
 
-    def __init__(self, matrix, sequences):
-        records = tuple(sequences)
-        for seq in records:
-            if seq.kind not in KIND_CODES:
-                raise ValueError(f"kind must be 'query' or 'document', got {seq.kind!r}")
-        # Object columns hold the records' ints exactly, however large or
-        # negative, so the checks see them as given.
-        self._set_table(
-            matrix,
-            [seq.id for seq in records],
-            np.array([KIND_CODES[seq.kind] for seq in records], dtype=np.uint8),
-            np.array([seq.row_offset for seq in records], dtype=object),
-            np.array([seq.token_count for seq in records], dtype=object),
-        )
-
-    @classmethod
-    def from_columns(cls, matrix, ids, kinds, offsets, counts) -> EmbeddingCorpus:
-        """A corpus from table columns: ids, and integer arrays of kind
-        codes, row offsets and token counts, all in table order."""
+    def __init__(self, matrix, ids, kinds, offsets, counts):
         columns = [np.asarray(c) for c in (kinds, offsets, counts)]
         if any(c.dtype.kind not in "iu" for c in columns):
             raise ValueError("kinds, offsets and counts must be integer arrays")
-        corpus = cls.__new__(cls)
-        corpus._set_table(matrix, ids, *columns)
-        return corpus
-
-    def _set_table(self, matrix, ids, kinds, offsets, counts) -> None:
         self._matrix = as_matrix(matrix)
         self._ids = tuple(ids)
-        if any(c.shape != (len(self._ids),) for c in (kinds, offsets, counts)):
+        if any(c.shape != (len(self._ids),) for c in columns):
             raise ValueError("sequence table columns must be 1-D and of one length")
+        kinds, offsets, counts = columns
         offsets, counts = _check_table(self._matrix.shape[0], self._ids, kinds, offsets, counts)
         self._kinds = _read_only(kinds.astype(np.uint8))
         self._offsets = _read_only(offsets)
         self._counts = _read_only(counts)
-        self._sequences = None
         self._lookup = None
 
     @property
@@ -152,19 +112,6 @@ class EmbeddingCorpus:
     def n_rows(self) -> int:
         return self._matrix.shape[0]
 
-    @property
-    def sequences(self) -> tuple[SequenceRecord, ...]:
-        """The table as records, built on first use."""
-        if self._sequences is None:
-            kinds = map(_CODE_KINDS.__getitem__, self._kinds.tolist())
-            self._sequences = tuple(
-                map(SequenceRecord, self._ids, kinds, self._offsets.tolist(), self._counts.tolist())
-            )
-        return self._sequences
-
-    def tokens(self, seq: SequenceRecord) -> np.ndarray:
-        return self._matrix[seq.rows]
-
     def _positions(self, kind: str) -> dict[str, int]:
         """Id -> table position of every sequence of ``kind``."""
         if self._lookup is None:
@@ -174,29 +121,15 @@ class EmbeddingCorpus:
                 self._lookup[name] = dict(zip([self._ids[i] for i in picks], picks))
         return self._lookup.get(kind, {})
 
-    def find(self, kind: str, seq_id: str) -> SequenceRecord:
-        """Look up a sequence by kind and id; raises UnknownIdError (a
-        KeyError) if absent."""
-        (i,) = self.locate(kind, (seq_id,)).tolist()
-        return SequenceRecord(
-            self._ids[i], kind, int(self._offsets[i]), int(self._counts[i])
-        )
-
     def locate(self, kind: str, ids) -> np.ndarray:
         """Table positions of the sequences ``ids`` of one kind, in the
-        order given (an id may repeat). An unknown id raises find's
-        UnknownIdError."""
+        order given (an id may repeat). An unknown id raises
+        UnknownIdError (a KeyError)."""
         positions = self._positions(kind)
         try:
             return np.fromiter(map(positions.__getitem__, ids), dtype=np.intp)
         except KeyError as exc:
             raise UnknownIdError(f"no {kind} with id {exc.args[0]!r} in corpus") from None
-
-    def gather(self, kind: str, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Token rows of the sequences ``ids`` of one kind, stacked in the
-        order given (an id may repeat), and each sequence's token count.
-        An unknown id raises find's UnknownIdError."""
-        return self.take(self.locate(kind, ids))
 
     def take(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and token counts of the sequences at table positions
@@ -365,9 +298,7 @@ def load_corpus(path) -> EmbeddingCorpus:
     # For a 2-D matrix with dim >= 1 and known kind codes, the one
     # ValueError left in building the corpus is the finiteness check.
     try:
-        return EmbeddingCorpus.from_columns(
-            matrix, ids, fields["kind"], fields["offset"], fields["count"]
-        )
+        return EmbeddingCorpus(matrix, ids, fields["kind"], fields["offset"], fields["count"])
     except ValueError as exc:
         raise IntegrityError(f"{path}: {exc}") from None
 
@@ -493,7 +424,7 @@ def blocked_corpus(
     sizes = [n_queries, n_docs]
     kinds = np.repeat(np.array([KIND_CODES[KIND_QUERY], KIND_CODES[KIND_DOCUMENT]]), sizes)
     counts = np.repeat(np.array([tokens_per_query, tokens_per_doc], dtype=np.intp), sizes)
-    return EmbeddingCorpus.from_columns(matrix, ids, kinds, np.cumsum(counts) - counts, counts)
+    return EmbeddingCorpus(matrix, ids, kinds, np.cumsum(counts) - counts, counts)
 
 
 def rows_of_kind(corpus: EmbeddingCorpus, kind: str) -> np.ndarray:

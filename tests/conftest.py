@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isoembed import SynthParams, generate_anisotropic
+from isoembed import EmbeddingCorpus, SynthParams, generate_anisotropic
+from isoembed.store import KIND_CODES
+
+KIND_NAMES = {code: kind for kind, code in KIND_CODES.items()}
 
 # Canonical anisotropic corpus used by the whitening and acceptance tests:
 # 4096 rows, 64 dims, strong shared offset, 4 outlier dimensions at 20x.
@@ -49,3 +52,19 @@ class TracedPeak:
 @pytest.fixture
 def traced_peak():
     return TracedPeak
+
+
+def table_corpus(matrix, table) -> EmbeddingCorpus:
+    """A corpus over ``matrix`` whose sequence table is ``table``: a list of
+    ``(id, kind, row_offset, token_count)`` tuples, ``kind`` a KIND_CODES
+    name."""
+    ids = [entry[0] for entry in table]
+    kinds = np.array([KIND_CODES[entry[1]] for entry in table], dtype=np.uint8)
+    offsets, counts = (np.array([entry[k] for entry in table], dtype=np.int64) for k in (2, 3))
+    return EmbeddingCorpus(matrix, ids, kinds, offsets, counts)
+
+
+def table_of(corpus: EmbeddingCorpus) -> list[tuple[str, str, int, int]]:
+    """``corpus``'s sequence table as ``table_corpus`` takes it."""
+    kinds = [KIND_NAMES[code] for code in corpus.kinds.tolist()]
+    return list(zip(corpus.ids, kinds, corpus.offsets.tolist(), corpus.counts.tolist()))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoembed import autodiff as ad
+from isoembed.errors import TrainingError
 from isoembed.flows import FlowTrainConfig, GlowSpec, NiceSpec, build_model, train_flow
 from isoembed.flows import training
 from isoembed.flows.coupling import ParameterSlab
@@ -215,7 +216,7 @@ def test_parameters_stay_slab_views_after_actnorm_init():
     optimizer = Adam(model, 1e-3)
     model.initialize_actnorms(batch)
     reference.initialize_actnorms(batch)
-    assert model.actnorms_initialized
+    assert all(step.actnorm.initialized for steps in model.levels for step in steps)
     assert_views_of_slabs(model, optimizer)
     for p, q in zip(model.parameters(), reference.parameters()):
         assert p.data.tobytes() == q.data.tobytes()
@@ -311,6 +312,31 @@ def test_training_is_bitwise_the_per_parameter_formula(spec):
             oracle.assert_matches(optimizer)
             step += 1
     assert step == 6
+
+
+@pytest.mark.parametrize("spec", SPECS[2:], ids=["nice", "glow"])
+def test_nll_gradient_refuses_a_model_with_an_optimizer_attached(spec):
+    """Its backward would run the optimizer's group updates with no step to
+    end them, so nll_gradient raises before it touches a gradient; once the
+    optimizer is released it gives the gradient of a model never trained."""
+    x = np.random.default_rng(12).normal(size=(16, 16)) * 2.0 + 0.5
+    model = build_model(16, spec, seed=13)
+    optimizer = Adam(model, 1e-2)
+    training.nll_tensor(model, x, init_actnorms=True).backward()
+    optimizer.step()
+    params = model.parameters()
+    views = [p.grad for p in params]
+    before = [a.tobytes() for a in (model.slab, optimizer.m, optimizer.v, optimizer.grad)]
+    with pytest.raises(TrainingError, match="optimizer"):
+        training.nll_gradient(model, x)
+    assert [a.tobytes() for a in (model.slab, optimizer.m, optimizer.v, optimizer.grad)] == before
+    assert all(p.grad is view for p, view in zip(params, views))
+    optimizer.release()
+    untrained = build_model(16, spec, seed=13)
+    untrained.slab[...] = model.slab
+    expected = training.nll_gradient(untrained, x)
+    got = training.nll_gradient(model, x)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in expected]
 
 
 def test_optimizer_holds_no_full_gradient_slab(traced_peak):

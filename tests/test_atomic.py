@@ -4,6 +4,7 @@ previous file intact and no temporary file behind."""
 import numpy as np
 import pytest
 
+from conftest import table_corpus
 from isoembed import atomic
 from isoembed.atomic import atomic_write
 from isoembed.evaluation import Qrels, RankingRun, save_qrels, save_run
@@ -11,7 +12,7 @@ from isoembed.flows import NiceSpec, build_model, save_flow
 from isoembed.pipeline import cli, run
 from isoembed.pipeline.cli import write_json
 from isoembed.pipeline.scenario import save_candidates
-from isoembed.store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, SequenceRecord, save_corpus
+from isoembed.store import KIND_DOCUMENT, KIND_QUERY, save_corpus
 from isoembed.whitening import fit_whitening, save_whitening
 
 
@@ -49,10 +50,7 @@ def fail_writes(monkeypatch, name_part: str = "") -> None:
 
 def _corpus():
     matrix = np.arange(12.0).reshape(6, 2)
-    return EmbeddingCorpus(
-        matrix,
-        (SequenceRecord("q", KIND_QUERY, 0, 2), SequenceRecord("d", KIND_DOCUMENT, 2, 4)),
-    )
+    return table_corpus(matrix, [("q", KIND_QUERY, 0, 2), ("d", KIND_DOCUMENT, 2, 4)])
 
 
 WRITERS = {

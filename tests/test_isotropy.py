@@ -8,16 +8,15 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import table_corpus
 from isoembed import (
-    EmbeddingCorpus,
-    SequenceRecord,
     avg_pairwise_cosine,
     dimension_profile,
     measure,
     partition_ratio,
 )
 from isoembed import isotropy
-from isoembed.errors import EmptyInputError
+from isoembed.errors import EmptyInputError, ZeroNormError
 from isoembed.pipeline import run
 from isoembed.store import KIND_DOCUMENT, blocked_corpus, save_corpus
 from isoembed.rng import PinnedRng
@@ -136,7 +135,11 @@ class TestAvgPairwiseCosine:
         if block_pairs is not None:
             monkeypatch.setattr(isotropy, "COSINE_BLOCK_BYTES", 8 * 6 * block_pairs)
         unit = w / np.linalg.norm(w, axis=1)[:, None]
-        i, j = PinnedRng(5).index_pairs(1000, 300)
+        [(i, j)] = PinnedRng(5).index_pair_blocks(1000, 300, 1000)
+        # The recorded digest of these pairs (tests/test_rng.py's RECORDED_PAIRS).
+        assert hashlib.sha256(i.tobytes() + j.tobytes()).hexdigest() == (
+            "6e6a7142c192df0168d841286efbe07049d32dea4d60228b09a8ee68f22e2aba"
+        )
         expected = float(np.clip(np.einsum("ij,ij->i", unit[i], unit[j]).mean(), -1.0, 1.0))
         assert avg_pairwise_cosine(w, mode="sampled", pairs=1000, seed=5) == expected
 
@@ -157,8 +160,9 @@ class TestAvgPairwiseCosine:
         assert traced.peak <= w.nbytes + 8 * pairs + 3 * isotropy.COSINE_BLOCK_BYTES
 
     def test_zero_norm_row_named(self):
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ZeroNormError, match="row 1") as caught:
             avg_pairwise_cosine([[1.0, 0.0], [0.0, 0.0]])
+        assert isinstance(caught.value, ValueError)
 
     def test_sampled_mode_minimum_size(self):
         """Two rows: every sampled pair is the single distinct pair."""
@@ -332,10 +336,7 @@ class TestCollapsedCorpus:
     @pytest.mark.parametrize("name", sorted(COLLAPSED))
     def test_cli_measure_exits_zero(self, name, tmp_path):
         matrix = COLLAPSED[name]
-        corpus = EmbeddingCorpus(
-            matrix,
-            tuple(SequenceRecord(f"d{i}", KIND_DOCUMENT, i, 1) for i in range(len(matrix))),
-        )
+        corpus = table_corpus(matrix, [(f"d{i}", KIND_DOCUMENT, i, 1) for i in range(len(matrix))])
         save_corpus(corpus, tmp_path / "c.emb")
         out = tmp_path / "m.json"
         assert run(["measure", "--corpus", str(tmp_path / "c.emb"), "--out", str(out)]) == 0

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoembed import load_corpus, scoring, store
+from conftest import table_corpus, table_of
+from isoembed import load_corpus, scoring
 from isoembed.errors import IsoembedError, ParseError
 from isoembed.rng import PinnedRng
-from isoembed.store import KIND_DOCUMENT, KIND_QUERY, EmbeddingCorpus, SequenceRecord, save_corpus
+from isoembed.store import KIND_DOCUMENT, KIND_QUERY, save_corpus
 from isoembed.whitening import fit_whitening, save_whitening
 from isoembed.pipeline import (
     ScenarioParams,
@@ -29,7 +30,7 @@ class TestScenario:
         a_corpus, a_qrels, a_cands = build_designed_scenario(seed=3, n_queries=4, n_docs=5, dim=16)
         b_corpus, b_qrels, b_cands = build_designed_scenario(seed=3, n_queries=4, n_docs=5, dim=16)
         assert np.array_equal(a_corpus.matrix, b_corpus.matrix)
-        assert a_corpus.sequences == b_corpus.sequences
+        assert table_of(a_corpus) == table_of(b_corpus)
         assert a_qrels.grades == b_qrels.grades
         assert a_cands == b_cands
 
@@ -40,7 +41,7 @@ class TestScenario:
         for qid, docs in cands.items():
             grades = [qrels.grade(qid, d) for d in docs]
             assert sum(grades) == 1  # exactly one relevant candidate
-        assert len(corpus.sequences) == 3 + 12
+        assert len(corpus.ids) == 3 + 12
 
     def test_relevant_doc_shares_topic(self):
         """With the masking offset removed, the relevant document's mean is
@@ -49,14 +50,14 @@ class TestScenario:
         corpus, qrels, cands = build_designed_scenario(
             seed=5, n_queries=6, n_docs=8, dim=24, params=params
         )
-        from isoembed.store import KIND_DOCUMENT, KIND_QUERY
-
         hits = 0
         for qid, docs in cands.items():
-            q_mean = corpus.tokens(corpus.find(KIND_QUERY, qid)).mean(axis=0)[4:]
+            q_rows, _ = corpus.take(corpus.locate(KIND_QUERY, [qid]))
+            q_mean = q_rows.mean(axis=0)[4:]
             sims = {}
             for doc_id in docs:
-                d_mean = corpus.tokens(corpus.find(KIND_DOCUMENT, doc_id)).mean(axis=0)[4:]
+                d_rows, _ = corpus.take(corpus.locate(KIND_DOCUMENT, [doc_id]))
+                d_mean = d_rows.mean(axis=0)[4:]
                 sims[doc_id] = float(q_mean @ d_mean)
             best = max(sims, key=sims.get)
             if qrels.grade(qid, best) == 1:
@@ -260,6 +261,16 @@ class TestCli:
         bad = tmp_path / "bad.emb"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
         assert run(["measure", "--corpus", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_zero_row_in_measured_corpus_is_data_error(self, tmp_path, capsys):
+        """A zero row has no cosine: ZeroNormError, a data error naming the row."""
+        matrix = np.array([[1.0, 0.5], [0.5, 1.0], [0.0, 0.0], [2.0, 1.0]])
+        table = [("q0", KIND_QUERY, 0, 1), ("d0", KIND_DOCUMENT, 1, 3)]
+        save_corpus(table_corpus(matrix, table), tmp_path / "c.emb")
+        out = tmp_path / "never.json"
+        assert run(["measure", "--corpus", str(tmp_path / "c.emb"), "--out", str(out)]) == 3
+        assert "data error: row 2 has zero norm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_whitening_file_is_data_error(self, workspace, tmp_path):
         """A NaN in a fitted transform's mean would score every candidate NaN."""
@@ -571,7 +582,7 @@ class TestSequenceTableInCommands:
             ("d1", KIND_DOCUMENT, 0, 3),
             ("q2", KIND_QUERY, 10, 3),
         )
-        corpus = EmbeddingCorpus(matrix, tuple(SequenceRecord(*entry) for entry in table))
+        corpus = table_corpus(matrix, table)
         save_corpus(corpus, tmp_path / "c.emb")
         assert run(["fit-whiten", "--source-corpus", str(tmp_path / "c.emb"),
                     "--fit-on", "queries", "--out", str(tmp_path / "q.wht")]) == 0
@@ -581,27 +592,6 @@ class TestSequenceTableInCommands:
         save_whitening(fit_whitening(matrix[[*range(3, 7), *range(10, 18)]]),
                        tmp_path / "rows.wht")
         assert (tmp_path / "rows.wht").read_bytes() != (tmp_path / "q.wht").read_bytes()
-
-    def test_commands_build_no_sequence_records(self, workspace, tmp_path, monkeypatch):
-        def no_records(*args, **kwargs):
-            raise AssertionError("a SequenceRecord was built")
-
-        monkeypatch.setattr(store, "SequenceRecord", no_records)
-        corpus = str(workspace / "src" / "corpus.emb")
-        candidates = str(workspace / "src" / "candidates.jsonl")
-        white = str(workspace / "white.wht")
-        commands = [
-            ["measure", "--corpus", corpus, "--out", str(tmp_path / "m.json")],
-            ["fit-whiten", "--source-corpus", corpus, "--fit-on", "queries",
-             "--out", str(tmp_path / "q.wht")],
-            ["rerank", "--target-corpus", corpus, "--candidates", candidates, "--scorer",
-             "colbert", "--post", "whiten", "--post-path", white, "--out", str(tmp_path / "c.run")],
-            ["rerank", "--target-corpus", corpus, "--candidates", candidates, "--scorer",
-             "repbert", "--post", "whiten", "--post-path", white, "--granularity",
-             "sequence_wise", "--out", str(tmp_path / "r.run")],
-        ]
-        for argv in commands:
-            assert run(argv) == 0, argv
 
 
 class TestRerankRunBytes:
@@ -695,11 +685,11 @@ class TestRerankDataErrors:
     @pytest.mark.parametrize("scorer", ["colbert", "repbert"])
     def test_zero_norm_token_exits_3_and_names_it(self, tmp_path, capsys, scorer):
         matrix = np.array([[1.0, 0.5], [0.5, 1.0], [0.0, 0.0]])
-        corpus = EmbeddingCorpus(matrix, (
-            SequenceRecord("q0", KIND_QUERY, 0, 1),
-            SequenceRecord("d0", KIND_DOCUMENT, 1, 1),
-            SequenceRecord("d-zero", KIND_DOCUMENT, 2, 1),
-        ))
+        corpus = table_corpus(matrix, [
+            ("q0", KIND_QUERY, 0, 1),
+            ("d0", KIND_DOCUMENT, 1, 1),
+            ("d-zero", KIND_DOCUMENT, 2, 1),
+        ])
         save_corpus(corpus, tmp_path / "c.emb")
         cands = tmp_path / "cands.jsonl"
         cands.write_text(json.dumps({"qid": "q0", "docs": ["d0", "d-zero"]}) + "\n")

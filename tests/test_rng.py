@@ -167,18 +167,18 @@ class TestDerivedDraws:
             expected_j = np.minimum(np.floor(u[n:] * (bound - 1)).astype(np.int64), bound - 2)
             assert np.array_equal(PinnedRng(8).indices(n, bound), expected_i)
             if bound >= 2:
-                i, j = PinnedRng(8).index_pairs(n, bound)
+                [(i, j)] = PinnedRng(8).index_pair_blocks(n, bound, n)
                 assert np.array_equal(i, expected_i)
                 assert np.array_equal(j, expected_j + (expected_j >= expected_i))
 
     def test_index_pairs_distinct(self):
-        i, j = PinnedRng(6).index_pairs(5_000, 13)
+        [(i, j)] = PinnedRng(6).index_pair_blocks(5_000, 13, 5_000)
         assert np.all(i != j)
         assert i.min() >= 0 and i.max() < 13
         assert j.min() >= 0 and j.max() < 13
 
 
-# index_pairs(count, n) from PinnedRng(seed): sha256 of i's bytes then j's,
+# ``count`` pairs on [0, n) from PinnedRng(seed): sha256 of i's bytes then j's,
 # the draw count afterwards and the next three raw outputs, recorded from
 # the code that drew every pair at once.
 RECORDED_PAIRS = {
@@ -223,16 +223,15 @@ class TestIndexPairBlocks:
     @pytest.mark.parametrize("count, n, seed", list(RECORDED_PAIRS))
     def test_blocks_concatenate_to_the_recorded_pairs(self, count, n, seed):
         expected, draws, following = RECORDED_PAIRS[(count, n, seed)]
-        # Block sizes that divide the count, that do not, and that exceed it.
-        blocks = (1000, 65_536, count + 3) if count > 100_000 else (1, 7, 64, 999, count + 3)
+        # Block sizes that divide the count, that do not, that equal it
+        # (one block) and that exceed it.
+        edges = (max(count, 1), count + 3)
+        blocks = (1000, 65_536, *edges) if count > 100_000 else (1, 7, 64, 999, *edges)
         for block in blocks:
             rng = PinnedRng(seed)
             assert pair_digest(rng.index_pair_blocks(count, n, block)) == expected, block
             assert rng.draws == draws
             assert rng.u64(3).tolist() == following
-        rng = PinnedRng(seed)
-        assert pair_digest([rng.index_pairs(count, n)]) == expected
-        assert rng.draws == draws
 
     def test_blocks_have_the_asked_size(self):
         sizes = [i.size for i, _ in PinnedRng(1).index_pair_blocks(1000, 300, 64)]

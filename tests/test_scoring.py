@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_corpus
 from isoembed import (
     EmbeddingCorpus,
     GlowModel,
     GlowSpec,
     PostProcessor,
     RankingRun,
-    SequenceRecord,
     WhiteningTransform,
     apply_whitening,
     colbert_score,
@@ -140,13 +140,8 @@ class TestRepbertScore:
         rng = np.random.default_rng(seed)
         q = rng.normal(size=(q_count, dim)) * 10.0 ** rng.integers(-3, 4)
         d = rng.normal(size=(d_count, dim)) + rng.normal(size=dim)
-        corpus = EmbeddingCorpus(
-            np.vstack([q, d]),
-            (
-                SequenceRecord("q", KIND_QUERY, 0, q_count),
-                SequenceRecord("d", KIND_DOCUMENT, q_count, d_count),
-            ),
-        )
+        table = [("q", KIND_QUERY, 0, q_count), ("d", KIND_DOCUMENT, q_count, d_count)]
+        corpus = table_corpus(np.vstack([q, d]), table)
         pq, pd = pool_sequences(corpus)
         expected = float(pq @ pd / (np.linalg.norm(pq) * np.linalg.norm(pd)))
         assert repbert_score(q, d) == expected
@@ -154,14 +149,29 @@ class TestRepbertScore:
 
 def corpus_with(query_tokens, doc_token_map) -> EmbeddingCorpus:
     rows = [np.atleast_2d(np.asarray(query_tokens, dtype=float))]
-    sequences = [SequenceRecord("q", KIND_QUERY, 0, rows[0].shape[0])]
+    table = [("q", KIND_QUERY, 0, rows[0].shape[0])]
     offset = rows[0].shape[0]
     for doc_id, tokens in doc_token_map.items():
         block = np.atleast_2d(np.asarray(tokens, dtype=float))
-        sequences.append(SequenceRecord(doc_id, KIND_DOCUMENT, offset, block.shape[0]))
+        table.append((doc_id, KIND_DOCUMENT, offset, block.shape[0]))
         rows.append(block)
         offset += block.shape[0]
-    return EmbeddingCorpus(np.vstack(rows), tuple(sequences))
+    return table_corpus(np.vstack(rows), table)
+
+
+def tokens_of(corpus: EmbeddingCorpus, kind: str, seq_id: str) -> np.ndarray:
+    """One sequence's token rows, sliced from the matrix at its table entry."""
+    (i,) = corpus.locate(kind, [seq_id])
+    return corpus.matrix[corpus.offsets[i] : corpus.offsets[i] + corpus.counts[i]]
+
+
+def transformed(transform, rows: np.ndarray) -> np.ndarray:
+    """``rows`` through a whitening, a flow, or (None) nothing."""
+    if transform is None:
+        return rows
+    if isinstance(transform, WhiteningTransform):
+        return apply_whitening(transform, rows)
+    return apply_flow(transform, rows)
 
 
 def identity_whitening(dim: int) -> WhiteningTransform:
@@ -271,10 +281,9 @@ class TestRankCandidates:
         transform = fit_whitening(corpus.matrix)
         post = PostProcessor(transform, TOKEN_WISE)
         ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
-        q_white = apply_whitening(transform, corpus.tokens(corpus.find(KIND_QUERY, "q")))
+        q_white = apply_whitening(transform, tokens_of(corpus, KIND_QUERY, "q"))
         for doc_id, score in ranked:
-            doc_seq = corpus.find(KIND_DOCUMENT, doc_id)
-            d_white = apply_whitening(transform, corpus.tokens(doc_seq))
+            d_white = apply_whitening(transform, tokens_of(corpus, KIND_DOCUMENT, doc_id))
             expected = cosine(q_white.mean(axis=0), d_white.mean(axis=0))
             assert score == pytest.approx(expected, abs=1e-12)
 
@@ -288,11 +297,10 @@ class TestRankCandidates:
         transform = fit_whitening(corpus.matrix)
         post = PostProcessor(transform, SEQUENCE_WISE)
         ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
-        pooled_q = corpus.tokens(corpus.find(KIND_QUERY, "q")).mean(axis=0)
+        pooled_q = tokens_of(corpus, KIND_QUERY, "q").mean(axis=0)
         zq = apply_whitening(transform, pooled_q[None, :])[0]
         for doc_id, score in ranked:
-            doc_seq = corpus.find(KIND_DOCUMENT, doc_id)
-            pooled_d = corpus.tokens(doc_seq).mean(axis=0)
+            pooled_d = tokens_of(corpus, KIND_DOCUMENT, doc_id).mean(axis=0)
             zd = apply_whitening(transform, pooled_d[None, :])[0]
             assert score == pytest.approx(cosine(zq, zd), abs=1e-12)
 
@@ -316,11 +324,9 @@ class TestRankCandidates:
         t_doc = fit_whitening(rows_of_kind(corpus, KIND_DOCUMENT))
         post = PostProcessor(t_query, TOKEN_WISE, doc_transform=t_doc)
         ranked = rank_candidates(corpus, {"q": sorted(docs)}, scorer="repbert", post=post)["q"]
-        q_tokens = apply_whitening(t_query, corpus.tokens(corpus.find(KIND_QUERY, "q")))
+        q_tokens = apply_whitening(t_query, tokens_of(corpus, KIND_QUERY, "q"))
         for doc_id, score in ranked:
-            d_tokens = apply_whitening(
-                t_doc, corpus.tokens(corpus.find(KIND_DOCUMENT, doc_id))
-            )
+            d_tokens = apply_whitening(t_doc, tokens_of(corpus, KIND_DOCUMENT, doc_id))
             expected = cosine(q_tokens.mean(axis=0), d_tokens.mean(axis=0))
             assert score == pytest.approx(expected, abs=1e-12)
 
@@ -331,19 +337,18 @@ def per_query_oracle(corpus, candidates, scorer, post):
     the bulk ranking must reproduce."""
     ranked = {}
     for qid, doc_ids in candidates.items():
-        q_tokens = corpus.tokens(corpus.find(KIND_QUERY, qid))
+        q_tokens = tokens_of(corpus, KIND_QUERY, qid)
         scored = []
         for doc_id in doc_ids:
-            d_tokens = corpus.tokens(corpus.find(KIND_DOCUMENT, doc_id))
+            d_tokens = tokens_of(corpus, KIND_DOCUMENT, doc_id)
             if post.granularity == SEQUENCE_WISE:
-                q = post.apply_query(q_tokens.mean(axis=0, keepdims=True))
-                d = post.apply_doc(d_tokens.mean(axis=0, keepdims=True))
+                q = transformed(post.transform, q_tokens.mean(axis=0, keepdims=True))
+                d = transformed(post.doc_side, d_tokens.mean(axis=0, keepdims=True))
                 scored.append((doc_id, repbert_score(q, d)))
             else:
                 score = colbert_score if scorer == "colbert" else repbert_score
-                scored.append(
-                    (doc_id, score(post.apply_query(q_tokens), post.apply_doc(d_tokens)))
-                )
+                q = transformed(post.transform, q_tokens)
+                scored.append((doc_id, score(q, transformed(post.doc_side, d_tokens))))
         ranked[qid] = sorted(scored, key=lambda item: (-item[1], item[0]))
     return ranked
 
@@ -368,13 +373,13 @@ def bulk_cases(draw):
     n_docs = draw(st.integers(1, 6))
     queries = {f"q{i}": rng.normal(size=(draw(st.integers(1, 4)), dim)) for i in range(n_queries)}
     docs = {f"d{i}": rng.normal(size=(draw(st.integers(1, 4)), dim)) + 0.5 for i in range(n_docs)}
-    rows, sequences, offset = [], [], 0
+    rows, table, offset = [], [], 0
     for kind, blocks in ((KIND_QUERY, queries), (KIND_DOCUMENT, docs)):
         for seq_id, block in blocks.items():
-            sequences.append(SequenceRecord(seq_id, kind, offset, block.shape[0]))
+            table.append((seq_id, kind, offset, block.shape[0]))
             rows.append(block)
             offset += block.shape[0]
-    corpus = EmbeddingCorpus(np.vstack(rows), tuple(sequences))
+    corpus = table_corpus(np.vstack(rows), table)
     doc_ids = sorted(docs)
     candidates = {
         qid: draw(st.lists(st.sampled_from(doc_ids), max_size=n_docs, unique=True))
@@ -445,13 +450,13 @@ class TestBulkRankingMatchesPerQueryOracle:
         assert_matches_oracle(bulk, per_query_oracle(corpus, candidates, scorer, post))
 
     def test_exact_tie_on_a_whitened_simplex(self):
-        sequences = (
-            SequenceRecord("q0", KIND_QUERY, 0, 2),
-            SequenceRecord("q1", KIND_QUERY, 2, 1),
-            SequenceRecord("d0", KIND_DOCUMENT, 3, 1),
-            SequenceRecord("d1", KIND_DOCUMENT, 4, 1),
-        )
-        corpus = EmbeddingCorpus(np.array(SIMPLEX_ROWS), sequences)
+        table = [
+            ("q0", KIND_QUERY, 0, 2),
+            ("q1", KIND_QUERY, 2, 1),
+            ("d0", KIND_DOCUMENT, 3, 1),
+            ("d1", KIND_DOCUMENT, 4, 1),
+        ]
+        corpus = table_corpus(np.array(SIMPLEX_ROWS), table)
         candidates = {"q0": ["d0", "d1"], "q1": []}
         post = PostProcessor(fit_whitening(corpus.matrix), TOKEN_WISE)
         bulk = rank_candidates(corpus, candidates, scorer="colbert", post=post)
@@ -506,11 +511,11 @@ def tie_cases(draw):
     shares = [draw(st.integers(0, len(blocks) - 1)) for _ in doc_ids]
     sequences = [(f"q{i}", KIND_QUERY, block()) for i in range(n_queries)]
     sequences += [(doc_id, KIND_DOCUMENT, blocks[share]) for doc_id, share in zip(doc_ids, shares)]
-    records, offset = [], 0
+    table, offset = [], 0
     for seq_id, kind, tokens in sequences:
-        records.append(SequenceRecord(seq_id, kind, offset, len(tokens)))
+        table.append((seq_id, kind, offset, len(tokens)))
         offset += len(tokens)
-    corpus = EmbeddingCorpus(np.vstack([tokens for _, _, tokens in sequences]), tuple(records))
+    corpus = table_corpus(np.vstack([tokens for _, _, tokens in sequences]), table)
     candidates = {}
     for i in range(n_queries):
         order = draw(st.permutations(doc_ids))
