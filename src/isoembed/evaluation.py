@@ -12,7 +12,6 @@ continued fraction, with no external dependency.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,9 +93,6 @@ class EvalReport:
             "n_queries_evaluated": self.n_queries_evaluated,
             "n_queries_skipped": self.n_queries_skipped,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def precision_at_k(

@@ -18,12 +18,13 @@ plain sum of ``log_diag``. Coupling pre-scales are hard-clamped to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..errors import NumericError
 from ..rng import PinnedRng
+from .chain import ActNorm, FlowModel
 from .coupling import Coupling, CouplingNet, ParameterSlab, net_size, parity_counts, parity_indices
 
 CLAMP = 5.0
@@ -54,51 +55,6 @@ def active_sizes(dim: int, levels: int) -> list[int]:
     if len(sizes) < levels or sizes[-1] < 2:
         raise ValueError(f"dim {dim} too small for {levels} levels (active < 2)")
     return sizes
-
-
-class ActNorm:
-    def __init__(self, dim: int, params: ParameterSlab | None = None, initialized: bool = False):
-        """Shift and log-scale over ``params`` (a zero slab of their own
-        when None)."""
-        if params is None:
-            params = ParameterSlab.zeros(2 * dim)
-        self.shift = params.take(dim)
-        self.log_scale = params.take(dim)
-        self.initialized = initialized
-
-    def data_init(self, x: np.ndarray) -> None:
-        """Set shift/scale so this batch leaves with zero mean, unit variance.
-
-        Writes in place, so parameters that view an optimizer's slab keep
-        viewing it."""
-        std = x.std(axis=0)
-        std = np.maximum(std, 1e-8)
-        self.shift.data[...] = -x.mean(axis=0)
-        self.log_scale.data[...] = -np.log(std)
-        self.initialized = True
-
-    def forward(self, x: ad.Tensor, logdet: ad.Tensor):
-        return ad.fused(self, x, logdet)
-
-    def kernel(self, x: np.ndarray, keep: bool = False):
-        """``(y, log-det contribution, cache)``: y = (x + shift) * exp(log_scale)."""
-        scale = np.exp(self.log_scale.data)
-        shifted = x + self.shift.data
-        return shifted * scale, self.log_scale.data.sum(), (shifted, scale) if keep else None
-
-    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
-        shifted, scale = cache
-        self.log_scale._accumulate(np.full_like(scale, float(logdet_grad.sum(axis=0))))
-        self.log_scale._accumulate((grad * shifted).sum(axis=0) * scale)
-        dx = grad * scale
-        self.shift._accumulate(dx.sum(axis=0))
-        return dx if need_dx else None
-
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        return y * np.exp(-self.log_scale.data) - self.shift.data
-
-    def parameters(self):
-        return [self.shift, self.log_scale]
 
 
 class LuLinear:
@@ -217,26 +173,15 @@ class AffineCoupling(Coupling):
         return (y_moved - raw[:, :m]) * np.exp(-np.clip(raw[:, m:], -CLAMP, CLAMP))
 
 
-class GlowStep:
-    def __init__(self, actnorm: ActNorm, linear: LuLinear, coupling: AffineCoupling):
-        self.actnorm = actnorm
-        self.linear = linear
-        self.coupling = coupling
-        self.layers = (actnorm, linear, coupling)
-
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        return self.actnorm.inverse(self.linear.inverse(self.coupling.inverse(y)))
+class GlowStep(NamedTuple):
+    actnorm: ActNorm
+    linear: LuLinear
+    coupling: AffineCoupling
 
 
-class GlowModel:
+class GlowModel(FlowModel):
     arch_tag = 1
-
-    def __init__(self, dim: int, spec: GlowSpec, levels: list[list[GlowStep]], slab: np.ndarray):
-        self.dim = dim
-        self.spec = spec
-        self.levels = levels
-        self.sizes = active_sizes(dim, spec.levels)
-        self.slab = slab  # every parameter's data, in traversal order
+    name = "glow"
 
     @classmethod
     def build(cls, dim: int, spec: GlowSpec = GlowSpec(), seed: int = 0) -> "GlowModel":
@@ -265,7 +210,7 @@ class GlowModel:
             cond, moved = parity_indices(size, k % 2)
             net = params.net((len(cond), *spec.hidden, 2 * len(moved)))
             levels[k // spec.depth].append(GlowStep(actnorm, linear, AffineCoupling(size, k % 2, net)))
-        return cls(dim, spec, levels, params.used_up())
+        return cls(dim, spec, levels, sizes, params.used_up())
 
     @staticmethod
     def parameter_count(dim: int, spec: GlowSpec) -> int:
@@ -281,68 +226,7 @@ class GlowModel:
             )
         return count
 
-    def parameters(self) -> list[ad.Tensor]:
-        return [p for params in self.layer_parameters() for p in params]
-
-    def layer_parameters(self) -> list[list[ad.Tensor]]:
-        """Each layer's parameters, in traversal order."""
-        steps = [step for steps in self.levels for step in steps]
-        return [layer.parameters() for step in steps for layer in step.layers]
-
-    def layer_done(self) -> None:
-        """``backward`` calls this after each layer; an optimizer hooks in here."""
-
     def initialize_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent init: run the batch through, initializing each
         actnorm from the activations that reach it."""
         self.kernel(batch, init_actnorms=True)
-
-    def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        return ad.fused(self, x, ad.constant(np.zeros(x.data.shape[0])))
-
-    def kernel(self, x: np.ndarray, keep: bool = False, init_actnorms: bool = False):
-        """``(z, per-row log-det, tape)``: every layer's kernel in order; each
-        level's factored columns keep their positions in ``z``. With
-        ``init_actnorms``, each actnorm not yet initialized is data-initialized
-        from its input just before it runs."""
-        z = np.empty(x.shape)
-        logdet = np.zeros(x.shape[0])
-        tape = []
-        active = x
-        for li, (size, kept, steps) in enumerate(zip(self.sizes, self.sizes[1:] + [0], self.levels)):
-            for si, step in enumerate(steps):
-                if init_actnorms and not step.actnorm.initialized:
-                    step.actnorm.data_init(active)
-                for layer in step.layers:
-                    active, contribution, cache = layer.kernel(active, keep)
-                    logdet = logdet + contribution
-                    tape.append(cache)
-                if not np.isfinite(active).all():
-                    raise NumericError(f"glow step {li}.{si} produced non-finite values")
-            z[:, kept:size] = active[:, kept:]
-            active = active[:, :kept].copy()
-        return z, logdet, tape if keep else None
-
-    def backward(self, tape, grad: np.ndarray, logdet_grad, need_dx: bool):
-        """The layers' backwards in reverse, each followed by ``layer_done``.
-        Entering a level, the input gradient of the level above joins the
-        gradient of the columns it factored out as zeros plus each part."""
-        caches = reversed(tape)
-        first = self.levels[0][0].actnorm
-        dx = grad[:, : self.sizes[-1]].copy()
-        for size, steps in reversed(list(zip(self.sizes, self.levels))):
-            if dx.shape[1] < size:
-                dx = np.concatenate([dx, grad[:, dx.shape[1] : size]], axis=1)
-                dx += 0.0
-            for step in reversed(steps):
-                for layer in reversed(step.layers):
-                    dx = layer.backward(next(caches), dx, logdet_grad, need_dx or layer is not first)
-                    self.layer_done()
-        return dx
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        x = np.array(z, dtype=np.float64)
-        for size, steps in reversed(list(zip(self.sizes, self.levels))):
-            for step in reversed(steps):
-                x[:, :size] = step.inverse(x[:, :size])
-        return x

@@ -23,10 +23,10 @@ from .. import autodiff as ad
 from ..errors import EmptyInputError, NumericError, ShapeError, TrainingError
 from ..rng import PinnedRng
 from ..store import as_matrix
+from .chain import FlowModel
 from .glow import GlowModel, GlowSpec
 from .nice import NiceModel, NiceSpec
 
-FlowModel = NiceModel | GlowModel
 FlowSpec = NiceSpec | GlowSpec
 
 ADAM_BETA_1 = 0.9

@@ -238,7 +238,14 @@ def measure(
         return avg_pairwise_cosine(block, mode="sampled", pairs=SAMPLED_COSINE_PAIRS, seed=seed)
 
     ratios = [partition_ratio(block) for block in blocks]
-    cosines = [block_cosine(block) for block in blocks]
+    try:
+        cosines = [block_cosine(block) for block in blocks]
+    except ZeroNormError:
+        # A block names its own row; the blocks run in order from row 0, so
+        # the failing one holds the first zero row the blocks cover.
+        measured = w[: sum(block.shape[0] for block in blocks)]
+        row = np.flatnonzero(row_norms(measured) == 0.0)[0]
+        raise ZeroNormError(f"row {row} has zero norm; cosine undefined") from None
     return IsotropyReport(
         i_w=float(np.mean(ratios)),
         avg_cos=float(np.mean(cosines)),

@@ -29,7 +29,7 @@ KIND_CODES = {KIND_QUERY: 0, KIND_DOCUMENT: 1}  # as EMB1 stores them
 _CODE_KINDS = {code: kind for kind, code in KIND_CODES.items()}
 
 
-def as_matrix(values, dim: int | None = None) -> np.ndarray:
+def as_matrix(values) -> np.ndarray:
     """Coerce to a validated 2-D float64 embedding matrix.
 
     Raises ValueError on non-finite entries or dim < 1.
@@ -39,8 +39,6 @@ def as_matrix(values, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
     if matrix.shape[1] < 1:
         raise ValueError("embedding matrix needs dim >= 1")
-    if dim is not None and matrix.shape[1] != dim:
-        raise ValueError(f"expected dim {dim}, got {matrix.shape[1]}")
     # min and max propagate NaN, and an infinity is one of them, so the
     # two reductions check every entry without a mask of the matrix's size.
     if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):

@@ -1,9 +1,9 @@
-"""Bitwise guards on the flow entry points: ``nll_gradient``, ``flow_forward``
-and ``nll`` over a grid of NICE and glow models (glow at 1-3 levels, odd and
-even dims, 1-, 5- and 33-row batches), each with a randomized parameter
-slab. The digests were recorded from the per-op autodiff graph that built
-the likelihood before the flows ran as one kernel chain; a refactor of the
-chain must not move a single bit.
+"""Bitwise guards on the flow entry points: ``nll_gradient``, ``flow_forward``,
+``nll`` and ``flow_inverse`` over a grid of NICE and glow models (glow at 1-3
+levels, odd and even dims, 1-, 5- and 33-row batches), each with a randomized
+parameter slab. The forward and gradient digests were recorded from the
+per-op autodiff graph that built the likelihood before the flows ran as one
+kernel chain; a refactor of the chain must not move a single bit.
 """
 
 import hashlib
@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from isoembed import autodiff as ad
-from isoembed.flows import GlowSpec, NiceSpec, build_model, flow_forward, nll, nll_gradient
+from isoembed.flows import (
+    GlowSpec,
+    NiceSpec,
+    build_model,
+    flow_forward,
+    flow_inverse,
+    nll,
+    nll_gradient,
+)
 from isoembed.rng import PinnedRng
 
 ROWS = (1, 5, 33)
@@ -74,6 +82,15 @@ def graph_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def inverse_digest(name: str, rows: int) -> str:
+    """``flow_inverse`` of the case's forward output and of its batch."""
+    model, x = case(name, rows)
+    h = hashlib.sha256()
+    for z in (flow_forward(model, x)[0], x):
+        h.update(np.ascontiguousarray(flow_inverse(model, z)).tobytes())
+    return h.hexdigest()
+
+
 DIGESTS = {
     ("glow_d11_l3", 1): "e67506aef6f74bb84729a8ff4980a4b246e0719ebacebb4be72caaad6b3158fd",
     ("glow_d11_l3", 5): "56a007852f610ec55584b7e3729127f8c484bf1e4ce9d1baba0cf6aeb5c4cd2e",
@@ -128,6 +145,47 @@ GRAPH_DIGESTS = {
     "nice_d7_c2": "60895ec665ad41e3c18ef329b5e90ed701b8ffa1786f487247541559aebb9e2c",
 }
 
+# Recorded from the separate NICE and glow inverses, before both models ran
+# one shared layer chain.
+INVERSE_DIGESTS = {
+    ("glow_d11_l3", 1): "055867efb5387a1ea60793e8f9cf7c728b5bf56b03b3041054bf0b54cef7bb7f",
+    ("glow_d11_l3", 5): "8cdf21c6d85c883afe9c891d4fb56fa373bfc33a86790d2535592a3239d48863",
+    ("glow_d11_l3", 33): "571522036d415bf5fa0e79baaf65f70dd6fdaca7f8d400553f6e5a50fcb961ca",
+    ("glow_d12_l2", 1): "2184c2ce218a366bbfd166615fce278e64a903b194b048da2f93b87c60393d6a",
+    ("glow_d12_l2", 5): "3ee697bf90c297d30a55493c1f2f07a0d170b845afb4a055c467afa3427dbb57",
+    ("glow_d12_l2", 33): "6704ae54d8b295101c7770e44d42a0d490bfab1820815106d86ad856f2e080f5",
+    ("glow_d16_l3", 1): "22e0ba913b73831682cdc6e952ac0fae6ccfaa6e704d76d50c2a092d2fde6dc5",
+    ("glow_d16_l3", 5): "db00b564b9aadcf9214ebd57cf097411e2f3258fd7c1885af6d16d7610361c69",
+    ("glow_d16_l3", 33): "b8431b99f2ccec067afa3c40d88ee605e6da63f9ce8b31849613e23b48875964",
+    ("glow_d3_l1", 1): "ab8eceb0658c1ce1c3f4ebaa5a9d8a2ef9214caaea7936e0c546e60c6c667336",
+    ("glow_d3_l1", 5): "8ce0250f8b9c0b0f035aaa3d4f3b35784722d4edc5f5fbc3f36067328f350e66",
+    ("glow_d3_l1", 33): "b06d7623b6a0345a3f17308372bb7d9464f6262eaedd52b4aacf5cfc0ab1e63e",
+    ("glow_d5_l1", 1): "756916f6e16c960a95f09f5eb5c6f9436ac828ea8db3a30838c058827ee345dd",
+    ("glow_d5_l1", 5): "557e96f1bb1b2d76ec24f1cb9ed01884ac1e44b67964104c2c2dfa4e75be65af",
+    ("glow_d5_l1", 33): "21f95d83580899ef6d923d92582e609860fcac70cd3bf3c5a931b920806a730c",
+    ("glow_d5_l2", 1): "f666b41ad1cdead2bcba5d54e6f68954223326d49ba40e0f93d172fc6d407f35",
+    ("glow_d5_l2", 5): "0593a45a38055b9473b3c56cb6e841724c66ccef5190cd538a58ce2d9bbe3398",
+    ("glow_d5_l2", 33): "b0ef7380f1b6caa9e29913c70bdb79537332daecfbbff09df4836dfe782289ab",
+    ("glow_d8_l1", 1): "58f703fa524cbcd47ef6eeddabd70518d882a6ea293348b6f75701a82c53a70e",
+    ("glow_d8_l1", 5): "743066b1587830b4588ebaa09d258d6a7818b274e5c693afbbc4989abc078e9e",
+    ("glow_d8_l1", 33): "92f6f7c230580fb86fb8bfadae1f2ec77bd55bb3722a46be94bd5704af55be91",
+    ("glow_d9_l2", 1): "1de70eeab566c2cd1ad479509edb9ce0b67c295be80147edb42aca8816a1c893",
+    ("glow_d9_l2", 5): "511dd8c3a2b21a0212ff7364ed3cfa8989e0d46a113bb8a8220145cb2d7411ea",
+    ("glow_d9_l2", 33): "751f337e02e5bfe7165d78ab5c3e61d941108d84102867b289b242390c9c891b",
+    ("glow_d9_l3", 1): "066079d43fc19238814eab2bab4efb0e419d94cc8fc3977e32de13ab1a75c38c",
+    ("glow_d9_l3", 5): "fd5759f66ceb96bf7448ef34c5c6aeed67bd08181e2c181884b8a125ead4d6e4",
+    ("glow_d9_l3", 33): "babb00611b9b7431d3be3b77e76ad535b435338aff537c6c9192180f743103b8",
+    ("nice_d10_c3", 1): "072acf4e8670527311135309bfb9ff269162a0a88109a27d471a808e2b3c3add",
+    ("nice_d10_c3", 5): "601e7424e32a0e106237695b067c0d597714d083eed57c8ece6b868e15a28f50",
+    ("nice_d10_c3", 33): "34fdf2f7d3bed3e820f53f29f3b19760ec84c83d68009a81b8fe0217d8a2a998",
+    ("nice_d3_c1", 1): "cbbc2a2f3ae7fe9c5055e3ca7d3a98e36f1a3bdf3dfd5d6630a0d9c71f0c6190",
+    ("nice_d3_c1", 5): "12875833c06bf08fe99e6b3f1e2d0af5adfc1d4abc443901cc5dce354da456cf",
+    ("nice_d3_c1", 33): "f91ad213e98301b2a358ab5d0b64624c900e925b79a2da296c79612bbf6e1be9",
+    ("nice_d7_c2", 1): "4951c4265043cb848b0e60fc030f0f5b6018dd1d56abf6b510a2e27210e7fb54",
+    ("nice_d7_c2", 5): "bcd84f0aad0ef5bc7d55883a565a6a09d0ff21e9e42c257fc14a441bd450747e",
+    ("nice_d7_c2", 33): "10ce9908a7f94d95eea74adb152357338f5318e5cfaeb51d3ca2cf93b8bb5238",
+}
+
 
 @pytest.mark.parametrize("rows", ROWS)
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -138,3 +196,9 @@ def test_entry_points_match_the_recorded_bits(name, rows):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_graph_gradients_match_the_recorded_bits(name):
     assert graph_digest(name) == GRAPH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_inverse_matches_the_recorded_bits(name, rows):
+    assert inverse_digest(name, rows) == INVERSE_DIGESTS[name, rows]

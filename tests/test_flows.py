@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoembed import autodiff as ad
-from isoembed.errors import CorpusFormatError, IsoembedError, ShapeError, TrainingError
+from isoembed.errors import (
+    CorpusFormatError,
+    IsoembedError,
+    NumericError,
+    ShapeError,
+    TrainingError,
+)
 from isoembed.flows import training
 from isoembed.flows.coupling import ParameterSlab, rectify
 from isoembed.flows.glow import GlowStep, LuLinear
@@ -150,6 +156,61 @@ class TestForwardInverse:
             flow_forward(model, np.ones((2, 5)))
 
 
+class TestNonFiniteChecks:
+    """Forward and inverse check each step's output: the first step that
+    leaves a non-finite value raises NumericError naming its level and step."""
+
+    def test_nice_forward_names_the_coupling(self):
+        model = build_model(4, NiceSpec(couplings=2, hidden=(4,)), seed=0)
+        # The second coupling shifts the even columns by its output bias.
+        model.levels[0][1][0].net.biases[-1].data[...] = 1.79e308
+        x = np.ones((2, 4))
+        x[:, ::2] = 1e307
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^nice step 0\.1 produced non-finite values$"
+        ):
+            flow_forward(model, x)
+
+    def test_nice_inverse_names_the_scaling(self):
+        model = build_model(4, NiceSpec(couplings=2, hidden=(4,)), seed=0)
+        model.levels[0][2][0].log_scale.data[...] = -800.0
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^nice step 0\.2 inverse produced non-finite values$"
+        ):
+            flow_inverse(model, np.ones((2, 4)))
+
+    def test_glow_forward_names_the_step(self):
+        model = build_model(4, GlowSpec(levels=1, depth=2, hidden=(4,)), seed=0)
+        model.levels[0][1].actnorm.log_scale.data[...] = 800.0
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^glow step 0\.1 produced non-finite values$"
+        ):
+            flow_forward(model, np.ones((2, 4)))
+
+    def test_glow_inverse_names_the_first_step_it_inverts(self):
+        """The inverse runs the last level first: its actnorm overflows."""
+        model = build_model(4, GlowSpec(levels=2, depth=1, hidden=(4,)), seed=0)
+        for steps in model.levels:
+            steps[0].actnorm.log_scale.data[...] = -10.0
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^glow step 1\.0 inverse produced non-finite values$"
+        ):
+            flow_inverse(model, np.full((1, 4), 1e305))
+
+    def test_training_wraps_the_step_error(self):
+        """Batch 0 holds column 0 constant, so its actnorm scales by 1e8;
+        batch 1's 1e301 in that column then overflows in the first step."""
+        w = np.random.default_rng(16).normal(size=(8, 4))
+        w[:4, 0] = 1.0
+        w[4:, 0] = 1e301
+        cfg = FlowTrainConfig(epochs=1, batch_size=4, seed=1, shuffle=False)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"^step 1: glow step 0\.0 produced non-finite values$"
+        ) as caught:
+            train_flow(w, GlowSpec(levels=1, depth=1, hidden=(4,)), cfg)
+        assert isinstance(caught.value.__cause__, NumericError)
+
+
 class TestLogDet:
     def test_diagonal_linear_anchor(self):
         """A mixing layer realizing diag(2, 0.5) has logdet log2 + log0.5 = 0."""
@@ -184,7 +245,7 @@ class TestLogDet:
         h = ad.constant(x)
         total = ad.constant(np.zeros(7))
         for step in model.levels[0]:
-            for layer in step.layers:
+            for layer in step:
                 h, total = layer.forward(h, total)
         np.testing.assert_allclose(whole, total.data, atol=1e-12)
 

@@ -250,6 +250,21 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(np.ones((4, 2)), 1)
 
+    def test_zero_norm_row_named_by_its_corpus_row(self):
+        """A zero row in a later block is named by its row in the matrix,
+        not by its row inside the block."""
+        w = np.random.default_rng(11).normal(size=(8, 3))
+        w[6] = 0.0
+        with pytest.raises(ZeroNormError, match=r"^row 6 has zero norm"):
+            measure(w, 4)
+        with pytest.raises(ZeroNormError, match=r"^row 6 has zero norm"):
+            measure(w)
+
+    def test_zero_norm_row_in_unmeasured_tail_is_not_read(self):
+        w = np.random.default_rng(12).normal(size=(9, 3))
+        w[8] = 0.0
+        assert measure(w, 4).batches_averaged == 2
+
     def test_auto_mode_switches_to_sampling_on_large_blocks(self):
         """Above 20000 rows the auto cosine path samples 10^6 pinned pairs
         instead of enumerating; small blocks stay exact."""

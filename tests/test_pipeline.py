@@ -272,6 +272,19 @@ class TestCli:
         assert "data error: row 2 has zero norm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_row_named_by_corpus_row_under_batches(self, tmp_path, capsys):
+        """With --batch-size below the row count, the error names the
+        corpus row, not the row inside its batch."""
+        matrix = np.random.default_rng(13).normal(size=(8, 3))
+        matrix[6] = 0.0
+        table = [("q0", KIND_QUERY, 0, 2), ("d0", KIND_DOCUMENT, 2, 6)]
+        save_corpus(table_corpus(matrix, table), tmp_path / "c.emb")
+        out = tmp_path / "never.json"
+        assert run(["measure", "--corpus", str(tmp_path / "c.emb"), "--batch-size", "4",
+                    "--out", str(out)]) == 3
+        assert "data error: row 6 has zero norm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_whitening_file_is_data_error(self, workspace, tmp_path):
         """A NaN in a fitted transform's mean would score every candidate NaN."""
         src = workspace / "src"
