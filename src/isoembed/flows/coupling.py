@@ -38,6 +38,7 @@ class CouplingNet:
                 raise ValueError("inconsistent width chain")
         self.weights = weights
         self.biases = biases
+        self.work: NetWorkspace | None = None  # lent by a training fit
 
     @classmethod
     def build(cls, in_size: int, out_size: int, hidden: tuple[int, ...], rng: PinnedRng):
@@ -55,38 +56,79 @@ class CouplingNet:
         return ad.fused(self, x)[0]
 
     def kernel(self, x: np.ndarray, keep: bool = False):
-        """The cache holds each layer's input and rectifier mask."""
+        """The cache holds each layer's input and rectifier mask, and the
+        workspace (``self.work``) the layers wrote into, if one is lent.
+
+        Without a cache, a net whose output layer is all zero with a +0.0
+        bias (as built) outputs +0.0 and runs no hidden layer. With finite
+        hidden activations the full computation gives the same bits: ``h @
+        W`` is a signed zero, and adding +0.0 makes it +0.0. (A hidden
+        activation that overflows would have made it NaN.)"""
+        w_out, b_out = self.weights[-1].data, self.biases[-1].data
+        if not keep and not (b_out.view(np.uint64).any() or w_out.any()):
+            return np.zeros((x.shape[0], w_out.shape[1])), None, None
+        work = self.work if keep else None
+        rows = x.shape[0]
         inputs, masks = [], []
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if keep:
                 inputs.append(h)
-            h = h @ w.data
+            lent = work is not None and i != last
+            h = np.matmul(h, w.data, out=work.hidden[i][:rows] if lent else None)
             h += b.data
             if i != last:
-                mask = rectify(h)
+                mask = rectify(h, work.masks[i][:rows] if lent else None)
                 if keep:
                     masks.append(mask)
-        return h, None, (inputs, masks) if keep else None
+        return h, None, (inputs, masks, work) if keep else None
 
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
-        inputs, masks = cache
+        """A parameter whose ``.grad`` is an array (an optimizer's buffer)
+        has its gradient written there: each gets exactly one per backward.
+        One whose ``.grad`` is None accumulates as usual."""
+        inputs, masks, work = cache
         for i in reversed(range(len(self.weights))):
             if i < len(masks):
                 grad *= masks[i]
-            self.biases[i]._accumulate(grad.sum(axis=0))
-            self.weights[i]._accumulate(inputs[i].T @ grad)
-            if i == 0 and not need_dx:
-                return None
-            grad = grad @ self.weights[i].data.T
-        return grad
+            w, b = self.weights[i], self.biases[i]
+            if b.grad is None:
+                b._accumulate(grad.sum(axis=0))
+            else:
+                grad.sum(axis=0, out=b.grad)
+            if w.grad is None:
+                w._accumulate(inputs[i].T @ grad)
+            else:
+                np.matmul(inputs[i].T, grad, out=w.grad)
+            if i == 0:
+                return grad @ w.data.T if need_dx else None
+            # In a workspace, layer i's input gradient overwrites its input,
+            # which the weight gradient just computed was the last to read.
+            grad = np.matmul(grad, w.data.T, out=None if work is None else inputs[i])
 
 
-def rectify(h: np.ndarray) -> np.ndarray:
-    """ReLU in place; returns the mask of the entries that were > 0. Every
-    other entry becomes +0.0: negatives, -inf, NaN and -0.0."""
-    mask = h > 0
+class NetWorkspace:
+    """Buffers a coupling net's training forward and backward write into
+    instead of allocating, for batches of up to ``rows`` rows: each hidden
+    layer's activations, which its backward then overwrites with their
+    gradients, and its rectifier mask.
+
+    A tape views the buffers its forward wrote, so whoever lends a net a
+    workspace (``net.work``) must run each forward's backward before the
+    next forward."""
+
+    def __init__(self, net: CouplingNet, rows: int):
+        widths = [w.data.shape[1] for w in net.weights[:-1]]
+        self.hidden = [np.empty((rows, width)) for width in widths]
+        self.masks = [np.empty((rows, width), dtype=bool) for width in widths]
+
+
+def rectify(h: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """ReLU in place; returns the mask of the entries that were > 0 (written
+    into ``mask`` if given). Every other entry becomes +0.0: negatives,
+    -inf, NaN and -0.0."""
+    mask = np.greater(h, 0, out=mask)
     # fmax maps NaN to 0 (maximum would keep it). Outside its vector loop
     # numpy's fmax keeps -0.0; adding +0.0 makes that +0.0 and changes no
     # other value.

@@ -70,12 +70,12 @@ def _arch_block(model: FlowModel) -> bytes:
 
 
 def _write_flow(model: FlowModel, fh) -> None:
-    """Stream the FLW1 encoding of ``model`` to ``fh``; parameter arrays are
-    handed to the file as buffers, without an intermediate copy."""
+    """Stream the FLW1 encoding of ``model`` to ``fh``; the parameter slab,
+    which holds every parameter in traversal order, is handed to the file
+    as one buffer, without an intermediate copy."""
     fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, model.arch_tag, model.dim))
     fh.write(_arch_block(model))
-    for p in model.parameters():
-        fh.write(np.ascontiguousarray(p.data, dtype=_F64))
+    fh.write(np.ascontiguousarray(model.slab, dtype=_F64))
 
 
 def flow_to_bytes(model: FlowModel) -> bytes:

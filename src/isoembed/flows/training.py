@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from ..errors import EmptyInputError, NumericError, ShapeError, TrainingError
 from ..rng import PinnedRng
 from ..store import as_matrix
 from .chain import FlowModel
+from .coupling import Coupling, NetWorkspace
 from .glow import GlowModel, GlowSpec
 from .nice import NiceModel, NiceSpec
 
@@ -192,7 +194,12 @@ def flow_forward(model: FlowModel, batch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def flow_inverse(model: FlowModel, z) -> np.ndarray:
-    return model.inverse(_check_batch(model, z))
+    """Invert a batch of outputs, in chunks of FORWARD_CHUNK_ROWS rows."""
+    z = _check_batch(model, z)
+    x = np.empty(z.shape)
+    for start in range(0, z.shape[0], FORWARD_CHUNK_ROWS):
+        x[start : start + FORWARD_CHUNK_ROWS] = model.inverse(z[start : start + FORWARD_CHUNK_ROWS])
+    return x
 
 
 def apply_flow(model: FlowModel, matrix) -> np.ndarray:
@@ -260,10 +267,24 @@ def dataset_nll(model: FlowModel, matrix) -> float:
 
 
 def model_checksum(model: FlowModel) -> str:
-    digest = hashlib.sha256()
-    for p in model.parameters():
-        digest.update(np.ascontiguousarray(p.data))
-    return digest.hexdigest()
+    """SHA-256 of every parameter's bytes in traversal order: the slab."""
+    return hashlib.sha256(model.slab).hexdigest()
+
+
+@contextmanager
+def step_workspaces(model: FlowModel, rows: int):
+    """Lends each coupling net of ``model`` a ``NetWorkspace`` for batches
+    of up to ``rows`` rows while the block runs, and frees them on exit.
+    Inside, each forward's backward must run before the next forward."""
+    nets = [layer.net for steps in model.levels for step in steps for layer in step
+            if isinstance(layer, Coupling)]
+    for net in nets:
+        net.work = NetWorkspace(net, rows)
+    try:
+        yield
+    finally:
+        for net in nets:
+            net.work = None
 
 
 def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel, TrainReport]:
@@ -272,7 +293,8 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
     Parameter init draws from a pinned stream seeded by cfg.seed, epoch
     shuffles from an independent child stream. Actnorm layers (if any) are
     data-initialized from the first training batch inside the first step's
-    forward pass, each just before it runs.
+    forward pass, each just before it runs. The coupling nets write their
+    hidden activations and gradients into workspaces lent for the fit.
     """
     w = as_matrix(matrix)
     n = w.shape[0]
@@ -288,25 +310,26 @@ def train_flow(matrix, spec: FlowSpec, cfg: FlowTrainConfig) -> tuple[FlowModel,
 
     epoch_nll = []
     step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            try:
-                loss = nll_tensor(model, w[idx], init_actnorms=step == 0)
-            except NumericError as exc:
-                raise TrainingError(f"step {step}: {exc}") from exc
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise TrainingError(f"step {step}: nll is not finite")
-            loss.backward()
-            # Free the step's tape before the next forward pass.
-            del loss
-            optimizer.step()
-            batch_losses.append(value)
-            step += 1
-        epoch_nll.append(float(np.mean(batch_losses)))
+    with step_workspaces(model, batch_size):
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+            batch_losses = []
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                try:
+                    loss = nll_tensor(model, w[idx], init_actnorms=step == 0)
+                except NumericError as exc:
+                    raise TrainingError(f"step {step}: {exc}") from exc
+                value = float(loss.data)
+                if not math.isfinite(value):
+                    raise TrainingError(f"step {step}: nll is not finite")
+                loss.backward()
+                # Free the step's tape before the next forward pass.
+                del loss
+                optimizer.step()
+                batch_losses.append(value)
+                step += 1
+            epoch_nll.append(float(np.mean(batch_losses)))
     optimizer.release()
     report = TrainReport(
         epoch_nll=tuple(epoch_nll),

@@ -12,6 +12,7 @@ from isoembed.flows import FlowTrainConfig, GlowSpec, NiceSpec, build_model, tra
 from isoembed.flows import training
 from isoembed.flows.coupling import ParameterSlab
 from isoembed.flows.training import ADAM_BETA_1, ADAM_BETA_2, ADAM_BLOCK, ADAM_EPS, Adam
+from isoembed.flows.glow import GlowModel
 
 
 class PerParameterAdam:
@@ -166,6 +167,44 @@ def test_blocked_step_is_bitwise_the_per_parameter_formula(
     oracle.assert_matches(optimizer)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    learning_rate=st.sampled_from([1e-4, 1e-2, 0.5]),
+    steps=st.integers(1, 6),
+)
+def test_the_sign_of_a_zero_gradient_never_reaches_the_state(seed, learning_rate, steps):
+    """A coupling net's backward writes its gradients into the buffer, so a
+    -0.0 arrives as -0.0 where adding it to the zeroed buffer gave +0.0.
+    The update cannot tell: ``m`` starts at +0.0, and since beta_1 > 1/2
+    ``m * beta_1`` of a nonzero ``m`` stays nonzero, so ``m`` is never -0.0;
+    ``v`` takes ``g * g``; ``p`` moves by ``m`` and ``v`` alone. Two
+    optimizers, one fed the other's gradients with the sign of every zero
+    flipped, stay byte-identical in p, m and v after every step. Gradients
+    mix normal values, signed zeros and the smallest subnormals."""
+    shapes = [s for layer in LAYOUTS["ragged"] for s in layer]
+    rng = np.random.default_rng(seed)
+    start = [rng.normal(size=s) for s in shapes]
+    models = [layered("ragged", start) for _ in range(2)]
+    optimizers = [Adam(model, learning_rate) for model in models]
+    for _ in range(steps):
+        grads = []
+        for s in shapes:
+            g = rng.normal(size=s)
+            kind = rng.integers(4, size=s)
+            g[kind == 1] = np.copysign(0.0, g[kind == 1])
+            g[kind == 2] = np.copysign(5e-324, g[kind == 2])
+            grads.append(g)
+        models[0].backward(grads)
+        models[1].backward([np.where(g == 0.0, -g, g) for g in grads])
+        for optimizer in optimizers:
+            optimizer.step()
+        a, b = optimizers
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.m.tobytes() == b.m.tobytes()
+        assert a.v.tobytes() == b.v.tobytes()
+
+
 def assert_views_of_slabs(model, optimizer):
     """Each ``.data`` views the parameter slab at its offset, and each
     ``.grad`` the gradient buffer at its offset in its group's window; the
@@ -257,6 +296,36 @@ def test_backward_accumulates_into_the_gradient_buffer(spec, monkeypatch):
     assert optimizer.t == 1 and not optimizer.grad.any()
 
 
+@pytest.mark.parametrize("spec", SPECS[2:], ids=["nice", "glow"])
+def test_steps_in_workspaces_see_the_nll_gradient(spec):
+    """``train_flow`` runs its steps in workspaces lent for the fit: here a
+    full batch, a short one on row views of the same buffers, and two full
+    ones. At every step each update group closes holding exactly the bytes
+    ``nll_gradient`` gives a released copy of the model at that step."""
+    x = np.random.default_rng(14).normal(size=(53, 16)) * 2.0 + 0.5
+    model = build_model(16, spec, seed=15)
+    optimizer = Adam(model, 1e-2)
+    update = optimizer._update
+    expected = []
+
+    def record(group):
+        assert optimizer.grad[: group.stop - group.start].tobytes() == expected[group].tobytes()
+        update(group)
+
+    optimizer._update = record
+    with training.step_workspaces(model, 16):
+        for step, start in enumerate((0, 16, 21, 37)):
+            batch = x[start : start + (5 if step == 1 else 16)]
+            released = build_model(16, spec, seed=15)
+            released.slab[...] = model.slab
+            if step == 0 and isinstance(released, GlowModel):
+                released.initialize_actnorms(batch)
+            expected = np.concatenate([g.ravel() for g in training.nll_gradient(released, batch)])
+            training.nll_tensor(model, batch, init_actnorms=step == 0).backward()
+            optimizer.step()
+    assert optimizer.t == 4
+
+
 def test_step_without_a_backward_updates_with_zero_gradients():
     """A group the backward did not reach is updated by ``step`` as if its
     gradients were zero: the moments of an earlier step carry it."""
@@ -339,11 +408,15 @@ def test_nll_gradient_refuses_a_model_with_an_optimizer_attached(spec):
     assert [g.tobytes() for g in got] == [g.tobytes() for g in expected]
 
 
-def test_optimizer_holds_no_full_gradient_slab(traced_peak):
+@pytest.mark.parametrize(
+    "spec", [GlowSpec(2, 3, (256, 256)), NiceSpec(3, (1000, 1000))], ids=["glow", "nice-paper-width"]
+)
+def test_optimizer_holds_no_full_gradient_slab(spec, traced_peak):
     """For a model of several groups the optimizer allocates its two moment
-    slabs and a buffer of the largest group's size, and a training step
-    allocates no array as large as the slab."""
-    model = build_model(32, GlowSpec(2, 3, (256, 256)), seed=1)
+    slabs and a buffer of the largest group's size, and a training step in
+    its workspaces allocates no array as large as one hidden-to-hidden
+    weight: the nets write their weight gradients into the buffer."""
+    model = build_model(32, spec, seed=1)
     x = np.random.default_rng(3).normal(size=(8, 32))
     with traced_peak() as built:
         optimizer = Adam(model, 1e-3)
@@ -352,12 +425,15 @@ def test_optimizer_holds_no_full_gradient_slab(traced_peak):
     assert len(groups) >= 3
     assert optimizer.grad.size == max(sum(sizes[i] for i in group) for group in groups)
     assert built.peak < 2.5 * model.slab.nbytes
-    training.nll_tensor(model, x, init_actnorms=True).backward()
-    optimizer.step()
-    with traced_peak() as stepped:
-        training.nll_tensor(model, x).backward()
+    with training.step_workspaces(model, len(x)):
+        training.nll_tensor(model, x, init_actnorms=True).backward()
         optimizer.step()
-    assert stepped.peak < model.slab.nbytes
+        with traced_peak() as stepped:
+            training.nll_tensor(model, x).backward()
+            optimizer.step()
+    weight = max(p.data.nbytes for p in model.parameters() if p.data.ndim == 2)
+    assert weight == spec.hidden[-1] ** 2 * 8
+    assert stepped.peak < weight
 
 
 def test_training_releases_the_gradient_views():

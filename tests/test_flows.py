@@ -20,7 +20,7 @@ from isoembed.errors import (
     TrainingError,
 )
 from isoembed.flows import training
-from isoembed.flows.coupling import ParameterSlab, rectify
+from isoembed.flows.coupling import CouplingNet, ParameterSlab, rectify
 from isoembed.flows.glow import GlowStep, LuLinear
 from isoembed.flows import (
     CLAMP,
@@ -32,6 +32,7 @@ from isoembed.flows import (
     NiceSpec,
     apply_flow,
     build_model,
+    dataset_nll,
     flow_forward,
     flow_from_bytes,
     flow_inverse,
@@ -52,7 +53,7 @@ SMALL_GLOW = GlowSpec(levels=2, depth=2, hidden=(8,))
 def randomize(model, seed: int, scale: float = 0.3):
     rng = np.random.default_rng(seed)
     for p in model.parameters():
-        p.data = p.data + rng.normal(0.0, scale, p.data.shape)
+        p.data += rng.normal(0.0, scale, p.data.shape)
     return model
 
 
@@ -209,6 +210,26 @@ class TestNonFiniteChecks:
         ) as caught:
             train_flow(w, GlowSpec(levels=1, depth=1, hidden=(4,)), cfg)
         assert isinstance(caught.value.__cause__, NumericError)
+
+    def test_untrained_net_overflow_surfaces_in_the_first_training_step(self):
+        """A forward without a tape skips the hidden layers of a net whose
+        output layer is zero, so hidden activations that overflow, which
+        ``h @ 0`` would turn into NaN, go unseen by ``dataset_nll``: the
+        initial NLL is that of the identity flow. The first training step's
+        forward runs them and raises."""
+        spec = NiceSpec(couplings=2, hidden=(64,))
+        x = np.full((8, 4), 10.0)
+        model = build_model(4, spec, seed=0)
+        model.levels[0][0][0].net.weights[0].data[...] = 1e308
+        with np.errstate(all="ignore"):
+            assert dataset_nll(model, x) == dataset_nll(build_model(4, spec, seed=0), x)
+            with pytest.raises(NumericError, match=r"^nice step 0\.0 produced"):
+                training.nll_tensor(model, x)
+        cfg = FlowTrainConfig(epochs=1, batch_size=8, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"^step 0: nice step 0\.0 produced non-finite values$"
+        ):
+            train_flow(np.full((8, 4), 1e308), spec, cfg)
 
 
 class TestLogDet:
@@ -451,6 +472,17 @@ class TestForwardWithoutGraph:
         np.testing.assert_allclose(z_chunked, z, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(logdet_chunked, logdet, rtol=1e-12, atol=1e-12)
 
+    def test_inverse_works_in_chunks(self, traced_peak):
+        """Through a net 1000 wide, the inverse of 16,384 rows holds its
+        output and one chunk's hidden activations, not the whole batch's
+        (151.7 MB when it inverted the batch at once)."""
+        model = randomize(build_model(16, NiceSpec(couplings=2, hidden=(1000,)), seed=18), seed=19)
+        z = np.random.default_rng(20).normal(size=(16384, 16))
+        with traced_peak() as traced:
+            x = flow_inverse(model, z)
+        assert traced.peak < 2 * training.FORWARD_CHUNK_ROWS * 1000 * 8
+        np.testing.assert_allclose(flow_forward(model, x)[0], z, atol=1e-9)
+
     def test_actnorm_init_matches_numpy_reference(self):
         batch = np.random.default_rng(56).normal(size=(32, 8)) * 3.0 + 1.0
         model = randomize(build_model(8, SMALL_GLOW, seed=57), seed=58)
@@ -600,7 +632,7 @@ def small_flows(draw):
     model = build_model(dim, spec, seed=draw(st.integers(0, 2**32)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     for p in model.parameters():
-        p.data = rng.normal(size=p.data.shape)
+        p.data[...] = rng.normal(size=p.data.shape)
     if isinstance(model, GlowModel):
         for steps in model.levels:
             for step in steps:
@@ -652,6 +684,39 @@ class TestFormatProperties:
         ):
             loaded = flow_from_bytes(blob)
         assert flow_to_bytes(loaded) == blob
+
+
+class TestUntrainedNet:
+    """Without a tape, a net whose output layer is zero with a +0.0 bias,
+    as every net is built, outputs +0.0 without running its hidden layers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 9),
+        hidden=st.lists(st.integers(1, 12), max_size=3),
+        scale=st.sampled_from([1e-300, 1.0, 1e100]),
+        zeros=st.sampled_from(["built", "negative weights", "negative weights and bias"]),
+    )
+    def test_equals_the_full_computation(self, seed, rows, hidden, scale, zeros):
+        """The full computation is the forward that keeps a tape; a bias
+        with a -0.0 in it makes the net run its layers."""
+        net = CouplingNet.build(3, 4, tuple(hidden), PinnedRng(seed))
+        if zeros != "built":
+            net.weights[-1].data[...] = -0.0
+        if zeros == "negative weights and bias":
+            net.biases[-1].data[::2] = -0.0
+        x = np.random.default_rng(seed).normal(size=(rows, 3)) * scale
+        full = net.kernel(x, keep=True)[0]
+        assert net.kernel(x)[0].tobytes() == full.tobytes()
+
+    def test_runs_no_hidden_layer(self, traced_peak):
+        net = CouplingNet.build(32, 64, (1000, 1000), PinnedRng(21))
+        x = np.random.default_rng(22).normal(size=(256, 32))
+        with traced_peak() as traced:
+            out = net.kernel(x)[0]
+        assert not out.any()
+        assert traced.peak < 256 * 1000 * 8
 
 
 class TestRectifier:
