@@ -8,40 +8,15 @@ routes the rest to its input, so the node's only parent is that input. A
 flow's likelihood is one node over the model's kernel chain
 (``flows.training.nll_tensor``). Each node whose output needs a gradient
 records its parents and a closure; ``Tensor.backward`` runs the closures in
-reverse topological order. Inside ``with no_grad():`` nodes record neither,
-kernels keep no cache, and a forward pass costs only its arithmetic. All
+reverse topological order. A value without a graph (``flow_forward``,
+``nll``) calls the kernel chain without ``keep`` and makes no node. All
 data is float64 and reductions run in fixed index order, so gradients are
 deterministic for a given graph.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Run ops without recording a graph; outputs never require gradients.
-
-    Values are the same as in graph mode. The previous mode is restored on
-    exit, also when the block raises.
-    """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
-def grad_enabled() -> bool:
-    """False inside ``no_grad``: nodes made now record no graph."""
-    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -60,9 +35,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or (
-            _grad_enabled and any(p.requires_grad for p in parents)
-        )
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -122,11 +95,7 @@ def fused(layer, x: Tensor, logdet: Tensor | None = None):
     backward runs also when ``x`` needs no gradient. With ``logdet``, the
     updated log-det is a second node whose closure hands its gradient to the
     layer's node; an output the loss does not reach has zero gradient.
-    Under ``no_grad`` the kernel keeps no cache.
     """
-    if not _grad_enabled:
-        y, contribution, _ = layer.kernel(x.data)
-        return Tensor(y), None if logdet is None else Tensor(logdet.data + contribution)
     y, contribution, cache = layer.kernel(x.data, keep=True)
     logdet_grad = []
 

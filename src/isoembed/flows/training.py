@@ -207,23 +207,29 @@ def apply_flow(model: FlowModel, matrix) -> np.ndarray:
     return flow_forward(model, matrix)[0]
 
 
+def _mean_nll(z: np.ndarray, logdet: np.ndarray) -> np.float64:
+    """The batch mean of ``nll(x)`` from the chain's outputs. ``nll`` and
+    ``nll_tensor`` share this order of operations: the training goldens pin
+    its bits."""
+    per_row = (z * z).sum(axis=1) * 0.5 + logdet * -1.0
+    return per_row.sum() * (1.0 / z.shape[0]) + 0.5 * z.shape[1] * math.log(2.0 * math.pi)
+
+
 def nll_tensor(model: FlowModel, x: np.ndarray, init_actnorms: bool = False) -> ad.Tensor:
     """``nll`` as one graph node over the model's kernel chain, which keeps
-    its tape unless inside ``no_grad``; ``init_actnorms`` data-initializes a
-    glow's actnorms from this batch on the way. The value and the backward's
-    seeds (``g*z + g*z`` with g = 1/2n, and -1/n per row for the log-det)
-    keep this order of operations: the training goldens pin their bits."""
+    its tape; ``init_actnorms`` data-initializes a glow's actnorms from this
+    batch on the way. The backward's seeds (``g*z + g*z`` with g = 1/2n, and
+    -1/n per row for the log-det) keep this order of operations: the
+    training goldens pin their bits."""
     n = x.shape[0]
-    z, logdet, tape = model.kernel(x, ad.grad_enabled(), init_actnorms)
-    per_row = (z * z).sum(axis=1) * 0.5 + logdet * -1.0
-    loss = per_row.sum() * (1.0 / n) + 0.5 * model.dim * math.log(2.0 * math.pi)
+    z, logdet, tape = model.kernel(x, True, init_actnorms)
 
     def backward(grad):
         scale = float(grad) * (1.0 / n)
         gz = z * (scale * 0.5)
         model.backward(tape, gz + gz, np.full(n, -scale), False)
 
-    return ad.Tensor(loss, requires_grad=tape is not None, backward=backward)
+    return ad.Tensor(_mean_nll(z, logdet), requires_grad=True, backward=backward)
 
 
 def nll(model: FlowModel, batch) -> float:
@@ -231,8 +237,8 @@ def nll(model: FlowModel, batch) -> float:
     x = _check_batch(model, batch)
     if x.shape[0] == 0:
         raise EmptyInputError("nll needs a non-empty batch")
-    with ad.no_grad():
-        return float(nll_tensor(model, x).data)
+    z, logdet, _ = model.kernel(x)
+    return float(_mean_nll(z, logdet))
 
 
 def nll_gradient(model: FlowModel, batch) -> list[np.ndarray]:

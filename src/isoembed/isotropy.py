@@ -25,15 +25,12 @@ from .rng import PinnedRng
 from .store import as_matrix
 
 FULL_BATCH = "full"
-# Bytes of gathered rows per operand and block of the sampled cosine
-# estimate; a block holds COSINE_BLOCK_BYTES // (8 * dim) pairs.
-COSINE_BLOCK_BYTES = 1 << 22
-# Bytes of squared entries per block of ``row_norms``. Smaller blocks
-# run as fast, but at 1 MiB the walkthrough's glow rerank peaked 0.6 MB
-# higher: fewer multi-megabyte frees left glibc's heap arranged otherwise.
-NORM_BLOCK_BYTES = 1 << 22
-# Bytes of squared deviations per block of ``dimension_profile``'s std.
-PROFILE_BLOCK_BYTES = 1 << 22
+# Bytes per block of each pass that streams a matrix by rows: ``row_norms``,
+# the sampled cosine's gathers per operand, ``dimension_profile`` and
+# ``scoring``'s in-place passes. Smaller blocks run as fast, but at 1 MiB the
+# walkthrough's glow rerank peaked 0.6 MB higher: fewer multi-megabyte frees
+# left glibc's heap arranged otherwise.
+BLOCK_BYTES = 1 << 22
 # Columns of the projections that ``partition_ratio`` copies into
 # contiguous rows at a time: eight doubles are one cache line of a row.
 PARTITION_COLUMNS = 8
@@ -43,18 +40,23 @@ PARTITION_COLUMNS = 8
 PARTITION_ROWS = 1024
 
 
+def block_rows(dim: int) -> int:
+    """Rows of ``dim`` doubles per BLOCK_BYTES block, at least one."""
+    return max(1, BLOCK_BYTES // (8 * dim))
+
+
 def row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row; for a C-contiguous matrix, bitwise
     equal to ``np.linalg.norm(matrix, axis=1)``.
 
     That call squares the whole matrix into one temporary as large as the
-    input; this squares NORM_BLOCK_BYTES of rows at a time into one C-order
+    input; this squares BLOCK_BYTES of rows at a time into one C-order
     buffer and sums each row as numpy does, so a row's sum never spans
     two blocks.
     """
     n, dim = matrix.shape
     norms = np.empty(n)
-    step = max(1, NORM_BLOCK_BYTES // (8 * dim))
+    step = block_rows(dim)
     squares = np.empty((min(n, step), dim))
     for start in range(0, n, step):
         block = matrix[start : start + step]
@@ -179,7 +181,7 @@ def avg_pairwise_cosine(
         # 2 * pairs * dim doubles, and the pairs' indices alone 16 bytes a
         # pair; blocks bound both, and each pair's dot product is the same
         # whichever block computes it.
-        step = max(1, COSINE_BLOCK_BYTES // (8 * w.shape[1]))
+        step = block_rows(w.shape[1])
         blocks = PinnedRng(seed).index_pair_blocks(pairs, n, step)
         dots = np.empty(pairs)
         for start, (i, j) in zip(range(0, pairs, step), blocks):
@@ -258,14 +260,14 @@ def measure(
 
 def _column_std(w: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """``w.std(axis=0)`` for a C-contiguous matrix of two or more columns,
-    bit for bit, squaring PROFILE_BLOCK_BYTES of deviations at a time.
+    bit for bit, squaring BLOCK_BYTES of deviations at a time.
 
     numpy sums each column of such a matrix row after row. Row 0 of the
     block buffer carries the running sum, so reducing rows 0..m of it
     continues that sum in the same order.
     """
     n, dim = w.shape
-    step = max(1, PROFILE_BLOCK_BYTES // (8 * dim))
+    step = block_rows(dim)
     squares = np.empty((min(n, step) + 1, dim))
     total = np.zeros(dim)
     for start in range(0, n, step):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, ZeroNormError
 from .flows import FlowModel, apply_flow
 from .flows.training import FORWARD_CHUNK_ROWS
-from .isotropy import row_norms
+from .isotropy import block_rows, row_norms
 from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, span_rows
 from .whitening import WhiteningTransform, apply_whitening
 
@@ -33,9 +33,6 @@ SCORER_COLBERT = "colbert"
 SCORER_REPBERT = "repbert"
 TOKEN_WISE = "token_wise"
 SEQUENCE_WISE = "sequence_wise"
-# Bytes of rows per block when ``rank_candidates`` transforms or pools the
-# rows it gathered, in place.
-ROW_BLOCK_BYTES = 1 << 22
 
 
 def _unit_rows(matrix: np.ndarray, context: str) -> np.ndarray:
@@ -80,9 +77,9 @@ def _run_transform(transform, matrix: np.ndarray) -> np.ndarray:
 
 def _block_rows(dim: int) -> int:
     """Rows per post-processing call at width ``dim``: as many whole
-    FORWARD_CHUNK_ROWS chunks as fit in ROW_BLOCK_BYTES, at least one,
+    FORWARD_CHUNK_ROWS chunks as ``block_rows(dim)`` holds, at least one,
     so a flow cuts every block into the chunks it would cut from all rows."""
-    return max(1, ROW_BLOCK_BYTES // (8 * dim * FORWARD_CHUNK_ROWS)) * FORWARD_CHUNK_ROWS
+    return max(1, block_rows(dim) // FORWARD_CHUNK_ROWS) * FORWARD_CHUNK_ROWS
 
 
 def _transform_in_place(transform, rows: np.ndarray) -> np.ndarray:
@@ -144,14 +141,14 @@ class _Spans:
         the first n_sequences of ``rows`` (which the caller owns) and
         returned as a view of them.
 
-        Sequences are pooled ROW_BLOCK_BYTES of means at a time. Sequence k
+        Sequences are pooled ``block_rows(dim)`` means at a time. Sequence k
         starts at row k or later, so a block's means overwrite only rows
         of sequences already summed. Each span is summed by
         ``np.add.reduceat`` as one call over all rows would sum it.
         """
         n = self.counts.size
         ends = self.starts + self.counts
-        step = max(1, ROW_BLOCK_BYTES // (8 * rows.shape[1]))
+        step = block_rows(rows.shape[1])
         for a in range(0, n, step):
             b = min(a + step, n)
             first = self.starts[a]

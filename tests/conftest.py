@@ -1,4 +1,7 @@
+import ctypes
+import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,24 @@ ANISO_PARAMS = SynthParams(
     outlier_scale=20.0,
     seed=1234,
 )
+
+
+@functools.cache
+def blas_core() -> str | None:
+    """The OpenBLAS kernel numpy's matrix products run on (``"SkylakeX"``,
+    ``"Haswell"``, ...), as the library bundled with numpy reports it; None
+    when numpy links another BLAS. The recorded digests hold for one kernel."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def pytest_report_header(config):
+    return f"blas core: {blas_core() or 'not the OpenBLAS bundled with numpy'}"
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,10 @@ from isoembed.flows import (
     apply_flow,
     build_model,
     flow_forward,
+    flow_from_bytes,
     flow_inverse,
+    flow_to_bytes,
+    model_checksum,
     nll,
     nll_gradient,
     train_flow,
@@ -100,8 +103,23 @@ class TestCriterion2WhiteningExactness:
 def perturb(model, seed: int, scale: float):
     rng = np.random.default_rng(seed)
     for p in model.parameters():
-        p.data = p.data + rng.normal(0.0, scale, p.data.shape)
+        p.data += rng.normal(0.0, scale, p.data.shape)
     return model
+
+
+@pytest.mark.parametrize(
+    "spec", [NiceSpec(couplings=2, hidden=(8,)), GlowSpec(levels=2, depth=1, hidden=(8,))],
+    ids=["nice", "glow"],
+)
+def test_perturb_moves_the_slab(spec):
+    """``perturb`` writes the parameters in their slab: the checksum moves
+    with them, and an FLW1 round trip transforms as the perturbed model."""
+    model = perturb(build_model(6, spec, seed=5), 6, 0.3)
+    assert model_checksum(model) != model_checksum(build_model(6, spec, seed=5))
+    loaded = flow_from_bytes(flow_to_bytes(model))
+    x = np.random.default_rng(7).normal(size=(5, 6))
+    for a, b in zip(flow_forward(model, x), flow_forward(loaded, x)):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestCriterion3FlowCorrectness:

@@ -159,8 +159,7 @@ def check_layer(layer, forward, x: np.ndarray, scale: float = 0.3, atol: float =
     analytic = [p.grad for p in params] + [x_param.grad]
 
     def value():
-        with ad.no_grad():
-            return float(loss(ad.constant(x), ad.constant(logdet_param.data)).data)
+        return float(loss(ad.constant(x), ad.constant(logdet_param.data)).data)
 
     numeric = finite_difference(value, [p.data for p in params] + [x])
     for got, want in zip(analytic, numeric):
@@ -212,52 +211,3 @@ class TestFusedFlowLayers:
         ad.add(ad.total(ad.mul(y, y)), ad.total(logdet)).backward()
         assert x.grad is None
         assert all(p.grad is not None for p in layer.parameters())
-
-
-def every_op(p: list[ad.Tensor]) -> list[ad.Tensor]:
-    """Apply each op once, chained; returns every intermediate output."""
-    x, w, v = p
-    outs = list(ad.fused(Affine(w, v), x, ad.constant(np.zeros(4))))
-    outs.append(ad.add(outs[0], v))
-    outs.append(ad.mul(outs[-1], x))
-    outs.append(ad.total(outs[-1]))
-    return outs
-
-
-class TestNoGrad:
-    def params(self):
-        rng = np.random.default_rng(3)
-        return [
-            ad.parameter(rng.normal(size=(4, 3))),
-            ad.parameter(rng.normal(size=(3, 3))),
-            ad.parameter(rng.normal(size=3)),
-        ]
-
-    def test_values_bitwise_equal_to_graph_mode(self):
-        graph = every_op(self.params())
-        with ad.no_grad():
-            plain = every_op(self.params())
-        for g, n in zip(graph, plain):
-            assert g.requires_grad
-            np.testing.assert_array_equal(n.data, g.data)
-
-    def test_records_no_parents_or_closures(self):
-        with ad.no_grad():
-            outs = every_op(self.params())
-        for out in outs:
-            assert not out.requires_grad
-            assert out._parents == ()
-            assert out._backward is None
-
-    def test_mode_restored_after_exception_and_nesting(self):
-        p = ad.parameter(np.ones(2))
-        with pytest.raises(RuntimeError):
-            with ad.no_grad():
-                with ad.no_grad():
-                    pass
-                assert not ad.add(p, 1.0).requires_grad
-                raise RuntimeError("boom")
-        out = ad.total(ad.add(p, 1.0))
-        assert out.requires_grad and out._parents and out._backward is not None
-        out.backward()
-        np.testing.assert_array_equal(p.grad, np.ones(2))

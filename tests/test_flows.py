@@ -298,6 +298,37 @@ class TestNll:
         shuffled = batch[rng.permutation(32)]
         assert nll(model, shuffled) == pytest.approx(nll(model, batch), abs=1e-12)
 
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["fresh", "perturbed"])
+    @pytest.mark.parametrize("spec", [SMALL_NICE, SMALL_GLOW], ids=["nice", "glow"])
+    def test_equals_the_graph_node_bitwise(self, spec, perturbed):
+        """``nll`` runs the kernel chain without a tape and ``nll_tensor``
+        with one; a fresh flow's nets skip their hidden layers only in the
+        first. The values are the same bits."""
+        model = build_model(8, spec, seed=60)
+        if perturbed:
+            randomize(model, seed=61, scale=0.1)
+        x = np.random.default_rng(62).normal(size=(37, 8)) * 2.0 + 0.5
+        assert nll(model, x) == float(training.nll_tensor(model, x).data)
+
+    def test_dataset_nll_weights_its_chunks_by_rows(self):
+        """2,049 rows: a chunk of NLL_CHUNK_ROWS and a chunk of one row.
+        The likelihood values make no graph node."""
+        assert training.NLL_CHUNK_ROWS == 2048
+        model = randomize(build_model(6, SMALL_GLOW, seed=63), seed=64, scale=0.1)
+        x = np.random.default_rng(65).normal(size=(2049, 6))
+        with mock.patch.object(ad.Tensor, "__init__", side_effect=AssertionError("graph node")):
+            value = dataset_nll(model, x)
+        head, tail = (float(training.nll_tensor(model, part).data) for part in (x[:2048], x[2048:]))
+        assert value == (head * 2048 + tail * 1) / 2049
+
+    def test_non_finite_forward_raises(self):
+        model = build_model(4, GlowSpec(levels=1, depth=2, hidden=(4,)), seed=0)
+        model.levels[0][1].actnorm.log_scale.data[...] = 800.0
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^glow step 0\.1 produced non-finite values$"
+        ):
+            nll(model, np.ones((2, 4)))
+
 
 class TestGradients:
     def test_scale_gradient_hand_oracle(self):

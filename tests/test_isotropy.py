@@ -133,7 +133,7 @@ class TestAvgPairwiseCosine:
         default block size, give the value of gathering all pairs at once."""
         w = np.random.default_rng(8).normal(size=(300, 6)) + 0.2
         if block_pairs is not None:
-            monkeypatch.setattr(isotropy, "COSINE_BLOCK_BYTES", 8 * 6 * block_pairs)
+            monkeypatch.setattr(isotropy, "BLOCK_BYTES", 8 * 6 * block_pairs)
         unit = w / np.linalg.norm(w, axis=1)[:, None]
         [(i, j)] = PinnedRng(5).index_pair_blocks(1000, 300, 1000)
         # The recorded digest of these pairs (tests/test_rng.py's RECORDED_PAIRS).
@@ -157,7 +157,7 @@ class TestAvgPairwiseCosine:
         pairs = 1_000_000
         with traced_peak() as traced:
             avg_pairwise_cosine(w, mode="sampled", pairs=pairs, seed=2)
-        assert traced.peak <= w.nbytes + 8 * pairs + 3 * isotropy.COSINE_BLOCK_BYTES
+        assert traced.peak <= w.nbytes + 8 * pairs + 3 * isotropy.BLOCK_BYTES
 
     def test_zero_norm_row_named(self):
         with pytest.raises(ZeroNormError, match="row 1") as caught:
@@ -177,9 +177,9 @@ class TestAvgPairwiseCosine:
 
 class TestRowNorms:
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1000, 8), (333, 17), (50, 100)])
-    @pytest.mark.parametrize("block_bytes", [8, 1000, isotropy.NORM_BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [8, 1000, isotropy.BLOCK_BYTES])
     def test_bitwise_equal_to_linalg_norm(self, shape, block_bytes, monkeypatch):
-        monkeypatch.setattr(isotropy, "NORM_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(isotropy, "BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(shape[0] * shape[1])
         w = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=(shape[0], 1))
         for matrix in (w, w[::2]):
@@ -193,7 +193,7 @@ class TestRowNorms:
         w = np.random.default_rng(3).normal(size=(32_768, 64))
         with traced_peak() as traced:
             isotropy.row_norms(w)
-        assert traced.peak < w[:, 0].nbytes + isotropy.NORM_BLOCK_BYTES + 100_000
+        assert traced.peak < w[:, 0].nbytes + isotropy.BLOCK_BYTES + 100_000
 
 
 class TestGaussianBaseline:
@@ -318,7 +318,7 @@ class TestDimensionProfile:
         w = guard_matrix(32_768, 64)
         with traced_peak() as traced:
             dimension_profile(w)
-        assert traced.peak < isotropy.PROFILE_BLOCK_BYTES + 100_000
+        assert traced.peak < isotropy.BLOCK_BYTES + 100_000
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
     def test_outlier_factor_must_be_positive_and_finite(self, factor):
@@ -482,7 +482,7 @@ class TestBitwiseGuards:
     def test_dimension_profile(self, name, block_rows, monkeypatch):
         w = profile_case(name)
         if block_rows is not None:
-            monkeypatch.setattr(isotropy, "PROFILE_BLOCK_BYTES", 8 * w.shape[1] * block_rows)
+            monkeypatch.setattr(isotropy, "BLOCK_BYTES", 8 * w.shape[1] * block_rows)
         assert profile_digest(dimension_profile(w)) == PROFILE_DIGESTS[name]
 
     def test_cli_measure_artifacts(self, tmp_path, monkeypatch):

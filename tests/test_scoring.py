@@ -24,9 +24,9 @@ from isoembed import (
     rank_candidates,
     repbert_score,
 )
-from isoembed import scoring
+from isoembed import isotropy, scoring
 from isoembed.errors import ConfigurationError, IsoembedError, UnknownIdError, ZeroNormError
-from isoembed.flows import apply_flow
+from isoembed.flows import apply_flow, flow_forward, flow_from_bytes, flow_to_bytes, model_checksum
 from isoembed.scoring import SEQUENCE_WISE, TOKEN_WISE
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY, blocked_corpus
 
@@ -358,7 +358,7 @@ def perturbed_glow(dim: int, seed: int):
     model = GlowModel.build(dim, GlowSpec(levels=2, depth=1, hidden=(3,)), seed=seed)
     rng = np.random.default_rng(seed)
     for p in model.parameters():
-        p.data = p.data + rng.normal(scale=0.2, size=p.data.shape)
+        p.data += rng.normal(scale=0.2, size=p.data.shape)
     return model
 
 
@@ -448,6 +448,17 @@ class TestBulkRankingMatchesPerQueryOracle:
         bulk = rank_candidates(corpus, candidates, scorer=scorer, post=post)
         assert list(bulk) == list(candidates)
         assert_matches_oracle(bulk, per_query_oracle(corpus, candidates, scorer, post))
+
+    def test_perturbed_glow_moves_its_slab(self):
+        """The oracle's glows are perturbed in their slab: the checksum moves
+        with the parameters, and an FLW1 round trip transforms as they do."""
+        model = perturbed_glow(4, 3)
+        fresh = GlowModel.build(4, GlowSpec(levels=2, depth=1, hidden=(3,)), seed=3)
+        assert model_checksum(model) != model_checksum(fresh)
+        loaded = flow_from_bytes(flow_to_bytes(model))
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        for a, b in zip(flow_forward(model, x), flow_forward(loaded, x)):
+            assert a.tobytes() == b.tobytes()
 
     def test_exact_tie_on_a_whitened_simplex(self):
         table = [
@@ -604,7 +615,7 @@ class TestPooledInPlace:
         rows = rng.normal(size=(int(counts.sum()), 5)) * 10.0 ** rng.integers(-5, 5, size=(1, 5))
         starts = np.cumsum(counts) - counts
         expected = np.add.reduceat(rows, starts, axis=0) / counts[:, None]
-        monkeypatch.setattr(scoring, "ROW_BLOCK_BYTES", 8 * 5 * per_block)
+        monkeypatch.setattr(isotropy, "BLOCK_BYTES", 8 * 5 * per_block)
         owned = rows.copy()
         pooled = scoring._Spans([f"s{k}" for k in range(40)], counts).pooled(owned)
         assert pooled.tobytes() == expected.tobytes()
@@ -623,4 +634,4 @@ class TestRankMemory:
         with traced_peak() as traced:
             ranked = rank_candidates(corpus, candidates, scorer, post)
         assert len(ranked) == 40
-        assert traced.peak <= matrix.nbytes + 3 * scoring.ROW_BLOCK_BYTES
+        assert traced.peak <= matrix.nbytes + 3 * isotropy.BLOCK_BYTES
