@@ -326,7 +326,13 @@ def load_run(path) -> RankingRun:
 
 
 def save_run(run: RankingRun, path) -> None:
+    """One "qid Q0 docid rank score tag" line per ranked document, queries
+    in sorted order, written with one call."""
+    tag = run.tag
+    text = "".join(
+        f"{qid} Q0 {doc_id} {rank} {score!r} {tag}\n"
+        for qid in sorted(run.rankings)
+        for rank, (doc_id, score) in enumerate(run.rankings[qid], start=1)
+    )
     with atomic_write(path, text=True) as fh:
-        for qid in sorted(run.rankings):
-            for rank, (doc_id, score) in enumerate(run.rankings[qid], start=1):
-                fh.write(f"{qid} Q0 {doc_id} {rank} {score!r} {run.tag}\n")
+        fh.write(text)

@@ -369,9 +369,10 @@ def cmd_rerank(settings: dict) -> int:
             "colbert requires token_wise granularity; sequence_wise applies "
             "only to repbert"
         )
+    # The candidates file is checked before the larger inputs are read.
+    candidates = load_candidates(settings["candidates"])
     post = _load_post(settings)
     corpus = load_corpus(settings["target_corpus"])
-    candidates = load_candidates(settings["candidates"])
     tag = (
         f"{settings['scorer']}.{settings['post']}.{settings['granularity']}"
         f".c{config_hash(settings)[:8]}.s{settings['seed']}"

@@ -148,6 +148,9 @@ def save_candidates(candidates: dict[str, list[str]], path) -> None:
 
 
 def load_candidates(path) -> dict[str, list[str]]:
+    """Read the lines ``save_candidates`` writes. A malformed line, a
+    repeated qid or a doc id repeated within one query raises ParseError
+    naming ``path:line``."""
     candidates: dict[str, list[str]] = {}
     for line_no, line in text_lines(path):
         try:
@@ -165,5 +168,11 @@ def load_candidates(path) -> dict[str, list[str]]:
             raise ParseError(f"{path}:{line_no}: docs must be a list of strings")
         if qid in candidates:
             raise ParseError(f"{path}:{line_no}: duplicate qid {qid!r}")
+        if len(set(docs)) < len(docs):
+            seen = set()
+            for doc_id in docs:
+                if doc_id in seen:
+                    raise ParseError(f"{path}:{line_no}: query {qid!r}: duplicate doc id {doc_id!r}")
+                seen.add(doc_id)
         candidates[qid] = docs
     return candidates

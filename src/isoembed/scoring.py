@@ -6,8 +6,9 @@ Two aggregators:
   (late interaction; requires token-level vectors, so post-processing must
   be token-wise)
 * repbert: cosine between the mean-pooled query and document vectors
-  (a span's rows are summed with ``np.add.reduceat``, as
-  ``pool_sequences`` does, then divided by its token count)
+  (a span's rows are summed by ``store.span_sums``, with the bits of
+  ``np.add.reduceat``, as ``pool_sequences`` sums them, then divided by
+  its token count)
 
 A post-processor (whitening transform or trained flow) can be applied
 token-wise (transform every token row, then score) or sequence-wise (pool
@@ -26,7 +27,7 @@ from .errors import ConfigurationError, ZeroNormError
 from .flows import FlowModel, apply_flow
 from .flows.training import FORWARD_CHUNK_ROWS
 from .isotropy import block_rows, row_norms
-from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, span_rows
+from .store import EmbeddingCorpus, KIND_DOCUMENT, KIND_QUERY, span_rows, span_sums
 from .whitening import WhiteningTransform, apply_whitening
 
 SCORER_COLBERT = "colbert"
@@ -44,9 +45,10 @@ def _unit_rows(matrix: np.ndarray, context: str) -> np.ndarray:
 
 
 def _token_mean(tokens) -> np.ndarray:
-    """A sequence's token mean, summed as ``pool_sequences`` sums a span."""
+    """A sequence's token mean: its rows summed by ``span_sums``, as
+    ``pool_sequences`` and the ranker sum a span."""
     rows = np.atleast_2d(np.asarray(tokens, dtype=np.float64))
-    return np.add.reduceat(rows, [0], axis=0)[0] / rows.shape[0]
+    return span_sums(rows, [0], [rows.shape[0]])[0] / rows.shape[0]
 
 
 def colbert_score(query_tokens, doc_tokens) -> float:
@@ -67,14 +69,6 @@ def repbert_score(query_tokens, doc_tokens) -> float:
     return float(q @ d / (qn * dn))
 
 
-def _run_transform(transform, matrix: np.ndarray) -> np.ndarray:
-    if transform is None:
-        return matrix
-    if isinstance(transform, WhiteningTransform):
-        return apply_whitening(transform, matrix)
-    return apply_flow(transform, matrix)
-
-
 def _block_rows(dim: int) -> int:
     """Rows per post-processing call at width ``dim``: as many whole
     FORWARD_CHUNK_ROWS chunks as ``block_rows(dim)`` holds, at least one,
@@ -87,9 +81,12 @@ def _transform_in_place(transform, rows: np.ndarray) -> np.ndarray:
     block, each block's result written back over it; each row comes out
     bitwise as from one call on all of ``rows``.
 
-    A one-row matrix product takes BLAS's gemv path, which can round
-    differently from the gemm a whitening runs on more rows, so a one-row
-    tail joins the block before it. Without a transform nothing is copied.
+    A whitening centers each block in place and writes its product back
+    over it (``apply_whitening(..., out=block)``); a flow's result is
+    copied back. A one-row matrix product takes BLAS's gemv path, which can
+    round differently from the gemm a whitening runs on more rows, so a
+    one-row tail joins the block before it. Without a transform nothing is
+    copied.
     """
     if transform is None:
         return rows
@@ -97,7 +94,11 @@ def _transform_in_place(transform, rows: np.ndarray) -> np.ndarray:
     # An edge every ``step`` rows, but none that would leave one row after it.
     edges = [0, *range(step, n - 1, step), n]
     for start, stop in zip(edges, edges[1:]):
-        rows[start:stop] = _run_transform(transform, rows[start:stop])
+        block = rows[start:stop]
+        if isinstance(transform, WhiteningTransform):
+            apply_whitening(transform, block, out=block)
+        else:
+            block[...] = apply_flow(transform, block)
     return rows
 
 
@@ -143,17 +144,16 @@ class _Spans:
 
         Sequences are pooled ``block_rows(dim)`` means at a time. Sequence k
         starts at row k or later, so a block's means overwrite only rows
-        of sequences already summed. Each span is summed by
-        ``np.add.reduceat`` as one call over all rows would sum it.
+        of sequences already summed. ``span_sums`` sums each span with the
+        bits of one ``np.add.reduceat`` over all rows.
         """
         n = self.counts.size
-        ends = self.starts + self.counts
         step = block_rows(rows.shape[1])
         for a in range(0, n, step):
             b = min(a + step, n)
-            first = self.starts[a]
-            sums = np.add.reduceat(rows[first : ends[b - 1]], self.starts[a:b] - first, axis=0)
+            sums = span_sums(rows, self.starts[a:b], self.counts[a:b])
             np.divide(sums, self.counts[a:b, None], out=rows[a:b])
+            del sums  # before the next block's sums are made
         return rows[:n]
 
     def unit_rows(self, rows: np.ndarray, kind: str) -> np.ndarray:

@@ -436,11 +436,90 @@ def rows_of_kind(corpus: EmbeddingCorpus, kind: str) -> np.ndarray:
 def pool_sequences(corpus: EmbeddingCorpus) -> np.ndarray:
     """Mean-pool each sequence's token rows; one output row per sequence,
     in table order."""
-    pooled = np.empty((len(corpus.ids), corpus.dim))
-    if corpus.ids:
-        # The spans partition the rows, so the sorted offsets cut the
-        # matrix into every span once.
-        order = np.argsort(corpus.offsets)
-        sums = np.add.reduceat(corpus.matrix, corpus.offsets[order], axis=0)
-        pooled[order] = sums / corpus.counts[order, None]
-    return pooled
+    sums = span_sums(corpus.matrix, corpus.offsets, corpus.counts)
+    return np.divide(sums, corpus.counts[:, None], out=sums)
+
+
+# numpy's pairwise sum (``pairwise_sum`` in its loops_utils.h.src) adds a
+# run of at most this many rows with eight accumulators; it cuts a longer
+# run in two and adds the halves' sums.
+_PAIRWISE_BLOCK = 128
+
+
+def span_sums(rows: np.ndarray, starts, counts) -> np.ndarray:
+    """Sum of the rows of every span ``[starts[i], starts[i] + counts[i])``
+    (each count >= 1), bitwise as ``np.add.reduceat(rows, starts, axis=0)``
+    sums a span: its first row plus numpy's pairwise sum of the others.
+
+    All spans are summed together, one row position at a time, so the
+    cost does not depend on how varied the counts are; ``reduceat`` runs
+    one short loop per span and column. The working arrays take about as
+    much memory as the result.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    return _pairwise_sums(rows, starts + 1, np.asarray(counts, dtype=np.intp) - 1, starts)
+
+
+def _pairwise_sums(rows, starts, lengths, firsts=None) -> np.ndarray:
+    """Row i: numpy's pairwise sum of ``rows[starts[i] : starts[i] +
+    lengths[i]]`` (-0.0 for none), added to ``rows[firsts[i]]`` if given.
+
+    Runs are taken longest first, so at each row position the runs that
+    still have a row there come first. They are summed an eighth of them
+    at a time: a chunk's eight accumulators take as many rows as the sums.
+    """
+    sums = np.empty((starts.size, rows.shape[1]))
+    order = np.argsort(-lengths, kind="stable")
+    step = max(1, -(-starts.size // 8))
+    for a in range(0, starts.size, step):
+        pick = order[a : a + step]
+        s, n = starts[pick], lengths[pick]
+        res = np.full((pick.size, rows.shape[1]), -0.0)
+        big = int(np.count_nonzero(n > _PAIRWISE_BLOCK))
+        if big:
+            half = n[:big] // 2
+            half -= half % 8
+            res[:big] = _pairwise_sums(rows, s[:big], half)
+            res[:big] += _pairwise_sums(rows, s[:big] + half, n[:big] - half)
+        _block_sums(rows, s[big:], n[big:], res[big:])
+        if firsts is not None:
+            res += rows[firsts[pick]]
+        sums[pick] = res
+    return sums
+
+
+def _block_sums(rows, s, n, res) -> None:
+    """Add numpy's pairwise sum of runs of at most ``_PAIRWISE_BLOCK`` rows
+    (lengths ``n``, descending) to ``res``, which holds -0.0.
+
+    A run of 8 rows or more puts row p into accumulator p % 8 up to its
+    last whole eight rows, combines the accumulators as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then adds its other rows in
+    order; a shorter run adds its rows to -0.0 in order.
+    """
+    if not n.size:
+        return
+    ascending = -n
+
+    def at_least(m: int) -> int:
+        """How many runs have m rows or more: a prefix."""
+        return int(np.searchsorted(ascending, -m, side="right"))
+
+    acc = []
+    for p in range(int(n[0]) + 1):
+        if p >= 8 and p % 8 == 0:
+            # Runs with p rows in accumulators: combined before their rest.
+            a, b = at_least(p + 8), at_least(p)
+            r = [x[a:b] for x in acc]
+            for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+                r[i] += r[j]
+            res[a:b] = r[0]
+        if p == n[0]:
+            break
+        # Runs [0, lo) take row p into an accumulator, runs [lo, hi) add it.
+        lo, hi = at_least(p - p % 8 + 8), at_least(p + 1)
+        if p < 8:
+            acc.append(rows[s[:lo] + p])
+        else:
+            acc[p % 8][:lo] += rows[s[:lo] + p]
+        res[lo:hi] += rows[s[lo:hi] + p]

@@ -94,15 +94,27 @@ def fit_whitening(matrix, eps_rel: float = 1e-8) -> WhiteningTransform:
     )
 
 
-def apply_whitening(transform: WhiteningTransform, matrix) -> np.ndarray:
-    """Map each row x to (x - mu) @ rotation @ eigenvalues^{-1/2}."""
+def apply_whitening(transform: WhiteningTransform, matrix, out=None) -> np.ndarray:
+    """Map each row x to (x - mu) @ rotation @ eigenvalues^{-1/2}.
+
+    By default the result is a new array and ``matrix`` is left as it
+    was. With ``out`` (a float64 array of the matrix's shape, which may be
+    ``matrix`` itself) the rows are centered in ``out`` and the product is
+    written back over them, with the bits of the default call; ``out`` is
+    returned. A non-finite matrix raises ValueError before ``out`` is
+    written.
+    """
     w = as_matrix(matrix)
     if w.shape[1] != transform.dim:
         raise ShapeError(
             f"matrix dim {w.shape[1]} does not match transform dim {transform.dim}"
         )
     scale = 1.0 / np.sqrt(transform.eigenvalues)
-    return (w - transform.mu) @ (transform.rotation * scale)
+    if out is None:
+        return (w - transform.mu) @ (transform.rotation * scale)
+    centered = np.subtract(w, transform.mu, out=out)
+    out[...] = centered @ (transform.rotation * scale)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from isoembed.whitening import fit_whitening, save_whitening
 
 
 class _FailingFile:
-    """Passes the first write through, then raises as a full disk would."""
+    """Passes the first write through, then raises as a full disk would: on
+    the second write, or on closing a file written in one call (as when
+    its buffered contents are flushed at close)."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -34,11 +36,13 @@ class _FailingFile:
 
     def __exit__(self, *exc):
         self.fh.close()
+        if exc[0] is None and self.writes == 1:
+            raise OSError("no space left on device")
 
 
 def fail_writes(monkeypatch, name_part: str = "") -> None:
     """Make files opened by atomic_write whose path contains ``name_part``
-    fail on their second write."""
+    fail on their second write (see ``_FailingFile``)."""
     real_open = open
 
     def opener(path, *args, **kwargs):

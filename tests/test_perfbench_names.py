@@ -123,3 +123,42 @@ def test_corpus_commands_record_the_claimed_spans(tmp_path):
     names = [span[1] for span in tracer.spans]
     assert names.count("whitening.apply") >= 1
     assert names.count("scoring.rank_candidates") == 1
+
+
+@pytest.mark.parametrize("granularity", ["token_wise", "sequence_wise"])
+def test_rerank_whitening_spans_cover_the_gathered_rows(tmp_path, granularity):
+    """``whitening.apply_ms`` times every whitened row of a rerank: the
+    ``whitening.apply`` spans' rows add up to the gathered query and
+    document token rows (token-wise) or their pooled vectors
+    (sequence-wise)."""
+    from isoembed import load_corpus
+    from isoembed.pipeline import load_candidates, run
+    from isoembed.store import KIND_DOCUMENT, KIND_QUERY
+
+    src = tmp_path / "src"
+    assert run(["scenario", "--out-dir", str(src), "--seed", "7", "--n-queries", "5",
+                "--n-docs", "6", "--dim", "16"]) == 0
+    corpus_path, candidates_path = str(src / "corpus.emb"), src / "candidates.jsonl"
+    assert run(["fit-whiten", "--source-corpus", corpus_path,
+                "--out", str(tmp_path / "w.wht")]) == 0
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = run(["rerank", "--target-corpus", corpus_path, "--candidates",
+                    str(candidates_path), "--scorer", "repbert", "--post", "whiten",
+                    "--post-path", str(tmp_path / "w.wht"), "--granularity", granularity,
+                    "--out", str(tmp_path / "w.run")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    corpus, candidates = load_corpus(corpus_path), load_candidates(candidates_path)
+    queries = corpus.locate(KIND_QUERY, [q for q, docs in candidates.items() if docs])
+    docs = corpus.locate(KIND_DOCUMENT, {d: None for ds in candidates.values() for d in ds})
+    if granularity == "token_wise":
+        expected = int(corpus.counts[queries].sum() + corpus.counts[docs].sum())
+    else:
+        expected = queries.size + docs.size
+    applies = [span for span in tracer.spans if span[1] == "whitening.apply"]
+    assert len(applies) >= 2
+    assert sum(span[5]["rows"] for span in applies) == expected

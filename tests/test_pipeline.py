@@ -19,6 +19,7 @@ from isoembed.whitening import fit_whitening, save_whitening
 from isoembed.pipeline import (
     ScenarioParams,
     build_designed_scenario,
+    cli,
     load_candidates,
     run,
     save_candidates,
@@ -97,6 +98,12 @@ class TestScenario:
         with pytest.raises(ParseError, match=f"bad.jsonl:2: {message}"):
             load_candidates(path)
 
+    def test_candidates_duplicate_doc_id(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"qid": "q0", "docs": ["d0"]}\n{"qid": "q1", "docs": ["d1", "d2", "d1"]}\n')
+        with pytest.raises(ParseError, match="bad.jsonl:2: query 'q1': duplicate doc id 'd1'"):
+            load_candidates(path)
+
     def test_candidates_invalid_utf8(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"qid": "q\xe9", "docs": []}\n')
@@ -105,7 +112,9 @@ class TestScenario:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.dictionaries(st.text(max_size=4), st.lists(st.text(max_size=4), max_size=3), max_size=4),
+        st.dictionaries(
+            st.text(max_size=4), st.lists(st.text(max_size=4), max_size=3, unique=True), max_size=4
+        ),
         st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3),
         st.integers(0),
     )
@@ -693,6 +702,24 @@ class TestRerankDataErrors:
         out = tmp_path / "never.run"
         assert self.rerank(workspace / "src" / "corpus.emb", cands, out) == 3
         assert "no document with id 'd-unknown' in corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_document_id_exits_3_before_other_inputs_are_read(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "load_corpus", unread)
+        monkeypatch.setattr(cli, "load_whitening", unread)
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": "q0", "docs": ["d0", "d1", "d0"]}) + "\n")
+        out = tmp_path / "never.run"
+        code = run(["rerank", "--target-corpus", str(workspace / "src" / "corpus.emb"),
+                    "--candidates", str(cands), "--post", "whiten", "--post-path",
+                    str(workspace / "white.wht"), "--out", str(out)])
+        assert code == 3
+        assert f"{cands}:1: query 'q0': duplicate doc id 'd0'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scorer", ["colbert", "repbert"])

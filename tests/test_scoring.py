@@ -600,6 +600,18 @@ class TestBlockwiseTransform:
         assert rows.tobytes() == one_shot.tobytes()
         assert hashlib.sha256(rows.tobytes()).hexdigest() == ONE_SHOT_DIGESTS[kind][height]
 
+    @pytest.mark.parametrize("height", sorted(ONE_SHOT_DIGESTS["whiten"]))
+    def test_whitening_out_matches_the_pure_call(self, block_inputs, height):
+        x, transforms = block_inputs
+        before = x.tobytes()
+        pure = apply_whitening(transforms["whiten"], x[:height])
+        rows = x[:height].copy()
+        assert apply_whitening(transforms["whiten"], rows, out=rows) is rows
+        assert rows.tobytes() == pure.tobytes()
+        other = np.empty_like(rows)
+        assert apply_whitening(transforms["whiten"], x[:height], out=other) is other
+        assert other.tobytes() == pure.tobytes() and x.tobytes() == before
+
     def test_no_transform_copies_nothing(self):
         rows = np.ones((3, 2))
         assert scoring._transform_in_place(None, rows) is rows
@@ -621,6 +633,18 @@ class TestPooledInPlace:
         assert pooled.tobytes() == expected.tobytes()
         assert np.shares_memory(pooled, owned)
 
+    @pytest.mark.parametrize("per_block", [1, 3, 1000])
+    def test_long_spans_pool_as_one_reduceat(self, per_block, monkeypatch):
+        """Spans past 129 rows: their pairwise sums are cut in two."""
+        rng = np.random.default_rng(per_block)
+        counts = np.concatenate([[129, 130, 257], rng.integers(1, 301, size=37)])
+        rows = rng.normal(size=(int(counts.sum()), 5)) * 10.0 ** rng.integers(-5, 5, size=(1, 5))
+        starts = np.cumsum(counts) - counts
+        expected = np.add.reduceat(rows, starts, axis=0) / counts[:, None]
+        monkeypatch.setattr(isotropy, "BLOCK_BYTES", 8 * 5 * per_block)
+        pooled = scoring._Spans([f"s{k}" for k in range(40)], counts).pooled(rows)
+        assert pooled.tobytes() == expected.tobytes()
+
 
 class TestRankMemory:
     @pytest.mark.parametrize("scorer", ["colbert", "repbert"])
@@ -633,5 +657,29 @@ class TestRankMemory:
         post = PostProcessor(fit_whitening(matrix), TOKEN_WISE)
         with traced_peak() as traced:
             ranked = rank_candidates(corpus, candidates, scorer, post)
+        assert len(ranked) == 40
+        assert traced.peak <= matrix.nbytes + 3 * isotropy.BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "granularity, tokens",
+        [(SEQUENCE_WISE, 8), (TOKEN_WISE, 9), (SEQUENCE_WISE, 9), (TOKEN_WISE, 140)],
+    )
+    def test_pooled_spans_take_a_few_blocks_beyond_the_gather(
+        self, granularity, tokens, traced_peak
+    ):
+        """About 36,000 gathered rows in documents of 8 tokens (an in-order
+        sum after the first row), 9 (eight accumulators) or 140 (a run cut
+        in two), pooled after or before whitening."""
+        n_docs = 36_000 // tokens
+        matrix = np.random.default_rng(tokens).normal(size=(40 * 4 + n_docs * tokens, 64)) + 1.0
+        corpus = blocked_corpus(matrix, 40, 4, n_docs, tokens)
+        per_query = n_docs // 40
+        candidates = {
+            f"q{q}": [f"d{d}" for d in range(per_query * q, per_query * (q + 1))]
+            for q in range(40)
+        }
+        post = PostProcessor(fit_whitening(matrix), granularity)
+        with traced_peak() as traced:
+            ranked = rank_candidates(corpus, candidates, "repbert", post)
         assert len(ranked) == 40
         assert traced.peak <= matrix.nbytes + 3 * isotropy.BLOCK_BYTES

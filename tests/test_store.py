@@ -23,7 +23,14 @@ from isoembed import (
     save_corpus,
 )
 from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError, UnknownIdError
-from isoembed.store import KIND_CODES, KIND_DOCUMENT, KIND_QUERY, as_matrix, rows_of_kind
+from isoembed.store import (
+    KIND_CODES,
+    KIND_DOCUMENT,
+    KIND_QUERY,
+    as_matrix,
+    rows_of_kind,
+    span_sums,
+)
 
 
 def tiny_corpus() -> EmbeddingCorpus:
@@ -407,6 +414,56 @@ class TestPooling:
         pooled = pool_sequences(corpus)
         assert pooled.shape[0] == len(corpus.ids)
         np.testing.assert_array_equal(pooled, corpus.matrix)
+
+
+# Span lengths at the edges of numpy's pairwise sum: after a span's first
+# row, fewer than 8 rows are added in order, 8 to 128 rows go through eight
+# accumulators, and a longer run is cut in two (again past 256).
+BOUNDARY_COUNTS = [1, 2, 8, 9, 10, 128, 129, 130, 131, 256, 257, 258]
+
+
+@st.composite
+def span_tables(draw):
+    counts = draw(st.lists(st.one_of(st.sampled_from(BOUNDARY_COUNTS), st.integers(1, 300)),
+                           min_size=1, max_size=12))
+    dim = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(counts)
+    rows = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-6, 7, size=(n, dim))
+    rows[rng.random((n, dim)) < 0.1] = -0.0
+    rows[rng.random((n, dim)) < 0.05] = 0.0
+    return np.array(counts), rows, rng.permutation(len(counts))
+
+
+class TestSpanSums:
+    @settings(max_examples=80, deadline=None)
+    @given(span_tables())
+    def test_bitwise_equal_to_reduceat(self, table):
+        counts, rows, order = table
+        starts = np.cumsum(counts) - counts
+        expected = np.add.reduceat(rows, starts, axis=0)
+        assert span_sums(rows, starts, counts).tobytes() == expected.tobytes()
+        # Spans may come in any order.
+        shuffled = span_sums(rows, starts[order], counts[order])
+        assert shuffled.tobytes() == expected[order].tobytes()
+
+    @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+    def test_negative_zeros_stay_negative(self, count):
+        rows = np.full((count, 3), -0.0)
+        sums = span_sums(rows, [0], [count])
+        assert sums.tobytes() == np.add.reduceat(rows, [0], axis=0).tobytes()
+        assert np.signbit(sums).all()
+
+    def test_pool_sequences_divides_the_reduceat_sums(self):
+        """Table order need not be row order."""
+        rng = np.random.default_rng(3)
+        counts = [140, 1, 9, 3]
+        matrix = rng.normal(size=(sum(counts), 6)) * 1e3
+        offsets = np.cumsum(counts) - counts
+        table = [(f"d{k}", KIND_DOCUMENT, int(offsets[k]), counts[k]) for k in (2, 0, 3, 1)]
+        expected = np.add.reduceat(matrix, offsets, axis=0) / np.array(counts)[:, None]
+        pooled = pool_sequences(table_corpus(matrix, table))
+        assert pooled.tobytes() == expected[[2, 0, 3, 1]].tobytes()
 
 
 class TestRowsOfKind:

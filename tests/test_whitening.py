@@ -160,6 +160,24 @@ class TestApply:
         with pytest.raises(ShapeError):
             apply_whitening(identity_transform(3), np.ones((2, 4)))
 
+    def test_default_call_leaves_its_input(self):
+        rng = np.random.default_rng(19)
+        w = rng.normal(size=(9, 5)) + 2.0
+        before = w.tobytes()
+        apply_whitening(fit_whitening(w), w)
+        assert w.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_raises_before_out_is_written(self, bad):
+        rng = np.random.default_rng(20)
+        t = fit_whitening(rng.normal(size=(30, 4)))
+        block = rng.normal(size=(6, 4))
+        block[-1, -1] = bad
+        before = block.tobytes()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            apply_whitening(t, block, out=block)
+        assert block.tobytes() == before
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
