@@ -690,6 +690,55 @@ class TestRerankRunBytes:
             digests[name] = hashlib.sha256((tmp_path / "r.run").read_bytes()).hexdigest()
         assert digests == self.BLOCK_DIGESTS
 
+    # Recorded from the code that cut a flow's rows into 4,096-row chunks,
+    # joined their outputs and copied them back, and that whitened rows at
+    # width 256 in blocks of 4,096.
+    CHUNK_DIGESTS = {
+        "colbert/glow/token_wise": "09c19cd12155f739c86f17654d1fbde1519db3befa84e0151f72864f12f34c39",
+        "repbert/nice/sequence_wise": "59970bf784283ad55ccb920bf4715424b92bca53f5179ac3ecfc2b1e2b67315b",
+        "colbert/whiten/dim256": "14f9f832fb336ff108a71bbae896295defa46a9c4485c827ba25333db34f467b",
+    }
+
+    def test_flow_chunks_and_wide_blocks(self, tmp_path, monkeypatch):
+        """37 queries x 241 candidates of 2 tokens at width 16: the glow
+        maps 17,834 gathered document rows (four 4,096-row chunks and a
+        tail of 1,450), the NICE 8,917 pooled ones (two chunks and 725).
+        At width 256, 5,335 gathered rows are whitened in 2,048-row blocks."""
+        monkeypatch.chdir(tmp_path)
+        with open("cfg.json", "w", encoding="utf-8") as fh:
+            json.dump({"tokens_per_doc": 2}, fh)
+        assert run(["scenario", "--config", "cfg.json", "--out-dir", ".", "--seed", "5",
+                    "--n-queries", "37", "--n-docs", "241", "--dim", "16"]) == 0
+        fit = ["fit-flow", "--source-corpus", "corpus.emb", "--epochs", "1",
+               "--learning-rate", "1e-3", "--hidden", "16", "--seed", "2"]
+        assert run([*fit, "--arch", "glow", "--levels", "2", "--depth", "1",
+                    "--out", "g.flw"]) == 0
+        assert run([*fit, "--arch", "nice", "--couplings", "2", "--out", "n.flw"]) == 0
+        cases = {
+            "colbert/glow/token_wise": ["--scorer", "colbert", "--post", "glow",
+                                        "--post-path", "g.flw"],
+            "repbert/nice/sequence_wise": ["--scorer", "repbert", "--post", "nice",
+                                           "--post-path", "n.flw",
+                                           "--granularity", "sequence_wise"],
+        }
+        digests = {}
+        for name, flags in cases.items():
+            assert run(["rerank", "--target-corpus", "corpus.emb", "--candidates",
+                        "candidates.jsonl", "--out", "r.run", *flags]) == 0
+            digests[name] = hashlib.sha256((tmp_path / "r.run").read_bytes()).hexdigest()
+        with open("cfg.json", "w", encoding="utf-8") as fh:
+            json.dump({"tokens_per_doc": 5}, fh)
+        assert run(["scenario", "--config", "cfg.json", "--out-dir", "wide", "--seed", "5",
+                    "--n-queries", "11", "--n-docs", "97", "--dim", "256"]) == 0
+        assert 11 * 97 * 5 == 2 * 2048 + 1239
+        assert run(["fit-whiten", "--source-corpus", "wide/corpus.emb", "--out", "w.wht"]) == 0
+        assert run(["rerank", "--target-corpus", "wide/corpus.emb", "--candidates",
+                    "wide/candidates.jsonl", "--out", "r.run", "--scorer", "colbert",
+                    "--post", "whiten", "--post-path", "w.wht"]) == 0
+        digests["colbert/whiten/dim256"] = hashlib.sha256(
+            (tmp_path / "r.run").read_bytes()).hexdigest()
+        assert digests == self.CHUNK_DIGESTS
+
 
 class TestRerankDataErrors:
     def rerank(self, corpus, candidates, out, scorer="colbert"):
