@@ -82,11 +82,11 @@ def _transform_in_place(transform, rows: np.ndarray) -> np.ndarray:
     bitwise as from one call on all of ``rows``.
 
     A whitening centers each block in place and writes its product back
-    over it (``apply_whitening(..., out=block)``); a flow's result is
-    copied back. A one-row matrix product takes BLAS's gemv path, which can
-    round differently from the gemm a whitening runs on more rows, so a
-    one-row tail joins the block before it. Without a transform nothing is
-    copied.
+    over it (``apply_whitening(..., out=block)``); a flow writes each
+    chunk's output over the chunk's rows (``apply_flow(..., out=block)``).
+    A one-row matrix product takes BLAS's gemv path, which can round
+    differently from the gemm a whitening runs on more rows, so a one-row
+    tail joins the block before it. Without a transform nothing is copied.
     """
     if transform is None:
         return rows
@@ -98,7 +98,7 @@ def _transform_in_place(transform, rows: np.ndarray) -> np.ndarray:
         if isinstance(transform, WhiteningTransform):
             apply_whitening(transform, block, out=block)
         else:
-            block[...] = apply_flow(transform, block)
+            apply_flow(transform, block, out=block)
     return rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .bounded import open_bounded
-from .errors import CorpusFormatError, IntegrityError, UnknownIdError
+from .errors import CorpusFormatError, IntegrityError, ShapeError, UnknownIdError
 from .rng import PinnedRng
 
 MAGIC = b"EMB1"
@@ -27,6 +27,11 @@ KIND_QUERY = "query"
 KIND_DOCUMENT = "document"
 KIND_CODES = {KIND_QUERY: 0, KIND_DOCUMENT: 1}  # as EMB1 stores them
 _CODE_KINDS = {code: kind for kind, code in KIND_CODES.items()}
+# Elements per block of ``as_matrix``'s finiteness check (512 KB, within
+# L2): on the 120,800 x 64 rerank-scale matrix the check took 5.4-6.8 ms
+# in these blocks and 7.0-10.1 ms as two reductions over the whole matrix
+# (medians of 15 calls, five alternated runs).
+FINITE_CHECK_ELEMENTS = 1 << 16
 
 
 def as_matrix(values) -> np.ndarray:
@@ -40,10 +45,21 @@ def as_matrix(values) -> np.ndarray:
     if matrix.shape[1] < 1:
         raise ValueError("embedding matrix needs dim >= 1")
     # min and max propagate NaN, and an infinity is one of them, so the
-    # two reductions check every entry without a mask of the matrix's size.
-    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
-        raise ValueError("embedding matrix contains NaN or Inf")
+    # two reductions check every entry without a mask of the matrix's size;
+    # block by block, the max reads what the min left in cache.
+    flat = matrix.reshape(-1)
+    for start in range(0, flat.size, FINITE_CHECK_ELEMENTS):
+        block = flat[start : start + FINITE_CHECK_ELEMENTS]
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise ValueError("embedding matrix contains NaN or Inf")
     return matrix
+
+
+def check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Raise ShapeError unless ``out`` is a float64 array of ``shape``, so
+    that an ``out=`` form neither rounds its result nor broadcasts it."""
+    if out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, the result float64 {shape}")
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import atomic_write
 from .bounded import open_bounded
 from .errors import CorpusFormatError, InsufficientDataError, IntegrityError, ShapeError
-from .store import as_matrix
+from .store import as_matrix, check_out
 
 MAGIC = b"WHT1"
 FORMAT_VERSION = 1
@@ -101,8 +101,8 @@ def apply_whitening(transform: WhiteningTransform, matrix, out=None) -> np.ndarr
     was. With ``out`` (a float64 array of the matrix's shape, which may be
     ``matrix`` itself) the rows are centered in ``out`` and the product is
     written back over them, with the bits of the default call; ``out`` is
-    returned. A non-finite matrix raises ValueError before ``out`` is
-    written.
+    returned. A non-finite matrix raises ValueError, and an ``out`` of
+    another shape or dtype ShapeError, before ``out`` is written.
     """
     w = as_matrix(matrix)
     if w.shape[1] != transform.dim:
@@ -112,6 +112,7 @@ def apply_whitening(transform: WhiteningTransform, matrix, out=None) -> np.ndarr
     scale = 1.0 / np.sqrt(transform.eigenvalues)
     if out is None:
         return (w - transform.mu) @ (transform.rotation * scale)
+    check_out(out, w.shape)
     centered = np.subtract(w, transform.mu, out=out)
     out[...] = centered @ (transform.rotation * scale)
     return out

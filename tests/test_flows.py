@@ -525,6 +525,91 @@ class TestForwardWithoutGraph:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+# Chunk size for the ``out=`` tests: a few rows, so a handful of rows
+# spans several chunks.
+SMALL_CHUNK = 4
+OUT_MODELS = {
+    "nice": randomize(build_model(8, SMALL_NICE, seed=60), seed=61),
+    "glow": randomize(build_model(8, SMALL_GLOW, seed=62), seed=63),
+}
+
+
+class TestApplyFlowOut:
+    """``apply_flow(model, rows, out=...)`` writes each chunk's output into
+    ``out`` as soon as the chunk is mapped."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(OUT_MODELS)),
+        st.integers(0, 3 * SMALL_CHUNK + 2),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_out_has_the_bits_of_the_pure_call(self, arch, n, in_place, seed):
+        model = OUT_MODELS[arch]
+        rows = np.random.default_rng(seed).normal(size=(n, 8)) * 2.0
+        before = rows.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "FORWARD_CHUNK_ROWS", SMALL_CHUNK)
+            pure = apply_flow(model, rows)
+            assert pure.tobytes() == flow_forward(model, rows)[0].tobytes()
+            assert rows.tobytes() == before.tobytes()
+            out = rows if in_place else np.full_like(rows, np.nan)
+            assert apply_flow(model, rows, out=out) is out
+        assert out.tobytes() == pure.tobytes()
+        if not in_place:
+            assert rows.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((5, 8)), np.zeros((7, 8)), np.zeros((6, 7)), np.zeros(48),
+         np.zeros((6, 8), dtype=np.float32)],
+        ids=["fewer-rows", "more-rows", "narrower", "flat", "float32"],
+    )
+    def test_wrong_out_raises_before_anything_is_written(self, out):
+        rows = np.random.default_rng(64).normal(size=(6, 8))
+        with pytest.raises(ShapeError, match="^out is "):
+            apply_flow(OUT_MODELS["glow"], rows, out=out)
+        assert not out.any()
+
+    def test_non_finite_rows_raise_before_anything_is_written(self, monkeypatch):
+        monkeypatch.setattr(training, "FORWARD_CHUNK_ROWS", SMALL_CHUNK)
+        rows = np.random.default_rng(65).normal(size=(3 * SMALL_CHUNK, 8))
+        rows[-1, 3] = np.inf
+        before = rows.tobytes()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            apply_flow(OUT_MODELS["nice"], rows, out=rows)
+        assert rows.tobytes() == before
+
+    def test_numeric_error_leaves_the_earlier_chunks_written(self, monkeypatch):
+        """The second coupling's bias overflows the second chunk's 1e307s."""
+        model = build_model(4, NiceSpec(couplings=2, hidden=(4,)), seed=0)
+        model.levels[0][1][0].net.biases[-1].data[...] = 1.79e308
+        monkeypatch.setattr(training, "FORWARD_CHUNK_ROWS", 2)
+        rows = np.ones((6, 4))
+        rows[2:4, ::2] = 1e307
+        out = np.full(rows.shape, -1.0)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="step 0.1"):
+            apply_flow(model, rows, out=out)
+        assert out[:2].tobytes() == apply_flow(model, rows[:2]).tobytes()
+        assert (out[2:] == -1.0).all()
+
+    @pytest.mark.parametrize("spec", [NiceSpec(couplings=2, hidden=(64,)),
+                                      GlowSpec(levels=2, depth=2, hidden=(64,))],
+                             ids=["nice", "glow"])
+    @pytest.mark.parametrize("chunks", [1, 3, 40])
+    def test_in_place_peak_is_one_chunk_whatever_the_rows(self, spec, chunks, traced_peak):
+        """Mapping rows in place holds one chunk's activations (1,024 rows
+        through nets 64 wide: 0.5 MB per array, 2.3 arrays at the peak),
+        not the rows: joining every chunk's output and copying it back held
+        21 arrays' worth for 40 chunks of 16 columns."""
+        model = randomize(build_model(16, spec, seed=21), seed=22)
+        rows = np.random.default_rng(23).normal(size=(chunks * training.FORWARD_CHUNK_ROWS + 2, 16))
+        with traced_peak() as traced:
+            apply_flow(model, rows, out=rows)
+        assert traced.peak < 3 * training.FORWARD_CHUNK_ROWS * 64 * 8
+
+
 class TestSerialization:
     @pytest.mark.parametrize("spec", [SMALL_NICE, SMALL_GLOW], ids=["nice", "glow"])
     def test_round_trip(self, tmp_path, spec):

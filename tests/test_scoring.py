@@ -25,7 +25,13 @@ from isoembed import (
     repbert_score,
 )
 from isoembed import isotropy, scoring
-from isoembed.errors import ConfigurationError, IsoembedError, UnknownIdError, ZeroNormError
+from isoembed.errors import (
+    ConfigurationError,
+    IsoembedError,
+    ShapeError,
+    UnknownIdError,
+    ZeroNormError,
+)
 from isoembed.flows import apply_flow, flow_forward, flow_from_bytes, flow_to_bytes, model_checksum
 from isoembed.scoring import SEQUENCE_WISE, TOKEN_WISE
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY, blocked_corpus
@@ -611,6 +617,22 @@ class TestBlockwiseTransform:
         other = np.empty_like(rows)
         assert apply_whitening(transforms["whiten"], x[:height], out=other) is other
         assert other.tobytes() == pure.tobytes() and x.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "height, out",
+        [(5, np.zeros((5, 64), dtype=np.float32)), (1, np.zeros((5, 64))),
+         (5, np.zeros((4, 64))), (5, np.zeros(5 * 64))],
+        ids=["float32", "one-row-broadcast", "fewer-rows", "flat"],
+    )
+    def test_whitening_wrong_out_raises_before_anything_is_written(
+        self, block_inputs, height, out
+    ):
+        """A float32 ``out`` would round the product, and a one-row matrix
+        would broadcast into every row of a taller one."""
+        x, transforms = block_inputs
+        with pytest.raises(ShapeError, match="^out is "):
+            apply_whitening(transforms["whiten"], x[:height], out=out)
+        assert not out.any()
 
     def test_no_transform_copies_nothing(self):
         rows = np.ones((3, 2))

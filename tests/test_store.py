@@ -27,6 +27,7 @@ from isoembed.store import (
     KIND_CODES,
     KIND_DOCUMENT,
     KIND_QUERY,
+    FINITE_CHECK_ELEMENTS,
     as_matrix,
     rows_of_kind,
     span_sums,
@@ -64,6 +65,34 @@ class TestAsMatrix:
         else:
             with pytest.raises(ValueError, match="embedding matrix contains NaN or Inf"):
                 as_matrix(values)
+
+    # Three whole blocks of the finiteness check and 92 elements more.
+    WIDE = np.random.default_rng(9).normal(size=(28_100, 7))
+    BLOCK_EDGES = [k * FINITE_CHECK_ELEMENTS + d for k in (1, 2, 3) for d in (-1, 0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (4, 3), WIDE.shape]),
+        st.data(),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_one_bad_entry_anywhere_raises(self, shape, data, bad):
+        """One NaN or infinity at any flat position, block edges included,
+        in a one-element matrix, a small one or one of several blocks."""
+        size = shape[0] * shape[1]
+        edges = [p for p in [0, *self.BLOCK_EDGES, size - 1] if p < size]
+        position = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, size - 1)))
+        values = self.WIDE[: shape[0], : shape[1]].copy()
+        values.reshape(-1)[position] = bad
+        with pytest.raises(ValueError, match="embedding matrix contains NaN or Inf"):
+            as_matrix(values)
+        values.reshape(-1)[position] = 0.5
+        assert as_matrix(values) is values
+
+    @pytest.mark.parametrize("dim", [1, 7])
+    def test_empty_matrix_passes_the_check(self, dim):
+        values = np.empty((0, dim))
+        assert as_matrix(values) is values
 
     def test_check_allocates_nothing_of_the_matrix_size(self, traced_peak):
         """An 8 MB matrix is checked without a mask of its entries (1 MB)."""
