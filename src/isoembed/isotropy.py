@@ -27,11 +27,10 @@ from .store import as_matrix
 FULL_BATCH = "full"
 # Bytes per block of each pass that streams a matrix by rows: ``row_norms``,
 # the sampled cosine's gathers per operand, ``dimension_profile`` and
-# ``scoring``'s in-place passes. Smaller blocks run as fast. While a flow's
-# output was joined and copied back, the walkthrough's glow rerank peaked
-# 0.6 MB higher at 1 MiB; with flows mapping rows in place, its colbert and
-# repbert reranks peak at 48.7 and 47.6 MB in a fresh process at 4 MiB and
-# at 47.5 and 47.4 MB at 1 MiB.
+# ``scoring``'s in-place passes. Smaller blocks run as fast, and peak no
+# higher: in a fresh process the walkthrough's colbert and repbert glow
+# reranks peak at 48.7 and 47.6 MB with 4 MiB blocks, 47.5 and 47.4 MB
+# with 1 MiB ones.
 BLOCK_BYTES = 1 << 22
 # Columns of the projections that ``partition_ratio`` copies into
 # contiguous rows at a time: eight doubles are one cache line of a row.
