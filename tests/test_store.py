@@ -24,10 +24,10 @@ from isoembed import (
 )
 from isoembed.errors import CorpusFormatError, IntegrityError, IsoembedError, UnknownIdError
 from isoembed.store import (
+    FINITE_CHECK_ELEMENTS,
     KIND_CODES,
     KIND_DOCUMENT,
     KIND_QUERY,
-    FINITE_CHECK_ELEMENTS,
     as_matrix,
     rows_of_kind,
     span_sums,
