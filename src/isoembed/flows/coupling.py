@@ -4,7 +4,10 @@ A coupling layer calls its net's ``kernel`` and ``backward`` directly, so
 the layer is one graph node; ``Coupling`` is what both couplings share.
 
 The output layer starts at zero so every freshly built flow is the
-identity map; hidden layers use seeded He-style initialization.
+identity map; hidden layers use seeded He-style initialization. While the
+output layer is all zero, which holds until a fit's first update, a net
+runs no hidden layer: not in a forward without a tape, and not in a
+backward, whose hidden and input gradients are then exactly +0.0.
 
 Every flow's parameters live in one flat slab: ``ParameterSlab`` hands out
 its consecutive views in parameter-traversal order. A seeded build and an
@@ -87,8 +90,20 @@ class CouplingNet:
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
         """A parameter whose ``.grad`` is an array (an optimizer's buffer)
         has its gradient written there: each gets exactly one per backward.
-        One whose ``.grad`` is None accumulates as usual."""
+        One whose ``.grad`` is None accumulates as usual.
+
+        An output layer whose weights are all zero (as built; -0.0 counts)
+        passes no gradient down. After its own gradients, such a net writes
+        +0.0 into every hidden parameter's gradient and returns a +0.0 input
+        gradient, reading neither the hidden weights nor the tape below.
+        With a finite ``grad`` the full chain gives the same bits: ``grad @
+        W.T`` is +0.0 (the sum of signed zeros starts from +0.0), and every
+        mask product, sum and product of finite values with it stays +0.0.
+        A non-finite ``grad`` takes the full chain. (A hidden activation
+        that overflowed would have made a weight gradient NaN; it makes the
+        taped output NaN too, and training stops at that loss.)"""
         inputs, masks, work = cache
+        last = len(self.weights) - 1
         for i in reversed(range(len(self.weights))):
             if i < len(masks):
                 grad *= masks[i]
@@ -101,6 +116,13 @@ class CouplingNet:
                 w._accumulate(inputs[i].T @ grad)
             else:
                 np.matmul(inputs[i].T, grad, out=w.grad)
+            if i == last and not w.data.any() and np.isfinite(grad).all():
+                for p in self.parameters()[:-2]:
+                    if p.grad is None:
+                        p._accumulate(np.zeros(p.data.shape))
+                    else:
+                        p.grad.fill(0.0)
+                return np.zeros((grad.shape[0], self.weights[0].data.shape[0])) if need_dx else None
             if i == 0:
                 return grad @ w.data.T if need_dx else None
             # In a workspace, layer i's input gradient overwrites its input,

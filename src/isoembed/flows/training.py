@@ -90,6 +90,13 @@ class Adam:
     ``backward``) would mix groups in the buffer, so ``nll_gradient``
     refuses a model whose optimizer is not released. Write parameter values
     in place (``p.data[...] =``).
+
+    At the first step (``t == 0``) both moments are +0.0, so a block whose
+    gradient is all zero (either sign) leaves p, m and v bit for bit as
+    they are: m = +0·b1 + ±0·(1-b1) = +0, v = +0, and p - (+0) = p. Such a
+    block only has its gradient zero-filled. In a fit's first step every
+    block that lies within a coupling net's hidden layers is one (see
+    ``CouplingNet.backward``).
     """
 
     def __init__(self, model: FlowModel, learning_rate: float):
@@ -136,6 +143,9 @@ class Adam:
             block = slice(start, min(start + ADAM_BLOCK, group.stop))
             p, m, v = self.data[block], self.m[block], self.v[block]
             g = self.grad[start - group.start : block.stop - group.start]
+            if self.t == 0 and not g.any():
+                g.fill(0.0)  # p, m and v would keep their bits
+                continue
             a, b = (buf[: p.size] for buf in self._scratch)
             np.multiply(m, ADAM_BETA_1, out=m)
             np.multiply(g, 1 - ADAM_BETA_1, out=a)

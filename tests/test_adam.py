@@ -444,3 +444,78 @@ def test_training_releases_the_gradient_views():
     assert "layer_done" not in vars(model)
     slab = params[0].data.base
     assert slab is not None and all(p.data.base is slab for p in params)
+
+
+def zero_state_model(rng):
+    """Two layers of one block each, and so two groups, whose starting
+    values hold -0.0 entries."""
+    start = [rng.normal(size=ADAM_BLOCK) for _ in range(2)]
+    for p in start:
+        p[::5] = -0.0
+    return SlabModel([[start[0]], [start[1]]]), start
+
+
+def zero_gradient(rng):
+    """All zero, a third of it -0.0."""
+    g = np.zeros(ADAM_BLOCK)
+    g[rng.integers(3, size=ADAM_BLOCK) == 0] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_step_leaves_a_zero_gradient_block_as_it_is(seed):
+    """At t == 0 both moments are +0.0: a block whose gradient is zero of
+    either sign keeps p, m and v bit for bit, and its gradient is left
+    +0.0. It is the first layer's, so its group closes last and nothing
+    overwrites its part of the buffer. A block with one nonzero element is
+    updated as the formula says."""
+    rng = np.random.default_rng(seed)
+    model, start = zero_state_model(rng)
+    slow = [ad.parameter(a) for a in start]
+    optimizer = Adam(model, 1e-2)
+    oracle = PerParameterAdam(slow, 1e-2)
+    one = zero_gradient(rng)
+    one[rng.integers(ADAM_BLOCK)] = rng.normal()
+    grads = [zero_gradient(rng), one]
+    assert np.signbit(grads[0]).any() and np.signbit(start[0]).any()
+    for s, g in zip(slow, grads):
+        s.grad = g.copy()
+    model.backward(grads)
+    zero = slice(0, ADAM_BLOCK)
+    assert model.slab[zero].tobytes() == start[0].tobytes()
+    assert optimizer.m[zero].tobytes() == optimizer.v[zero].tobytes() == np.zeros(ADAM_BLOCK).tobytes()
+    assert optimizer.grad.tobytes() == np.zeros(optimizer.grad.size).tobytes()
+    optimizer.step()
+    oracle.step()
+    moved = ADAM_BLOCK + np.flatnonzero(one)
+    assert optimizer.m[moved].all() and optimizer.v[moved].all()
+    assert model.slab[moved] != start[1][moved - ADAM_BLOCK]
+    for f, s in zip(model.parameters(), slow):
+        assert f.data.tobytes() == s.data.tobytes()
+    oracle.assert_matches(optimizer)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_later_steps_decay_the_moments_of_a_zero_gradient_block(seed):
+    """At t >= 1 a zero-gradient block still scales m by beta_1 and v by
+    beta_2 and moves p by them."""
+    rng = np.random.default_rng(seed)
+    model, start = zero_state_model(rng)
+    slow = [ad.parameter(a) for a in start]
+    optimizer = Adam(model, 1e-2)
+    oracle = PerParameterAdam(slow, 1e-2)
+    for grads in ([rng.normal(size=ADAM_BLOCK) for _ in range(2)],
+                  [zero_gradient(rng), zero_gradient(rng)]):
+        for s, g in zip(slow, grads):
+            s.grad = g.copy()
+        before = [a.copy() for a in (model.slab, optimizer.m, optimizer.v)]
+        model.backward(grads)
+        optimizer.step()
+        oracle.step()
+        for f, s in zip(model.parameters(), slow):
+            assert f.data.tobytes() == s.data.tobytes()
+        oracle.assert_matches(optimizer)
+    slab, m, v = before
+    np.testing.assert_array_equal(optimizer.m, m * ADAM_BETA_1)
+    np.testing.assert_array_equal(optimizer.v, v * ADAM_BETA_2)
+    assert (model.slab != slab).all()

@@ -1,6 +1,7 @@
 """Flow models: exact inverses, log-determinants against numerical
 Jacobians, gradients against finite differences, and training contracts."""
 
+import functools
 import hashlib
 import math
 import struct
@@ -833,6 +834,108 @@ class TestUntrainedNet:
             out = net.kernel(x)[0]
         assert not out.any()
         assert traced.peak < 256 * 1000 * 8
+
+
+def chain_backward(net, cache, grad, logdet_grad, need_dx):
+    """The coupling net's backward layer by layer in full: every hidden
+    product runs, whatever the output layer holds."""
+    inputs, masks, work = cache
+    for i in reversed(range(len(net.weights))):
+        if i < len(masks):
+            grad *= masks[i]
+        w, b = net.weights[i], net.biases[i]
+        if b.grad is None:
+            b._accumulate(grad.sum(axis=0))
+        else:
+            grad.sum(axis=0, out=b.grad)
+        if w.grad is None:
+            w._accumulate(inputs[i].T @ grad)
+        else:
+            np.matmul(inputs[i].T, grad, out=w.grad)
+        if i == 0:
+            return grad @ w.data.T if need_dx else None
+        grad = np.matmul(grad, w.data.T, out=None if work is None else inputs[i])
+
+
+def run_net_backward(backward, net, x, grad, need_dx, buffered):
+    """A taped forward of ``x``, then ``backward``; returns the bytes of the
+    input gradient (None without ``need_dx``) and of every parameter's
+    gradient. ``buffered`` points each ``.grad`` at a view of one NaN-filled
+    buffer, as an optimizer does; otherwise ``.grad`` starts as None."""
+    params = net.parameters()
+    buffer = np.full(sum(p.data.size for p in params), np.nan)
+    offset = 0
+    for p in params:
+        p.grad = buffer[offset : offset + p.data.size].reshape(p.data.shape) if buffered else None
+        offset += p.data.size
+    cache = net.kernel(x, keep=True)[2]
+    dx = backward(cache, grad.copy(), None, need_dx)
+    return None if dx is None else dx.tobytes(), [p.grad.tobytes() for p in params]
+
+
+class TestUntrainedNetBackward:
+    """A net whose output weights are all zero (-0.0 included) writes its
+    output layer's gradients and gives +0.0 to every hidden parameter and to
+    the input without running its hidden layers: the full chain's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 9),
+        hidden=st.lists(st.integers(1, 12), max_size=3),
+        scale=st.sampled_from([1e-300, 1.0, 1e100]),
+        output=st.sampled_from(["built", "negative zeros", "one nonzero"]),
+        buffered=st.booleans(),
+        need_dx=st.booleans(),
+    )
+    def test_equals_the_full_chain(self, seed, rows, hidden, scale, output, buffered, need_dx):
+        net = CouplingNet.build(3, 4, tuple(hidden), PinnedRng(seed))
+        w_out = net.weights[-1].data
+        if output == "negative zeros":
+            w_out[...] = -0.0
+        elif output == "one nonzero":
+            w_out[seed % w_out.shape[0], seed % 4] = 0.5
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, 3)) * scale
+        grad = rng.normal(size=(rows, 4))
+        got = run_net_backward(net.backward, net, x, grad, need_dx, buffered)
+        oracle = functools.partial(chain_backward, net)
+        assert got == run_net_backward(oracle, net, x, grad, need_dx, buffered)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["built", "negative"])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["none", "buffer"])
+    def test_reads_no_hidden_weight(self, buffered, zero):
+        """Hidden weights overwritten with NaN after the taped forward: the
+        hidden and input gradients stay +0.0 (the full chain gives NaN)."""
+        net = CouplingNet.build(3, 4, (5, 6), PinnedRng(8))
+        net.weights[-1].data[...] = zero
+        params = net.parameters()
+        x = np.random.default_rng(9).normal(size=(7, 3))
+        grad = np.random.default_rng(10).normal(size=(7, 4))
+        for p in params:
+            p.grad = np.full(p.data.shape, np.nan) if buffered else None
+        cache = net.kernel(x, keep=True)[2]
+        for w in net.weights[:-1]:
+            w.data[...] = np.nan
+        dx = net.backward(cache, grad, None, True)
+        assert dx.tobytes() == np.zeros((7, 3)).tobytes()
+        for p in params[:-2]:
+            assert p.grad.tobytes() == np.zeros(p.data.shape).tobytes()
+        assert np.isfinite(params[-2].grad).all() and params[-2].grad.any()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["none", "buffer"])
+    def test_a_non_finite_gradient_takes_the_full_chain(self, bad, buffered):
+        """Its bits, NaN included, are the full chain's."""
+        net = CouplingNet.build(3, 4, (5, 6), PinnedRng(11))
+        x = np.random.default_rng(12).normal(size=(6, 3))
+        grad = np.random.default_rng(13).normal(size=(6, 4))
+        grad[2, 1] = bad
+        oracle = functools.partial(chain_backward, net)
+        with np.errstate(invalid="ignore"):
+            got = run_net_backward(net.backward, net, x, grad, True, buffered)
+            assert got == run_net_backward(oracle, net, x, grad, True, buffered)
+        assert np.isnan(np.frombuffer(got[0])).any()
 
 
 class TestRectifier:
