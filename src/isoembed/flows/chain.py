@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..errors import NumericError
-from .coupling import ParameterSlab
+from .coupling import Coupling, ParameterSlab
 
 
 class Scale:
@@ -93,16 +93,27 @@ class FlowModel:
         self.levels = levels
         self.sizes = sizes  # active columns entering each level
         self.slab = slab  # every parameter's data, in traversal order
+        check_tiling(self.parameters(), slab)
 
     def parameters(self) -> list[ad.Tensor]:
         return [p for params in self.layer_parameters() for p in params]
 
     def layer_parameters(self) -> list[list[ad.Tensor]]:
-        """Each layer's parameters, in traversal order."""
-        return [layer.parameters() for steps in self.levels for step in steps for layer in step]
+        """Each layer's parameters, in traversal order; each parameter of a
+        coupling's net is an entry of its own."""
+        entries = []
+        for steps in self.levels:
+            for step in steps:
+                for layer in step:
+                    if isinstance(layer, Coupling):
+                        entries.extend([p] for p in layer.parameters())
+                    else:
+                        entries.append(layer.parameters())
+        return entries
 
     def layer_done(self) -> None:
-        """``backward`` calls this after each layer; an optimizer hooks in here."""
+        """``backward`` calls this after each entry of ``layer_parameters``;
+        an optimizer hooks in here."""
 
     def forward_tensors(self, x: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         return ad.fused(self, x, ad.constant(np.zeros(x.data.shape[0])))
@@ -131,7 +142,8 @@ class FlowModel:
         return z, logdet, tape if keep else None
 
     def backward(self, tape, grad: np.ndarray, logdet_grad, need_dx: bool):
-        """The layers' backwards in reverse, each followed by ``layer_done``.
+        """The layers' backwards in reverse, each followed by ``layer_done``;
+        a coupling's net calls it after each of its parameters instead.
         Entering a level, the input gradient of the level above joins the
         gradient of the columns it factored out as zeros plus each part."""
         caches = reversed(tape)
@@ -143,8 +155,12 @@ class FlowModel:
                 dx += 0.0
             for step in reversed(steps):
                 for layer in reversed(step):
-                    dx = layer.backward(next(caches), dx, logdet_grad, need_dx or layer is not first)
-                    self.layer_done()
+                    need = need_dx or layer is not first
+                    if isinstance(layer, Coupling):
+                        dx = layer.backward(next(caches), dx, logdet_grad, need, self.layer_done)
+                    else:
+                        dx = layer.backward(next(caches), dx, logdet_grad, need)
+                        self.layer_done()
         return dx
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
@@ -158,3 +174,22 @@ class FlowModel:
                     raise NumericError(f"{self.name} step {li}.{si} inverse produced non-finite values")
                 x[:, :size] = h
         return x
+
+
+def check_tiling(params: list[ad.Tensor], slab: np.ndarray) -> None:
+    """Raise ValueError unless ``params``, in order, are consecutive views
+    that tile the flat float64 ``slab`` exactly. Compares each view's base
+    and byte offset; copies nothing."""
+    if slab.dtype != np.float64 or slab.ndim != 1 or not slab.flags.c_contiguous:
+        raise ValueError("the parameter slab must be one contiguous float64 vector")
+    owner = slab if slab.base is None else slab.base
+    start = slab.__array_interface__["data"][0]
+    offset = 0
+    for i, p in enumerate(params):
+        data = p.data
+        at = data.__array_interface__["data"][0]
+        if data.base is not owner or not data.flags.c_contiguous or at != start + offset * slab.itemsize:
+            raise ValueError(f"parameter {i} is not the slab's view at element {offset}")
+        offset += data.size
+    if offset != slab.size:
+        raise ValueError(f"the parameters tile {offset} of {slab.size} slab elements")

@@ -12,8 +12,9 @@ backward, whose hidden and input gradients are then exactly +0.0.
 Every flow's parameters live in one flat slab: ``ParameterSlab`` hands out
 its consecutive views in parameter-traversal order. A seeded build and an
 FLW1 load lay a model over a slab with the same assembly code, which must
-use up the slab; the model keeps it as ``model.slab``, and training updates
-it in place. The seeded slab starts at zero and each hidden weight is drawn
+use up the slab; the model keeps it as ``model.slab``, checks that its
+parameters tile it (``chain.check_tiling``), and training updates it in
+place. The seeded slab starts at zero and each hidden weight is drawn
 straight into its view.
 """
 
@@ -59,8 +60,10 @@ class CouplingNet:
         return ad.fused(self, x)[0]
 
     def kernel(self, x: np.ndarray, keep: bool = False):
-        """The cache holds each layer's input and rectifier mask, and the
-        workspace (``self.work``) the layers wrote into, if one is lent.
+        """The cache holds each layer's input, and the workspace
+        (``self.work``) the layers wrote into, if one is lent. It holds no
+        rectifier mask: the backward reads each one back from the rectified
+        activation, which is > 0 exactly where the pre-activation was.
 
         Without a cache, a net whose output layer is all zero with a +0.0
         bias (as built) outputs +0.0 and runs no hidden layer. With finite
@@ -72,7 +75,7 @@ class CouplingNet:
             return np.zeros((x.shape[0], w_out.shape[1])), None, None
         work = self.work if keep else None
         rows = x.shape[0]
-        inputs, masks = [], []
+        inputs = []
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -82,59 +85,80 @@ class CouplingNet:
             h = np.matmul(h, w.data, out=work.hidden[i][:rows] if lent else None)
             h += b.data
             if i != last:
-                mask = rectify(h, work.masks[i][:rows] if lent else None)
-                if keep:
-                    masks.append(mask)
-        return h, None, (inputs, masks, work) if keep else None
+                rectify(h)
+        return h, None, (inputs, work) if keep else None
 
-    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
+    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool, layer_done=None):
         """A parameter whose ``.grad`` is an array (an optimizer's buffer)
         has its gradient written there: each gets exactly one per backward.
         One whose ``.grad`` is None accumulates as usual.
 
+        ``layer_done`` (if given) is called once per parameter, in reverse
+        parameter order, as soon as the parameter's gradient is written and
+        the backward reads the parameter no more: a bias right after its
+        gradient, a weight after the input gradient ``grad @ W.T`` that
+        reads it. An optimizer may update the parameter then.
+
+        Each hidden layer's rectifier mask is read back as ``out > 0`` from
+        its rectified output (the next layer's input), just before the
+        input gradient overwrites that output in a workspace; it goes into
+        the workspace's one mask buffer.
+
         An output layer whose weights are all zero (as built; -0.0 counts)
         passes no gradient down. After its own gradients, such a net writes
         +0.0 into every hidden parameter's gradient and returns a +0.0 input
-        gradient, reading neither the hidden weights nor the tape below.
+        gradient, reading neither the hidden weights nor the tape below; it
+        still calls ``layer_done`` after each parameter.
         With a finite ``grad`` the full chain gives the same bits: ``grad @
         W.T`` is +0.0 (the sum of signed zeros starts from +0.0), and every
         mask product, sum and product of finite values with it stays +0.0.
         A non-finite ``grad`` takes the full chain. (A hidden activation
         that overflowed would have made a weight gradient NaN; it makes the
         taped output NaN too, and training stops at that loss.)"""
-        inputs, masks, work = cache
+        inputs, work = cache
+        done = layer_done or (lambda: None)
         last = len(self.weights) - 1
+        mask = None
         for i in reversed(range(len(self.weights))):
-            if i < len(masks):
-                grad *= masks[i]
+            if mask is not None:
+                grad *= mask
             w, b = self.weights[i], self.biases[i]
             if b.grad is None:
                 b._accumulate(grad.sum(axis=0))
             else:
                 grad.sum(axis=0, out=b.grad)
+            done()
             if w.grad is None:
                 w._accumulate(inputs[i].T @ grad)
             else:
                 np.matmul(inputs[i].T, grad, out=w.grad)
             if i == last and not w.data.any() and np.isfinite(grad).all():
-                for p in self.parameters()[:-2]:
+                done()
+                for p in reversed(self.parameters()[:-2]):
                     if p.grad is None:
                         p._accumulate(np.zeros(p.data.shape))
                     else:
                         p.grad.fill(0.0)
+                    done()
                 return np.zeros((grad.shape[0], self.weights[0].data.shape[0])) if need_dx else None
             if i == 0:
-                return grad @ w.data.T if need_dx else None
+                dx = grad @ w.data.T if need_dx else None
+                done()
+                return dx
+            out = inputs[i]
+            mask = np.greater(out, 0, out=None if work is None else work.mask[: out.size].reshape(out.shape))
             # In a workspace, layer i's input gradient overwrites its input,
-            # which the weight gradient just computed was the last to read.
-            grad = np.matmul(grad, w.data.T, out=None if work is None else inputs[i])
+            # which the weight gradient and the mask just read last.
+            grad = np.matmul(grad, w.data.T, out=None if work is None else out)
+            done()
 
 
 class NetWorkspace:
     """Buffers a coupling net's training forward and backward write into
     instead of allocating, for batches of up to ``rows`` rows: each hidden
     layer's activations, which its backward then overwrites with their
-    gradients, and its rectifier mask.
+    gradients, and one mask buffer, as large as the widest hidden layer's
+    activations, that the backward reads each rectifier mask into.
 
     A tape views the buffers its forward wrote, so whoever lends a net a
     workspace (``net.work``) must run each forward's backward before the
@@ -143,20 +167,18 @@ class NetWorkspace:
     def __init__(self, net: CouplingNet, rows: int):
         widths = [w.data.shape[1] for w in net.weights[:-1]]
         self.hidden = [np.empty((rows, width)) for width in widths]
-        self.masks = [np.empty((rows, width), dtype=bool) for width in widths]
+        self.mask = np.empty(rows * max(widths, default=0), dtype=bool)
 
 
-def rectify(h: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """ReLU in place; returns the mask of the entries that were > 0 (written
-    into ``mask`` if given). Every other entry becomes +0.0: negatives,
-    -inf, NaN and -0.0."""
-    mask = np.greater(h, 0, out=mask)
+def rectify(h: np.ndarray) -> None:
+    """ReLU in place. Entries > 0 keep their bits, so afterwards ``h > 0``
+    is the mask of the entries that were > 0; every other entry becomes
+    +0.0: negatives, -inf, NaN and -0.0."""
     # fmax maps NaN to 0 (maximum would keep it). Outside its vector loop
     # numpy's fmax keeps -0.0; adding +0.0 makes that +0.0 and changes no
     # other value.
     np.fmax(h, 0.0, out=h)
     h += 0.0
-    return mask
 
 
 class Coupling:
@@ -182,13 +204,15 @@ class Coupling:
         y[:, self.moved_idx] = moved
         return y, contribution, (net_cache, cache) if keep else None
 
-    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
+    def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool, layer_done=None):
+        """``layer_done`` is handed to the net's backward, which calls it
+        after each of the net's parameters."""
         net_cache, cache = cache
         # In C order: the net's bias gradient sums rows in an order set by
         # the layout, and ``grad[:, idx]`` is in Fortran order.
         grad_moved = grad.take(self.moved_idx, axis=1)
         grad_out, grad_x_moved = self._transform_backward(cache, grad_moved, logdet_grad)
-        grad_cond = self.net.backward(net_cache, grad_out, None, need_dx)
+        grad_cond = self.net.backward(net_cache, grad_out, None, need_dx, layer_done)
         if not need_dx:
             return None
         dx = np.empty(grad.shape)

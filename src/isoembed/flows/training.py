@@ -79,12 +79,18 @@ class Adam:
     made during the backward pass as each layer's gradients become final.
 
     The moments live in two slabs of ``model.slab``'s length. The model's
-    backward calls ``model.layer_done`` after each layer, in reverse
-    traversal order. In that order, layers form update groups that close at
-    ADAM_BLOCK elements or at the first layer. Each parameter's ``.grad`` is
-    a fixed view at its offset in its group's window of one shared buffer
-    (the largest group's size). A closing group's slab range is updated in
-    blocks, each gradient block zeroed once used. ``step`` updates any group
+    backward calls ``model.layer_done`` after each entry of
+    ``model.layer_parameters()``, in reverse traversal order: after each
+    flow layer, and within a coupling after each parameter of its net. In
+    that order, the entries form update groups that close at ADAM_BLOCK
+    elements or at the first entry. Each parameter's ``.grad`` is a fixed
+    view at its offset in its group's window of one shared buffer (the
+    largest group's size). At the paper's 5x1000 widths that is one hidden
+    layer's bias and weight, 1,001,000 elements: a net's small output layer
+    and bias close a group with the next hidden bias, where a whole output
+    layer short of ADAM_BLOCK would close one with the next hidden layer. A
+    closing group's slab range is updated in blocks, each gradient block
+    zeroed once used. ``step`` updates any group
     the backward did not reach (zero gradient) and ends the step. A backward
     run without the hook while the optimizer is attached (a layer's own
     ``backward``) would mix groups in the buffer, so ``nll_gradient``

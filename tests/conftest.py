@@ -41,7 +41,9 @@ def blas_core() -> str | None:
 
 
 def pytest_report_header(config):
-    return f"blas core: {blas_core() or 'not the OpenBLAS bundled with numpy'}"
+    """numpy's version and its BLAS kernel: the recorded digests were taken
+    under numpy 2.4.6 on ``SkylakeX``."""
+    return f"numpy {np.__version__}, blas core: {blas_core() or 'not the OpenBLAS bundled with numpy'}"
 
 
 @pytest.fixture(scope="session")

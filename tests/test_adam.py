@@ -12,7 +12,8 @@ from isoembed.flows import FlowTrainConfig, GlowSpec, NiceSpec, build_model, tra
 from isoembed.flows import training
 from isoembed.flows.coupling import ParameterSlab
 from isoembed.flows.training import ADAM_BETA_1, ADAM_BETA_2, ADAM_BLOCK, ADAM_EPS, Adam
-from isoembed.flows.glow import GlowModel
+from isoembed.flows.glow import GlowModel, active_sizes
+from isoembed.flows.nice import NiceModel
 
 
 class PerParameterAdam:
@@ -434,6 +435,45 @@ def test_optimizer_holds_no_full_gradient_slab(spec, traced_peak):
     weight = max(p.data.nbytes for p in model.parameters() if p.data.ndim == 2)
     assert weight == spec.hidden[-1] ** 2 * 8
     assert stepped.peak < weight
+
+
+def paper_width_model(arch):
+    """A 64-dim flow at the paper's 5x1000 widths over a zero slab, laid out
+    without drawing: its slab is allocated but never written."""
+    if arch == "nice":
+        spec = NiceSpec()
+        return NiceModel.assemble(64, spec, ParameterSlab.zeros(NiceModel.parameter_count(64, spec)))
+    spec = GlowSpec()
+    steps = ((np.arange(size), np.ones(size), False)
+             for size in active_sizes(64, spec.levels) for _ in range(spec.depth))
+    return GlowModel.assemble(64, spec, steps, ParameterSlab.zeros(GlowModel.parameter_count(64, spec)))
+
+
+@pytest.mark.parametrize("arch", ["nice", "glow"])
+def test_paper_width_gradient_buffer_is_one_net_layer(arch, traced_peak):
+    """Groups close within a net, so the shared buffer holds one 1000x1000
+    layer and its bias, not a whole coupling (4,069,096 elements for NICE
+    with its scale, 4,105,288 for glow with the next step's actnorm and
+    LU). The assembly copies nothing of the slab."""
+    with traced_peak() as traced:
+        model = paper_width_model(arch)
+    assert traced.peak - model.slab.nbytes < 2**20
+    optimizer = Adam(model, 1e-3)
+    assert optimizer.grad.size == 1000 * 1000 + 1000
+    assert len(optimizer.groups) > len(model.levels[0])
+
+
+def test_a_fit_holds_one_net_layers_gradient(traced_peak):
+    """A fit of nets with four wide hidden layers allocates the parameter
+    slab, its two moment slabs, a gradient buffer the size of one hidden
+    layer and less than another layer besides; a buffer for a whole net
+    would take three layers more."""
+    x = np.random.default_rng(5).normal(size=(48, 8))
+    spec = NiceSpec(couplings=2, hidden=(600,) * 4)
+    with traced_peak() as traced:
+        model, _ = train_flow(x, spec, FlowTrainConfig(epochs=1, batch_size=16))
+    layer = (600 * 600 + 600) * 8
+    assert traced.peak < 3 * model.slab.nbytes + 2 * layer
 
 
 def test_training_releases_the_gradient_views():

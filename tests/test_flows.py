@@ -1,8 +1,8 @@
 """Flow models: exact inverses, log-determinants against numerical
 Jacobians, gradients against finite differences, and training contracts."""
 
-import functools
 import hashlib
+import itertools
 import math
 import struct
 from unittest import mock
@@ -21,7 +21,8 @@ from isoembed.errors import (
     TrainingError,
 )
 from isoembed.flows import training
-from isoembed.flows.coupling import CouplingNet, ParameterSlab, rectify
+from isoembed.flows import coupling
+from isoembed.flows.coupling import CouplingNet, NetWorkspace, ParameterSlab, rectify
 from isoembed.flows.glow import GlowStep, LuLinear
 from isoembed.flows import (
     CLAMP,
@@ -385,9 +386,9 @@ class TestGradients:
         received = []
         backward = AffineCoupling.backward
 
-        def record(layer, cache, grad, logdet_grad, need_dx):
+        def record(layer, cache, grad, logdet_grad, need_dx, *layer_done):
             received.append(grad.copy())
-            return backward(layer, cache, grad, logdet_grad, need_dx)
+            return backward(layer, cache, grad, logdet_grad, need_dx, *layer_done)
 
         monkeypatch.setattr(AffineCoupling, "backward", record)
         model.backward(tape, np.full(z.shape, -0.0), np.zeros(4), False)
@@ -836,9 +837,34 @@ class TestUntrainedNet:
         assert traced.peak < 256 * 1000 * 8
 
 
+def masked_forward(net, x, edit=None):
+    """A taped forward that keeps each hidden layer's rectifier mask, taken
+    from the pre-activation before it is rectified: ``(out, (inputs, masks,
+    work))``. Like the net's own, it writes into ``net.work`` if one is
+    lent. ``edit``, if given, is applied to each hidden pre-activation
+    first."""
+    work = net.work
+    rows = x.shape[0]
+    inputs, masks = [], []
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        lent = work is not None and i != last
+        h = np.matmul(h, w.data, out=work.hidden[i][:rows] if lent else None)
+        h += b.data
+        if i != last:
+            if edit is not None:
+                edit(h)
+            masks.append(h > 0)
+            rectify(h)
+    return h, (inputs, masks, work)
+
+
 def chain_backward(net, cache, grad, logdet_grad, need_dx):
-    """The coupling net's backward layer by layer in full: every hidden
-    product runs, whatever the output layer holds."""
+    """The coupling net's backward layer by layer in full, over a tape that
+    kept its masks: every hidden product runs, whatever the output layer
+    holds."""
     inputs, masks, work = cache
     for i in reversed(range(len(net.weights))):
         if i < len(masks):
@@ -857,20 +883,32 @@ def chain_backward(net, cache, grad, logdet_grad, need_dx):
         grad = np.matmul(grad, w.data.T, out=None if work is None else inputs[i])
 
 
-def run_net_backward(backward, net, x, grad, need_dx, buffered):
-    """A taped forward of ``x``, then ``backward``; returns the bytes of the
-    input gradient (None without ``need_dx``) and of every parameter's
-    gradient. ``buffered`` points each ``.grad`` at a view of one NaN-filled
-    buffer, as an optimizer does; otherwise ``.grad`` starts as None."""
+def run_net_backward(net, x, grad, need_dx, buffered, oracle=False, lent=False, edit=None, layer_done=None):
+    """A taped forward of ``x``, then the backward: the net's own, or with
+    ``oracle`` ``chain_backward`` over the tape of ``masked_forward``.
+    Returns the bytes of the output, of the input gradient (None without
+    ``need_dx``) and of every parameter's gradient. ``buffered`` points each
+    ``.grad`` at a view of one NaN-filled buffer, as an optimizer does;
+    otherwise ``.grad`` starts as None. ``lent`` runs both passes in a
+    ``NetWorkspace`` for the rows of ``x``. ``edit`` goes to
+    ``masked_forward``; a test that edits the net's own pre-activations
+    patches ``coupling.rectify``. ``layer_done`` goes to the net's own
+    backward."""
     params = net.parameters()
     buffer = np.full(sum(p.data.size for p in params), np.nan)
     offset = 0
     for p in params:
         p.grad = buffer[offset : offset + p.data.size].reshape(p.data.shape) if buffered else None
         offset += p.data.size
-    cache = net.kernel(x, keep=True)[2]
-    dx = backward(cache, grad.copy(), None, need_dx)
-    return None if dx is None else dx.tobytes(), [p.grad.tobytes() for p in params]
+    net.work = NetWorkspace(net, x.shape[0]) if lent else None
+    if oracle:
+        out, cache = masked_forward(net, x, edit)
+        dx = chain_backward(net, cache, grad.copy(), None, need_dx)
+    else:
+        out, _, cache = net.kernel(x, keep=True)
+        dx = net.backward(cache, grad.copy(), None, need_dx, layer_done)
+    net.work = None
+    return out.tobytes(), None if dx is None else dx.tobytes(), [p.grad.tobytes() for p in params]
 
 
 class TestUntrainedNetBackward:
@@ -898,9 +936,8 @@ class TestUntrainedNetBackward:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(rows, 3)) * scale
         grad = rng.normal(size=(rows, 4))
-        got = run_net_backward(net.backward, net, x, grad, need_dx, buffered)
-        oracle = functools.partial(chain_backward, net)
-        assert got == run_net_backward(oracle, net, x, grad, need_dx, buffered)
+        got = run_net_backward(net, x, grad, need_dx, buffered)
+        assert got == run_net_backward(net, x, grad, need_dx, buffered, oracle=True)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["built", "negative"])
     @pytest.mark.parametrize("buffered", [False, True], ids=["none", "buffer"])
@@ -931,14 +968,16 @@ class TestUntrainedNetBackward:
         x = np.random.default_rng(12).normal(size=(6, 3))
         grad = np.random.default_rng(13).normal(size=(6, 4))
         grad[2, 1] = bad
-        oracle = functools.partial(chain_backward, net)
         with np.errstate(invalid="ignore"):
-            got = run_net_backward(net.backward, net, x, grad, True, buffered)
-            assert got == run_net_backward(oracle, net, x, grad, True, buffered)
-        assert np.isnan(np.frombuffer(got[0])).any()
+            got = run_net_backward(net, x, grad, True, buffered)
+            assert got == run_net_backward(net, x, grad, True, buffered, oracle=True)
+        assert np.isnan(np.frombuffer(got[1])).any()
 
 
 class TestRectifier:
+    """The backward reads each mask back from the rectified activation as
+    ``h > 0``."""
+
     @pytest.mark.parametrize("value", [-0.0, -1.5, -np.inf, np.nan, 0.0])
     def test_non_positive_and_nan_become_plus_zero(self, value):
         """At every position of arrays of many lengths, so that numpy's
@@ -947,7 +986,8 @@ class TestRectifier:
             for position in range(size):
                 h = np.linspace(-2.0, 3.0, size)
                 h[position] = value
-                mask = rectify(h)
+                rectify(h)
+                mask = h > 0
                 assert not mask[position]
                 assert h[position] == 0.0 and not np.signbit(h[position])
 
@@ -955,9 +995,81 @@ class TestRectifier:
         h = np.array([np.inf, 1e-300, 2.5, -3.0, np.inf, 7.0, 5e-324])
         expected = h.copy()
         expected[3] = 0.0
-        mask = rectify(h)
+        rectify(h)
+        mask = h > 0
         assert h.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(mask, [True, True, True, False, True, True, True])
+
+
+class TestMasksReadBack:
+    """The net's backward reads each rectifier mask back from the rectified
+    activation; ``masked_forward`` and ``chain_backward`` keep the masks
+    taken from the pre-activations, as the tape once did."""
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+    def test_equals_the_kept_masks(self, value, monkeypatch):
+        """Each hidden pre-activation gets ``value`` in one column of every
+        row, at every position of layers 1 to 40 wide, just before it is
+        rectified. Output, input gradient and parameter gradients keep
+        their bits in and out of a workspace, with gradients accumulated
+        and written into a buffer, with and without the input gradient."""
+        position = 0
+
+        def inject(h):
+            h[:, position] = value
+
+        monkeypatch.setattr(coupling, "rectify", lambda h: (inject(h), rectify(h)))
+        rng = np.random.default_rng(30)
+        for size in range(1, 41):
+            net = CouplingNet.build(3, 2, (size, size), PinnedRng(size))
+            net.weights[-1].data[...] = rng.normal(size=(size, 2))
+            x = rng.normal(size=(3, 3))
+            grad = rng.normal(size=(3, 2))
+            for position in range(size):
+                for lent, buffered, need_dx in itertools.product((False, True), repeat=3):
+                    with np.errstate(all="ignore"):
+                        got = run_net_backward(net, x, grad, need_dx, buffered, lent=lent)
+                        assert got == run_net_backward(
+                            net, x, grad, need_dx, buffered, oracle=True, lent=lent, edit=inject
+                        )
+
+    def test_workspace_holds_one_mask_buffer(self):
+        """The widest hidden layer's rows of bools, beside the activations."""
+        net = CouplingNet.build(3, 4, (5, 9, 7), PinnedRng(31))
+        work = NetWorkspace(net, 6)
+        assert [h.shape for h in work.hidden] == [(6, 5), (6, 9), (6, 7)]
+        assert [h.dtype for h in work.hidden] == [np.float64] * 3
+        assert work.mask.dtype == bool and work.mask.shape == (6 * 9,)
+        assert sorted(vars(work)) == ["hidden", "mask"]
+
+
+class TestNetLayerHook:
+    """``layer_done`` follows each net parameter's last read, with its
+    gradient final."""
+
+    @pytest.mark.parametrize("output", ["trained", "zero"])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["none", "buffer"])
+    def test_fires_after_each_layers_last_read(self, output, buffered):
+        """At each call the parameter just finished has its gradient
+        recorded and its values overwritten with NaN, as an update would
+        move them: the backward still gives the bits of one without the
+        hook, and the recorded gradients are the final ones."""
+        net = CouplingNet.build(3, 4, (5, 6, 7), PinnedRng(32))
+        if output == "trained":
+            net.weights[-1].data[...] = np.random.default_rng(33).normal(size=(7, 4))
+        x = np.random.default_rng(34).normal(size=(8, 3))
+        grad = np.random.default_rng(35).normal(size=(8, 4))
+        expected = run_net_backward(net, x, grad, True, buffered, lent=True)
+        recorded = []
+
+        def layer_done():
+            p = net.parameters()[-1 - len(recorded)]
+            recorded.append(p.grad.tobytes())
+            p.data[...] = np.nan
+
+        got = run_net_backward(net, x, grad, True, buffered, lent=True, layer_done=layer_done)
+        assert got == expected
+        assert recorded[::-1] == got[2]
 
 
 # flow_to_bytes(build_model(...)) recorded from the seeded init that drew
@@ -987,6 +1099,21 @@ def assert_tiles_one_slab(params) -> np.ndarray:
     return slab
 
 
+class ShiftedSlab(ParameterSlab):
+    """A zero slab of ``size`` elements that hands out its ``at``-th view
+    ``by`` elements from where the one before it ends."""
+
+    def __init__(self, size: int, at: int, by: int):
+        super().__init__(np.zeros(size))
+        self.at, self.by, self.count = at, by, 0
+
+    def take(self, *shape):
+        if self.count == self.at:
+            self.pos += self.by
+        self.count += 1
+        return super().take(*shape)
+
+
 class TestSeededBuild:
     @pytest.mark.parametrize("name", sorted(BUILT_SHA256))
     def test_bytes_match_the_recorded_init(self, name):
@@ -1012,6 +1139,25 @@ class TestSeededBuild:
         glow_size = GlowModel.parameter_count(8, SMALL_GLOW) + extra
         with pytest.raises(ValueError):
             GlowModel.assemble(8, SMALL_GLOW, iter(steps), ParameterSlab(np.zeros(glow_size)))
+
+    @pytest.mark.parametrize("by", [1, -1], ids=["gap", "overlap"])
+    @pytest.mark.parametrize("arch", ["nice", "glow"])
+    def test_parameters_that_leave_the_slab_tiling_are_rejected(self, arch, by):
+        """An assembly whose slab hands out one view one element late (a
+        gap) or early (an overlap), on a slab sized so that it is used up,
+        builds no model, whichever view it is."""
+        def assemble(at, by):
+            if arch == "nice":
+                params = ShiftedSlab(NiceModel.parameter_count(8, SMALL_NICE) + by, at, by)
+                return NiceModel.assemble(8, SMALL_NICE, params)
+            steps = iter([(np.arange(size), np.ones(size), False) for size in (8, 8, 4, 4)])
+            params = ShiftedSlab(GlowModel.parameter_count(8, SMALL_GLOW) + by, at, by)
+            return GlowModel.assemble(8, SMALL_GLOW, steps, params)
+
+        count = len(assemble(0, 0).parameters())
+        for at in range(1, count):
+            with pytest.raises(ValueError, match="slab's view"):
+                assemble(at, by)
 
     def test_step_leaves_the_gradient_buffer_zero(self):
         """The backward updates each group as it closes and zeroes the
