@@ -84,16 +84,6 @@ class EvalReport:
     n_queries_evaluated: int
     n_queries_skipped: int
 
-    def to_dict(self) -> dict:
-        return {
-            "p_at_20": self.p_at_20,
-            "ndcg_at_10": self.ndcg_at_10,
-            "per_query_p": dict(sorted(self.per_query_p.items())),
-            "per_query_ndcg": dict(sorted(self.per_query_ndcg.items())),
-            "n_queries_evaluated": self.n_queries_evaluated,
-            "n_queries_skipped": self.n_queries_skipped,
-        }
-
 
 def precision_at_k(
     run: RankingRun, qrels: Qrels, k: int = 20, rel_threshold: int = 1

@@ -3,7 +3,7 @@
 from .coupling import CouplingNet
 from .glow import CLAMP, AffineCoupling, ActNorm, GlowModel, GlowSpec, LuLinear
 from .nice import NiceModel, NiceSpec
-from .serialize import flow_from_bytes, flow_to_bytes, load_flow, save_flow
+from .serialize import load_flow, save_flow
 from .training import (
     Adam,
     FlowModel,
@@ -38,9 +38,7 @@ __all__ = [
     "build_model",
     "dataset_nll",
     "flow_forward",
-    "flow_from_bytes",
     "flow_inverse",
-    "flow_to_bytes",
     "load_flow",
     "model_checksum",
     "nll",

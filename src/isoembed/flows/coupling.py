@@ -157,17 +157,17 @@ class NetWorkspace:
     """Buffers a coupling net's training forward and backward write into
     instead of allocating, for batches of up to ``rows`` rows: each hidden
     layer's activations, which its backward then overwrites with their
-    gradients, and one mask buffer, as large as the widest hidden layer's
-    activations, that the backward reads each rectifier mask into.
+    gradients, and ``mask``, a bool buffer of at least ``rows`` times the
+    widest hidden width that the backward reads each rectifier mask into;
+    nets whose backwards never overlap can share it.
 
     A tape views the buffers its forward wrote, so whoever lends a net a
     workspace (``net.work``) must run each forward's backward before the
     next forward."""
 
-    def __init__(self, net: CouplingNet, rows: int):
-        widths = [w.data.shape[1] for w in net.weights[:-1]]
-        self.hidden = [np.empty((rows, width)) for width in widths]
-        self.mask = np.empty(rows * max(widths, default=0), dtype=bool)
+    def __init__(self, net: CouplingNet, rows: int, mask: np.ndarray):
+        self.hidden = [np.empty((rows, w.data.shape[1])) for w in net.weights[:-1]]
+        self.mask = mask
 
 
 def rectify(h: np.ndarray) -> None:

@@ -62,8 +62,6 @@ class NiceModel(FlowModel):
     @classmethod
     def assemble(cls, dim: int, spec: NiceSpec, params: ParameterSlab) -> "NiceModel":
         """Lay the model over ``params`` in traversal order, using all of it."""
-        if dim < 2:
-            raise ValueError("flow dimension must be >= 2")
         steps = []
         for i in range(spec.couplings):
             cond, moved = parity_indices(dim, i % 2)
@@ -75,6 +73,8 @@ class NiceModel(FlowModel):
     @staticmethod
     def parameter_count(dim: int, spec: NiceSpec) -> int:
         """From the widths alone, in integer arithmetic."""
+        if dim < 2:
+            raise ValueError("flow dimension must be >= 2")
         cond_0, moved_0 = (dim + 1) // 2, dim // 2  # parity 0: even columns condition
         even, odd = parity_counts(0, spec.couplings)
         return (

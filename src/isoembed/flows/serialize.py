@@ -28,7 +28,6 @@ actnorm flag 0 or 1. Any violation raises CorpusFormatError.
 
 from __future__ import annotations
 
-import io
 import struct
 
 import numpy as np
@@ -46,7 +45,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIBI")
 _F64 = np.dtype("<f8")
-_NOUN = "flow file"
 
 
 def _arch_block(model: FlowModel) -> bytes:
@@ -69,24 +67,14 @@ def _arch_block(model: FlowModel) -> bytes:
     return b"".join(parts)
 
 
-def _write_flow(model: FlowModel, fh) -> None:
-    """Stream the FLW1 encoding of ``model`` to ``fh``; the parameter slab,
+def save_flow(model: FlowModel, path) -> None:
+    """Write the FLW1 encoding of ``model`` to ``path``; the parameter slab,
     which holds every parameter in traversal order, is handed to the file
     as one buffer, without an intermediate copy."""
-    fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, model.arch_tag, model.dim))
-    fh.write(_arch_block(model))
-    fh.write(np.ascontiguousarray(model.slab, dtype=_F64))
-
-
-def flow_to_bytes(model: FlowModel) -> bytes:
-    buffer = io.BytesIO()
-    _write_flow(model, buffer)
-    return buffer.getvalue()
-
-
-def save_flow(model: FlowModel, path) -> None:
     with atomic_write(path) as fh:
-        _write_flow(model, fh)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, model.arch_tag, model.dim))
+        fh.write(_arch_block(model))
+        fh.write(np.ascontiguousarray(model.slab, dtype=_F64))
 
 
 def _read_glow_steps(reader: BoundedReader, sizes: list[int], depth: int) -> list[tuple]:
@@ -124,8 +112,6 @@ def _read_flow(reader: BoundedReader) -> FlowModel:
         if arch == 0:
             couplings, n_hidden = reader.unpack("<II")
             spec = NiceSpec(couplings=couplings, hidden=reader.unpack(f"<{n_hidden}I"))
-            if dim < 2:
-                raise ValueError("flow dimension must be >= 2")
             step_bytes, n_params = 0, NiceModel.parameter_count(dim, spec)
         else:
             levels, depth, n_hidden = reader.unpack("<III")
@@ -154,13 +140,8 @@ def _read_flow(reader: BoundedReader) -> FlowModel:
     return GlowModel.assemble(dim, spec, steps, params)
 
 
-def flow_from_bytes(data: bytes, label="<bytes>") -> FlowModel:
-    """Decode FLW1 bytes; the parameters are copied out of ``data`` once."""
-    return _read_flow(BoundedReader(io.BytesIO(data), len(data), label, _NOUN))
-
-
 def load_flow(path) -> FlowModel:
     """Read an FLW1 file; the parameters are read straight into the model's
     arrays, without seeding a model first."""
-    with open_bounded(path, _NOUN) as reader:
+    with open_bounded(path, "flow file") as reader:
         return _read_flow(reader)

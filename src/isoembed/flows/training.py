@@ -328,11 +328,14 @@ def model_checksum(model: FlowModel) -> str:
 def step_workspaces(model: FlowModel, rows: int):
     """Lends each coupling net of ``model`` a ``NetWorkspace`` for batches
     of up to ``rows`` rows while the block runs, and frees them on exit.
-    Inside, each forward's backward must run before the next forward."""
+    Inside, each forward's backward must run before the next forward, so
+    the nets' backwards run one at a time and share one mask buffer."""
     nets = [layer.net for steps in model.levels for step in steps for layer in step
             if isinstance(layer, Coupling)]
+    widest = max((w.data.shape[1] for net in nets for w in net.weights[:-1]), default=0)
+    mask = np.empty(rows * widest, dtype=bool)
     for net in nets:
-        net.work = NetWorkspace(net, rows)
+        net.work = NetWorkspace(net, rows, mask)
     try:
         yield
     finally:

@@ -58,6 +58,7 @@ from ..scoring import (
     SCORER_REPBERT,
     SEQUENCE_WISE,
     TOKEN_WISE,
+    check_scorer,
     rank_candidates,
 )
 from ..store import (
@@ -248,12 +249,7 @@ def cmd_measure(settings: dict) -> int:
     )
     payload = {
         **_stamp(settings),
-        "i_w": report.i_w,
-        "avg_cos": report.avg_cos,
-        "n_rows": report.n_rows,
-        "dim": report.dim,
-        "batch_size": report.batch_size,
-        "batches_averaged": report.batches_averaged,
+        **dataclasses.asdict(report),
         "outlier_dimensions": [int(i) for i in np.flatnonzero(profile.outlier_flags)],
     }
     write_json(payload, settings["out"])
@@ -364,11 +360,7 @@ def _load_post(settings) -> PostProcessor:
 
 
 def cmd_rerank(settings: dict) -> int:
-    if settings["scorer"] == SCORER_COLBERT and settings["granularity"] != TOKEN_WISE:
-        raise ConfigurationError(
-            "colbert requires token_wise granularity; sequence_wise applies "
-            "only to repbert"
-        )
+    check_scorer(settings["scorer"], settings["granularity"])
     # The candidates file is checked before the larger inputs are read.
     candidates = load_candidates(settings["candidates"])
     post = _load_post(settings)
@@ -387,8 +379,7 @@ def cmd_eval(settings: dict) -> int:
     run = load_run(settings["run"])
     qrels = load_qrels(settings["qrels"])
     report = evaluate(run, qrels)
-    payload = {**_stamp(settings), "run_tag": run.tag}
-    payload.update(report.to_dict())
+    payload = {**_stamp(settings), "run_tag": run.tag, **dataclasses.asdict(report)}
     write_json(payload, settings["out"])
     print(
         f"p@20={report.p_at_20:.4f} ndcg@10={report.ndcg_at_10:.4f} "

@@ -175,10 +175,17 @@ class _Spans:
             raise ZeroNormError(f"pooled {kind} vector of {self.ids[zero[0]]!r} has zero norm")
         return norms
 
-    def row_index(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the picked sequences, concatenated in pick order, and the
-        offset of each picked sequence within them."""
-        return span_rows(self.starts[picks], self.counts[picks])
+
+def check_scorer(scorer: str, granularity: str) -> None:
+    """Raise ConfigurationError unless ``scorer`` is known and scores rows
+    post-processed at ``granularity``: colbert interacts at the token
+    level, so it takes token-wise placement only."""
+    if scorer not in (SCORER_COLBERT, SCORER_REPBERT):
+        raise ConfigurationError(f"unknown scorer {scorer!r}")
+    if scorer == SCORER_COLBERT and granularity != TOKEN_WISE:
+        raise ConfigurationError(
+            "colbert requires token_wise granularity; sequence_wise applies only to repbert"
+        )
 
 
 def rank_candidates(
@@ -204,13 +211,7 @@ def rank_candidates(
     KeyError); a zero-norm token row or pooled vector raises
     ZeroNormError (a ValueError).
     """
-    if scorer not in (SCORER_COLBERT, SCORER_REPBERT):
-        raise ConfigurationError(f"unknown scorer {scorer!r}")
-    if scorer == SCORER_COLBERT and post.granularity != TOKEN_WISE:
-        raise ConfigurationError(
-            "colbert scoring interacts at the token level; sequence_wise "
-            "post-processing is not applicable"
-        )
+    check_scorer(scorer, post.granularity)
     ranked = {qid: [] for qid in candidates}
     # Every query must exist, also one with no candidates.
     q_pos = corpus.locate(KIND_QUERY, ranked)
@@ -255,7 +256,7 @@ def rank_candidates(
         mine = picks[ends[i] - lengths[i] : ends[i]]
         if scorer == SCORER_COLBERT:
             start = queries.starts[qi]
-            index, begins = docs.row_index(mine)
+            index, begins = span_rows(docs.starts[mine], docs.counts[mine])
             sims = q_rows[start : start + queries.counts[qi]] @ d_rows[index].T
             best = np.maximum.reduceat(sims, begins, axis=1)
             # contiguous per-candidate rows: each sum runs like colbert_score's

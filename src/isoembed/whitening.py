@@ -97,12 +97,12 @@ def fit_whitening(matrix, eps_rel: float = 1e-8) -> WhiteningTransform:
 def apply_whitening(transform: WhiteningTransform, matrix, out=None) -> np.ndarray:
     """Map each row x to (x - mu) @ rotation @ eigenvalues^{-1/2}.
 
-    By default the result is a new array and ``matrix`` is left as it
-    was. With ``out`` (a float64 array of the matrix's shape, which may be
-    ``matrix`` itself) the rows are centered in ``out`` and the product is
-    written back over them, with the bits of the default call; ``out`` is
-    returned. A non-finite matrix raises ValueError, and an ``out`` of
-    another shape or dtype ShapeError, before ``out`` is written.
+    The rows are centered in ``out`` and the product is written back over
+    them; ``out`` is returned. ``out`` is a float64 array of the matrix's
+    shape and may be ``matrix`` itself; by default it is a new array, and
+    ``matrix`` is left as it was. A non-finite matrix raises ValueError,
+    and an ``out`` of another shape or dtype ShapeError, before ``out`` is
+    written.
     """
     w = as_matrix(matrix)
     if w.shape[1] != transform.dim:
@@ -111,8 +111,9 @@ def apply_whitening(transform: WhiteningTransform, matrix, out=None) -> np.ndarr
         )
     scale = 1.0 / np.sqrt(transform.eigenvalues)
     if out is None:
-        return (w - transform.mu) @ (transform.rotation * scale)
-    check_out(out, w.shape)
+        out = np.empty(w.shape)
+    else:
+        check_out(out, w.shape)
     centered = np.subtract(w, transform.mu, out=out)
     out[...] = centered @ (transform.rotation * scale)
     return out

@@ -26,12 +26,12 @@ from isoembed.flows import (
     apply_flow,
     build_model,
     flow_forward,
-    flow_from_bytes,
     flow_inverse,
-    flow_to_bytes,
+    load_flow,
     model_checksum,
     nll,
     nll_gradient,
+    save_flow,
     train_flow,
 )
 from isoembed.pipeline import build_designed_scenario, run
@@ -111,12 +111,13 @@ def perturb(model, seed: int, scale: float):
     "spec", [NiceSpec(couplings=2, hidden=(8,)), GlowSpec(levels=2, depth=1, hidden=(8,))],
     ids=["nice", "glow"],
 )
-def test_perturb_moves_the_slab(spec):
+def test_perturb_moves_the_slab(spec, tmp_path):
     """``perturb`` writes the parameters in their slab: the checksum moves
     with them, and an FLW1 round trip transforms as the perturbed model."""
     model = perturb(build_model(6, spec, seed=5), 6, 0.3)
     assert model_checksum(model) != model_checksum(build_model(6, spec, seed=5))
-    loaded = flow_from_bytes(flow_to_bytes(model))
+    save_flow(model, tmp_path / "model.flw")
+    loaded = load_flow(tmp_path / "model.flw")
     x = np.random.default_rng(7).normal(size=(5, 6))
     for a, b in zip(flow_forward(model, x), flow_forward(loaded, x)):
         assert a.tobytes() == b.tobytes()

@@ -4,7 +4,9 @@ Jacobians, gradients against finite differences, and training contracts."""
 import hashlib
 import itertools
 import math
+import os
 import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,9 +38,7 @@ from isoembed.flows import (
     build_model,
     dataset_nll,
     flow_forward,
-    flow_from_bytes,
     flow_inverse,
-    flow_to_bytes,
     load_flow,
     model_checksum,
     nll,
@@ -612,6 +612,29 @@ class TestApplyFlowOut:
         assert traced.peak < 3 * training.FORWARD_CHUNK_ROWS * 64 * 8
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("flw1")
+
+
+def flow_bytes(model, directory: Path) -> bytes:
+    path = directory / "saved.flw"
+    save_flow(model, path)
+    return path.read_bytes()
+
+
+def load_bytes(blob: bytes, directory: Path):
+    path = directory / "blob.flw"
+    path.write_bytes(blob)
+    return load_flow(path)
+
+
+def reloaded(model, directory: Path):
+    path = directory / "saved.flw"
+    save_flow(model, path)
+    return load_flow(path)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("spec", [SMALL_NICE, SMALL_GLOW], ids=["nice", "glow"])
     def test_round_trip(self, tmp_path, spec):
@@ -627,22 +650,22 @@ class TestSerialization:
         zb, lb = flow_forward(loaded, x)
         np.testing.assert_array_equal(za, zb)
         np.testing.assert_array_equal(la, lb)
-        assert flow_to_bytes(loaded) == flow_to_bytes(model)
+        assert flow_bytes(loaded, tmp_path) == flow_bytes(model, tmp_path)
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, scratch):
         with pytest.raises(CorpusFormatError, match="magic"):
-            flow_from_bytes(b"WRNG" + bytes(32))
+            load_bytes(b"WRNG" + bytes(32), scratch)
 
-    def test_truncated(self):
+    def test_truncated(self, scratch):
         model = build_model(6, SMALL_NICE, seed=0)
-        blob = flow_to_bytes(model)
+        blob = flow_bytes(model, scratch)
         with pytest.raises(CorpusFormatError, match="truncated"):
-            flow_from_bytes(blob[:-10])
+            load_bytes(blob[:-10], scratch)
 
-    def test_trailing_bytes(self):
+    def test_trailing_bytes(self, scratch):
         model = build_model(6, SMALL_NICE, seed=0)
         with pytest.raises(CorpusFormatError, match="trailing"):
-            flow_from_bytes(flow_to_bytes(model) + b"\0")
+            load_bytes(flow_bytes(model, scratch) + b"\0", scratch)
 
 
 # FLW1 offset of step 0's permutation (u32 each) in a glow file: 13-byte
@@ -652,41 +675,41 @@ GLOW_DIM = 8
 GLOW_STEP0 = 13 + 12 + 4 * len(SMALL_GLOW.hidden)
 
 
-def patched_glow(offset: int, raw: bytes) -> bytes:
-    blob = bytearray(flow_to_bytes(build_model(GLOW_DIM, SMALL_GLOW, seed=3)))
+def patched_glow(directory: Path, offset: int, raw: bytes) -> bytes:
+    blob = bytearray(flow_bytes(build_model(GLOW_DIM, SMALL_GLOW, seed=3), directory))
     blob[offset : offset + len(raw)] = raw
     return bytes(blob)
 
 
 class TestFormatValidation:
-    def test_permutation_entry_out_of_range(self):
+    def test_permutation_entry_out_of_range(self, scratch):
         perm = list(range(GLOW_DIM))
         perm[3] = GLOW_DIM
-        blob = patched_glow(GLOW_STEP0, struct.pack(f"<{GLOW_DIM}I", *perm))
+        blob = patched_glow(scratch, GLOW_STEP0, struct.pack(f"<{GLOW_DIM}I", *perm))
         with pytest.raises(CorpusFormatError, match="permutation"):
-            flow_from_bytes(blob)
+            load_bytes(blob, scratch)
 
-    def test_duplicate_permutation(self):
-        blob = patched_glow(GLOW_STEP0, bytes(4 * GLOW_DIM))
+    def test_duplicate_permutation(self, scratch):
+        blob = patched_glow(scratch, GLOW_STEP0, bytes(4 * GLOW_DIM))
         with pytest.raises(CorpusFormatError, match="permutation"):
-            flow_from_bytes(blob)
+            load_bytes(blob, scratch)
 
-    def test_zero_sign(self):
-        blob = patched_glow(GLOW_STEP0 + 4 * GLOW_DIM + 2, b"\0")
+    def test_zero_sign(self, scratch):
+        blob = patched_glow(scratch, GLOW_STEP0 + 4 * GLOW_DIM + 2, b"\0")
         with pytest.raises(CorpusFormatError, match="sign"):
-            flow_from_bytes(blob)
+            load_bytes(blob, scratch)
 
-    def test_actnorm_flag_not_boolean(self):
-        blob = patched_glow(GLOW_STEP0 + 5 * GLOW_DIM, b"\2")
+    def test_actnorm_flag_not_boolean(self, scratch):
+        blob = patched_glow(scratch, GLOW_STEP0 + 5 * GLOW_DIM, b"\2")
         with pytest.raises(CorpusFormatError, match="actnorm flag"):
-            flow_from_bytes(blob)
+            load_bytes(blob, scratch)
 
-    def test_negative_signs_and_flags_load(self):
+    def test_negative_signs_and_flags_load(self, scratch):
         model = build_model(GLOW_DIM, SMALL_GLOW, seed=3)
         step = model.levels[0][1]
         step.linear.signs = np.array([-1.0, 1.0] * (GLOW_DIM // 2))
         step.actnorm.initialized = True
-        loaded = flow_from_bytes(flow_to_bytes(model))
+        loaded = reloaded(model, scratch)
         np.testing.assert_array_equal(loaded.levels[0][1].linear.signs, step.linear.signs)
         assert loaded.levels[0][1].actnorm.initialized
         assert not loaded.levels[0][0].actnorm.initialized
@@ -712,11 +735,12 @@ class TestFormatValidation:
         ],
         ids=["nice-paper-width", "glow-paper-width", "huge-depth", "huge-levels", "huge-n-hidden"],
     )
-    def test_wide_header_with_short_payload_rejected_before_allocating(self, arch, traced_peak):
-        blob = arch + bytes(64)
+    def test_wide_header_with_short_payload_rejected_before_allocating(self, scratch, arch, traced_peak):
+        path = scratch / "wide.flw"
+        path.write_bytes(arch + bytes(64))
         with traced_peak() as traced:
             with pytest.raises(CorpusFormatError):
-                flow_from_bytes(blob)
+                load_flow(path)
         assert traced.peak < 1_000_000
 
     @pytest.mark.parametrize(
@@ -731,9 +755,9 @@ class TestFormatValidation:
         ],
         ids=["no-couplings", "zero-width", "nice-dim-1", "no-levels", "no-depth", "too-many-levels"],
     )
-    def test_invalid_architecture(self, arch):
+    def test_invalid_architecture(self, scratch, arch):
         with pytest.raises(CorpusFormatError, match="invalid architecture"):
-            flow_from_bytes(arch + bytes(64))
+            load_bytes(arch + bytes(64), scratch)
 
 
 @st.composite
@@ -762,46 +786,52 @@ def small_flows(draw):
 class TestFormatProperties:
     @settings(max_examples=40, deadline=None)
     @given(small_flows())
-    def test_round_trip_is_byte_exact(self, model):
-        blob = flow_to_bytes(model)
-        loaded = flow_from_bytes(blob)
-        assert flow_to_bytes(loaded) == blob
+    def test_round_trip_is_byte_exact(self, scratch, model):
+        blob = flow_bytes(model, scratch)
+        loaded = load_bytes(blob, scratch)
+        assert flow_bytes(loaded, scratch) == blob
         assert model_checksum(loaded) == model_checksum(model)
 
     @settings(max_examples=15, deadline=None)
     @given(small_flows())
-    def test_every_truncation_and_trailing_byte_rejected(self, model):
-        blob = flow_to_bytes(model)
-        for cut in range(len(blob)):
-            with pytest.raises(CorpusFormatError):
-                flow_from_bytes(blob[:cut])
+    def test_every_truncation_and_trailing_byte_rejected(self, scratch, model):
+        """The file is written once, then lengthened by one zero byte and
+        cut back to every shorter length in turn."""
+        path = scratch / "cut.flw"
+        save_flow(model, path)
+        size = path.stat().st_size
+        os.truncate(path, size + 1)
         with pytest.raises(CorpusFormatError, match="trailing"):
-            flow_from_bytes(blob + b"\0")
+            load_flow(path)
+        for cut in reversed(range(size)):
+            os.truncate(path, cut)
+            with pytest.raises(CorpusFormatError):
+                load_flow(path)
 
     @settings(max_examples=150, deadline=None)
     @given(small_flows(), st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3))
-    def test_byte_flips_load_or_raise_typed_errors(self, model, flips):
-        blob = bytearray(flow_to_bytes(model))
+    def test_byte_flips_load_or_raise_typed_errors(self, scratch, model, flips):
+        blob = bytearray(flow_bytes(model, scratch))
         for position, mask in flips:
             # Half of the flips land in the first 64 bytes: header and widths.
             span = min(64, len(blob)) if position % 2 else len(blob)
             blob[position % span] ^= mask
         try:
-            loaded = flow_from_bytes(bytes(blob))
+            loaded = load_bytes(bytes(blob), scratch)
         except IsoembedError:
             return
-        assert flow_to_bytes(loaded) == bytes(blob)
+        assert flow_bytes(loaded, scratch) == bytes(blob)
 
     @settings(max_examples=20, deadline=None)
     @given(small_flows())
-    def test_loading_draws_nothing(self, model):
-        blob = flow_to_bytes(model)
+    def test_loading_draws_nothing(self, scratch, model):
+        blob = flow_bytes(model, scratch)
         no_draws = AssertionError("a load drew from the seeded stream")
         with mock.patch.object(PinnedRng, "gaussians", side_effect=no_draws), mock.patch.object(
             PinnedRng, "u64", side_effect=no_draws
         ):
-            loaded = flow_from_bytes(blob)
-        assert flow_to_bytes(loaded) == blob
+            loaded = load_bytes(blob, scratch)
+        assert flow_bytes(loaded, scratch) == blob
 
 
 class TestUntrainedNet:
@@ -900,7 +930,8 @@ def run_net_backward(net, x, grad, need_dx, buffered, oracle=False, lent=False, 
     for p in params:
         p.grad = buffer[offset : offset + p.data.size].reshape(p.data.shape) if buffered else None
         offset += p.data.size
-    net.work = NetWorkspace(net, x.shape[0]) if lent else None
+    widest = max((w.data.shape[1] for w in net.weights[:-1]), default=0)
+    net.work = NetWorkspace(net, x.shape[0], np.empty(x.shape[0] * widest, dtype=bool)) if lent else None
     if oracle:
         out, cache = masked_forward(net, x, edit)
         dx = chain_backward(net, cache, grad.copy(), None, need_dx)
@@ -1036,11 +1067,28 @@ class TestMasksReadBack:
     def test_workspace_holds_one_mask_buffer(self):
         """The widest hidden layer's rows of bools, beside the activations."""
         net = CouplingNet.build(3, 4, (5, 9, 7), PinnedRng(31))
-        work = NetWorkspace(net, 6)
+        work = NetWorkspace(net, 6, np.empty(6 * 9, dtype=bool))
         assert [h.shape for h in work.hidden] == [(6, 5), (6, 9), (6, 7)]
         assert [h.dtype for h in work.hidden] == [np.float64] * 3
         assert work.mask.dtype == bool and work.mask.shape == (6 * 9,)
         assert sorted(vars(work)) == ["hidden", "mask"]
+
+    @pytest.mark.parametrize("spec", [SMALL_NICE, GlowSpec(levels=2, depth=2, hidden=(5, 9, 7))],
+                             ids=["nice", "glow"])
+    def test_step_workspaces_share_one_mask_buffer(self, spec):
+        """Every net of a fit reads its rectifier masks into one buffer of
+        the rows times the widest hidden layer, and keeps activation
+        buffers of its own; the workspaces go when the block ends."""
+        model = build_model(8, spec, seed=30)
+        nets = [layer.net for steps in model.levels for step in steps for layer in step
+                if isinstance(layer, coupling.Coupling)]
+        with training.step_workspaces(model, 6):
+            works = [net.work for net in nets]
+            assert len(works) >= 2 and all(work.mask is works[0].mask for work in works)
+            assert works[0].mask.dtype == bool and works[0].mask.shape == (6 * max(spec.hidden),)
+            hidden = [h for work in works for h in work.hidden]
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(hidden, 2))
+        assert all(net.work is None for net in nets)
 
 
 class TestNetLayerHook:
@@ -1072,7 +1120,7 @@ class TestNetLayerHook:
         assert recorded[::-1] == got[2]
 
 
-# flow_to_bytes(build_model(...)) recorded from the seeded init that drew
+# The FLW1 bytes of build_model(...) recorded from the seeded init that drew
 # each Gaussian array in one pass and copied every layer into its own
 # array. The wide cases span several Gaussian blocks per weight matrix.
 BUILT_SHA256 = {
@@ -1116,14 +1164,14 @@ class ShiftedSlab(ParameterSlab):
 
 class TestSeededBuild:
     @pytest.mark.parametrize("name", sorted(BUILT_SHA256))
-    def test_bytes_match_the_recorded_init(self, name):
+    def test_bytes_match_the_recorded_init(self, scratch, name):
         dim, spec, seed, digest = BUILT_SHA256[name]
-        assert hashlib.sha256(flow_to_bytes(build_model(dim, spec, seed))).hexdigest() == digest
+        assert hashlib.sha256(flow_bytes(build_model(dim, spec, seed), scratch)).hexdigest() == digest
 
     @pytest.mark.parametrize("spec", [SMALL_NICE, SMALL_GLOW], ids=["nice", "glow"])
-    def test_built_and_loaded_models_are_trained_in_place(self, spec):
+    def test_built_and_loaded_models_are_trained_in_place(self, scratch, spec):
         built = build_model(8, spec, seed=60)
-        for model in (built, flow_from_bytes(flow_to_bytes(built))):
+        for model in (built, reloaded(built, scratch)):
             assert assert_tiles_one_slab(model.parameters()) is model.slab
             optimizer = training.Adam(model, 1e-3)
             assert optimizer.data is model.slab

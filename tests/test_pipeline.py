@@ -237,6 +237,21 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    def test_colbert_placement_is_checked_before_any_input(self, tmp_path, capsys):
+        """With no corpus or candidates file to read, the placement rule
+        still decides the exit, with the message ``rank_candidates`` gives."""
+        message = "colbert requires token_wise granularity; sequence_wise applies only to repbert"
+        code = run(["rerank", "--target-corpus", str(tmp_path / "absent.emb"),
+                    "--candidates", str(tmp_path / "absent.jsonl"),
+                    "--scorer", "colbert", "--granularity", "sequence_wise",
+                    "--out", str(tmp_path / "never.run")])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        corpus = table_corpus(np.ones((2, 2)), [("q", "query", 0, 1), ("d", "document", 1, 1)])
+        with pytest.raises(IsoembedError, match=f"^{message}$"):
+            scoring.rank_candidates(corpus, {"q": ["d"]}, "colbert",
+                                    scoring.PostProcessor(None, scoring.SEQUENCE_WISE))
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         code = run(["measure", "--corpus", str(tmp_path / "absent.emb"),
                     "--out", str(tmp_path / "r.json")])

@@ -32,7 +32,7 @@ from isoembed.errors import (
     UnknownIdError,
     ZeroNormError,
 )
-from isoembed.flows import apply_flow, flow_forward, flow_from_bytes, flow_to_bytes, model_checksum
+from isoembed.flows import apply_flow, flow_forward, load_flow, model_checksum, save_flow
 from isoembed.scoring import SEQUENCE_WISE, TOKEN_WISE
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY, blocked_corpus
 
@@ -455,13 +455,14 @@ class TestBulkRankingMatchesPerQueryOracle:
         assert list(bulk) == list(candidates)
         assert_matches_oracle(bulk, per_query_oracle(corpus, candidates, scorer, post))
 
-    def test_perturbed_glow_moves_its_slab(self):
+    def test_perturbed_glow_moves_its_slab(self, tmp_path):
         """The oracle's glows are perturbed in their slab: the checksum moves
         with the parameters, and an FLW1 round trip transforms as they do."""
         model = perturbed_glow(4, 3)
         fresh = GlowModel.build(4, GlowSpec(levels=2, depth=1, hidden=(3,)), seed=3)
         assert model_checksum(model) != model_checksum(fresh)
-        loaded = flow_from_bytes(flow_to_bytes(model))
+        save_flow(model, tmp_path / "glow.flw")
+        loaded = load_flow(tmp_path / "glow.flw")
         x = np.random.default_rng(4).normal(size=(5, 4))
         for a, b in zip(flow_forward(model, x), flow_forward(loaded, x)):
             assert a.tobytes() == b.tobytes()
