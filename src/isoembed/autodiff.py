@@ -89,7 +89,7 @@ def fused(layer, x: Tensor, logdet: Tensor | None = None):
     ``layer.kernel(x, keep)`` returns the output, the layer's log-det
     contribution (None for a layer without one) and, when ``keep``, the
     cache its backward needs. ``layer.backward(cache, grad, logdet_grad,
-    need_dx)`` accumulates the gradients of the layer's parameters and
+    need_dx)`` writes the gradients of the layer's parameters and
     returns the input's gradient when ``need_dx``. The parameters are not
     graph nodes: the layer's node has ``x`` as its only parent, and its
     backward runs also when ``x`` needs no gradient. With ``logdet``, the

@@ -34,7 +34,7 @@ class ZeroNormError(IsoembedError, ValueError):
 
 
 class ParseError(IsoembedError):
-    """Malformed text line in a qrels/run/candidates file; message carries the line number."""
+    """Malformed qrels/run/candidates text or eval report; message names the line or key."""
 
 
 class EmptyInputError(IsoembedError):

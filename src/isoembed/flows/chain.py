@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..errors import NumericError
-from .coupling import Coupling, ParameterSlab
+from .coupling import Coupling, ParameterSlab, grad_of
 
 
 class Scale:
@@ -28,8 +28,8 @@ class Scale:
 
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
         x, scale = cache
-        self.log_scale._accumulate(np.full_like(scale, float(logdet_grad.sum(axis=0))))
-        self.log_scale._accumulate((grad * x).sum(axis=0) * scale)
+        term = (grad * x).sum(axis=0) * scale
+        np.add(term, float(logdet_grad.sum(axis=0)), out=grad_of(self.log_scale))
         return grad * scale if need_dx else None
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
@@ -70,7 +70,7 @@ class ActNorm(Scale):
 
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
         dx = super().backward(cache, grad, logdet_grad, True)
-        self.shift._accumulate(dx.sum(axis=0))
+        dx.sum(axis=0, out=grad_of(self.shift))
         return dx if need_dx else None
 
     def inverse(self, y: np.ndarray) -> np.ndarray:

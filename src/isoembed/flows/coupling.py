@@ -89,15 +89,11 @@ class CouplingNet:
         return h, None, (inputs, work) if keep else None
 
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool, layer_done=None):
-        """A parameter whose ``.grad`` is an array (an optimizer's buffer)
-        has its gradient written there: each gets exactly one per backward.
-        One whose ``.grad`` is None accumulates as usual.
-
-        ``layer_done`` (if given) is called once per parameter, in reverse
-        parameter order, as soon as the parameter's gradient is written and
-        the backward reads the parameter no more: a bias right after its
-        gradient, a weight after the input gradient ``grad @ W.T`` that
-        reads it. An optimizer may update the parameter then.
+        """Writes each parameter's gradient exactly once, into its
+        ``grad_of`` array, then calls ``layer_done`` (if given) as soon as
+        it reads the parameter no more, in reverse parameter order: a bias
+        right after its gradient, a weight after the input gradient ``grad
+        @ W.T`` that reads it. An optimizer may update the parameter then.
 
         Each hidden layer's rectifier mask is read back as ``out > 0`` from
         its rectified output (the next layer's input), just before the
@@ -123,22 +119,13 @@ class CouplingNet:
             if mask is not None:
                 grad *= mask
             w, b = self.weights[i], self.biases[i]
-            if b.grad is None:
-                b._accumulate(grad.sum(axis=0))
-            else:
-                grad.sum(axis=0, out=b.grad)
+            grad.sum(axis=0, out=grad_of(b))
             done()
-            if w.grad is None:
-                w._accumulate(inputs[i].T @ grad)
-            else:
-                np.matmul(inputs[i].T, grad, out=w.grad)
+            np.matmul(inputs[i].T, grad, out=grad_of(w))
             if i == last and not w.data.any() and np.isfinite(grad).all():
                 done()
                 for p in reversed(self.parameters()[:-2]):
-                    if p.grad is None:
-                        p._accumulate(np.zeros(p.data.shape))
-                    else:
-                        p.grad.fill(0.0)
+                    grad_of(p).fill(0.0)
                     done()
                 return np.zeros((grad.shape[0], self.weights[0].data.shape[0])) if need_dx else None
             if i == 0:
@@ -279,6 +266,13 @@ class ParameterSlab:
             weights.append(w)
             biases.append(self.take(fan_out))
         return CouplingNet(weights, biases)
+
+
+def grad_of(p: ad.Tensor) -> np.ndarray:
+    """``p.grad``, allocated first when it is None."""
+    if p.grad is None:
+        p.grad = np.empty(p.data.shape)
+    return p.grad
 
 
 def net_size(widths: tuple[int, ...]) -> int:

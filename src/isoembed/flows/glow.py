@@ -25,7 +25,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..rng import PinnedRng
 from .chain import ActNorm, FlowModel
-from .coupling import Coupling, CouplingNet, ParameterSlab, net_size, parity_counts, parity_indices
+from .coupling import Coupling, CouplingNet, ParameterSlab, grad_of, net_size, parity_counts, parity_indices
 
 CLAMP = 5.0
 
@@ -128,12 +128,12 @@ class LuLinear:
 
     def backward(self, cache, grad: np.ndarray, logdet_grad, need_dx: bool):
         x, lower, upper, diag, matrix = cache
-        self.log_diag._accumulate(np.full_like(diag, float(logdet_grad.sum(axis=0))))
         grad_lu = (x.T @ grad).take(self.permutation, axis=0)  # P^T (x^T grad)
-        self.lower._accumulate((grad_lu @ upper.T).take(self._lower_flat))
+        (grad_lu @ upper.T).take(self._lower_flat, out=grad_of(self.lower))
         grad_upper = lower.T @ grad_lu
-        self.upper._accumulate(grad_upper.take(self._upper_flat))
-        self.log_diag._accumulate(grad_upper.take(self._diag_flat) * self.signs * diag)
+        grad_upper.take(self._upper_flat, out=grad_of(self.upper))
+        term = grad_upper.take(self._diag_flat) * self.signs * diag
+        np.add(term, float(logdet_grad.sum(axis=0)), out=grad_of(self.log_diag))
         return grad @ matrix.T if need_dx else None
 
     def inverse(self, y: np.ndarray) -> np.ndarray:

@@ -85,24 +85,20 @@ class Adam:
     that order, the entries form update groups that close at ADAM_BLOCK
     elements or at the first entry. Each parameter's ``.grad`` is a fixed
     view at its offset in its group's window of one shared buffer (the
-    largest group's size). At the paper's 5x1000 widths that is one hidden
-    layer's bias and weight, 1,001,000 elements: a net's small output layer
-    and bias close a group with the next hidden bias, where a whole output
-    layer short of ADAM_BLOCK would close one with the next hidden layer. A
-    closing group's slab range is updated in blocks, each gradient block
-    zeroed once used. ``step`` updates any group
-    the backward did not reach (zero gradient) and ends the step. A backward
-    run without the hook while the optimizer is attached (a layer's own
-    ``backward``) would mix groups in the buffer, so ``nll_gradient``
-    refuses a model whose optimizer is not released. Write parameter values
-    in place (``p.data[...] =``).
+    largest group's size: at the paper's 5x1000 widths, one hidden layer's
+    weight and bias). A closing group's slab range is updated in blocks.
+    The backward writes each gradient exactly once, so the buffer is never
+    cleared; ``step`` zero-fills and updates any group the backward did not
+    reach, and ends the step. A backward run without the hook while the
+    optimizer is attached (a layer's own ``backward``) would mix groups in
+    the buffer, so ``nll_gradient`` refuses a model whose optimizer is not
+    released. Write parameter values in place (``p.data[...] =``).
 
     At the first step (``t == 0``) both moments are +0.0, so a block whose
     gradient is all zero (either sign) leaves p, m and v bit for bit as
     they are: m = +0·b1 + ±0·(1-b1) = +0, v = +0, and p - (+0) = p. Such a
-    block only has its gradient zero-filled. In a fit's first step every
-    block that lies within a coupling net's hidden layers is one (see
-    ``CouplingNet.backward``).
+    block is skipped. In a fit's first step every block that lies within a
+    coupling net's hidden layers is one (see ``CouplingNet.backward``).
     """
 
     def __init__(self, model: FlowModel, learning_rate: float):
@@ -150,15 +146,13 @@ class Adam:
             p, m, v = self.data[block], self.m[block], self.v[block]
             g = self.grad[start - group.start : block.stop - group.start]
             if self.t == 0 and not g.any():
-                g.fill(0.0)  # p, m and v would keep their bits
-                continue
+                continue  # p, m and v would keep their bits
             a, b = (buf[: p.size] for buf in self._scratch)
             np.multiply(m, ADAM_BETA_1, out=m)
             np.multiply(g, 1 - ADAM_BETA_1, out=a)
             np.add(m, a, out=m)
             np.multiply(v, ADAM_BETA_2, out=v)
             np.multiply(g, g, out=a)
-            g.fill(0.0)  # spent; zeroed while it is still in cache
             np.multiply(a, 1 - ADAM_BETA_2, out=a)
             np.add(v, a, out=v)
             np.divide(m, bias_1, out=a)
@@ -171,8 +165,9 @@ class Adam:
         self._groups_done += 1
 
     def step(self) -> None:
-        """Ends one update of every parameter; leaves the buffer zeroed."""
+        """Ends one update of every parameter."""
         for _, group in self.groups[self._groups_done :]:
+            self.grad[: group.stop - group.start].fill(0.0)
             self._update(group)
         self.t += 1
         self._layers_done = self._groups_done = 0
@@ -289,9 +284,9 @@ def nll(model: FlowModel, batch) -> float:
 
 
 def nll_gradient(model: FlowModel, batch) -> list[np.ndarray]:
-    """Exact reverse-mode gradient of nll for every parameter, in
-    parameter-traversal order. A model with an ``Adam`` attached raises
-    TrainingError: its backward would run the optimizer's updates."""
+    """Exact reverse-mode gradient of nll for every parameter, in traversal
+    order, each allocated by the backward. A model with an ``Adam`` attached
+    raises TrainingError: its backward would run the optimizer's updates."""
     x = _check_batch(model, batch)
     if x.shape[0] == 0:
         raise EmptyInputError("nll_gradient needs a non-empty batch")
@@ -300,11 +295,8 @@ def nll_gradient(model: FlowModel, batch) -> list[np.ndarray]:
     params = model.parameters()
     for p in params:
         p.grad = None
-    loss = nll_tensor(model, x)
-    loss.backward()
-    return [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
+    nll_tensor(model, x).backward()
+    return [p.grad.copy() for p in params]
 
 
 def dataset_nll(model: FlowModel, matrix) -> float:

@@ -27,10 +27,11 @@ from .store import as_matrix
 FULL_BATCH = "full"
 # Bytes per block of each pass that streams a matrix by rows: ``row_norms``,
 # the sampled cosine's gathers per operand, ``dimension_profile`` and
-# ``scoring``'s in-place passes. Smaller blocks run as fast, and peak no
-# higher: in a fresh process the walkthrough's colbert and repbert glow
-# reranks peak at 48.7 and 47.6 MB with 4 MiB blocks, 47.5 and 47.4 MB
-# with 1 MiB ones.
+# ``scoring``'s in-place passes and ``_block_rows``. 1 MiB blocks peak no
+# higher in the walkthrough's colbert and repbert glow reranks (47.5 and
+# 47.4 MB, 48.7 and 47.6 with 4 MiB), but 4 MiB stays until a smaller size
+# has rerank-scale timings of its own; ``test_block_size`` and a
+# ``TestRerankRunBytes`` test assume it.
 BLOCK_BYTES = 1 << 22
 # Columns of the projections that ``partition_ratio`` copies into
 # contiguous rows at a time: eight doubles are one cache line of a row.

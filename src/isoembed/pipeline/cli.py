@@ -29,6 +29,7 @@ from ..errors import (
     DegenerateVarianceError,
     IsoembedError,
     NumericError,
+    ParseError,
     TrainingError,
 )
 from ..evaluation import (
@@ -150,13 +151,12 @@ def _parse_widths(value) -> tuple[int, ...]:
     return tuple(widths)
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _is_positive_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
+    return _is_finite_number(value) and value > 0
 
 
 def _parse_axis_scales(value) -> list | None:
@@ -258,8 +258,8 @@ def cmd_measure(settings: dict) -> int:
             fh.write("dimension,max_abs,mean,std,outlier\n")
             for d in range(report.dim):
                 fh.write(
-                    f"{d},{profile.max_abs[d]!r},{profile.mean[d]!r},"
-                    f"{profile.std[d]!r},{int(profile.outlier_flags[d])}\n"
+                    f"{d},{float(profile.max_abs[d])!r},{float(profile.mean[d])!r},"
+                    f"{float(profile.std[d])!r},{int(profile.outlier_flags[d])}\n"
                 )
     print(f"i_w={report.i_w:.6f} avg_cos={report.avg_cos:.6f} -> {settings['out']}")
     return EXIT_OK
@@ -410,11 +410,23 @@ def _metric_comparison(name, baseline, candidate) -> dict:
     return result
 
 
+def _load_eval_report(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ParseError(f"{path}: an eval report must be a JSON object")
+    for mean, per_query in (("p_at_20", "per_query_p"), ("ndcg_at_10", "per_query_ndcg")):
+        if not _is_finite_number(report.get(mean)):
+            raise ParseError(f"{path}: {mean} must be a finite number")
+        values = report.get(per_query)
+        if not isinstance(values, dict) or not all(map(_is_finite_number, values.values())):
+            raise ParseError(f"{path}: {per_query} must be an object of finite numbers")
+    return report
+
+
 def cmd_compare(settings: dict) -> int:
-    with open(settings["baseline"], "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    with open(settings["candidate"], "r", encoding="utf-8") as fh:
-        candidate = json.load(fh)
+    baseline = _load_eval_report(settings["baseline"])
+    candidate = _load_eval_report(settings["candidate"])
     payload = {
         **_stamp(settings),
         "baseline_run": baseline.get("run_tag"),

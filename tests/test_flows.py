@@ -24,6 +24,7 @@ from isoembed.errors import (
 )
 from isoembed.flows import training
 from isoembed.flows import coupling
+from isoembed.flows.chain import ActNorm, Scale
 from isoembed.flows.coupling import CouplingNet, NetWorkspace, ParameterSlab, rectify
 from isoembed.flows.glow import GlowStep, LuLinear
 from isoembed.flows import (
@@ -1120,6 +1121,50 @@ class TestNetLayerHook:
         assert recorded[::-1] == got[2]
 
 
+def layer_of(name: str, trained: bool):
+    """(layer, input width): one of each layer type over 6 columns, its
+    parameters as built or, when ``trained``, all drawn at random."""
+    rng = PinnedRng(40)
+    layer, width = {
+        "scale": lambda: (Scale(ad.parameter(np.zeros(6))), 6),
+        "actnorm": lambda: (ActNorm(6), 6),
+        "lulinear": lambda: (LuLinear(6, rng), 6),
+        "affine_coupling": lambda: (AffineCoupling.build(6, 1, (5, 4), rng), 6),
+        "coupling_net": lambda: (CouplingNet.build(3, 6, (5, 4), rng), 3),
+    }[name]()
+    draws = np.random.default_rng(41)
+    for p in layer.parameters() if trained else ():
+        p.data[...] = draws.normal(0.0, 0.5, p.data.shape)
+    return layer, width
+
+
+class TestEveryGradientWrittenOnce:
+    """A layer's own backward writes every parameter's gradient exactly
+    once: into NaN-filled arrays it leaves the bytes it allocates itself
+    when each ``.grad`` starts as None."""
+
+    @staticmethod
+    def backward(layer, width, need_dx, start):
+        for p in layer.parameters():
+            p.grad = None if start is None else np.full(p.data.shape, start)
+        draws = np.random.default_rng(42)
+        _, _, cache = layer.kernel(draws.normal(size=(7, width)), True)
+        dx = layer.backward(cache, draws.normal(size=(7, 6)), draws.normal(size=7), need_dx)
+        return [p.grad.tobytes() for p in layer.parameters()], None if dx is None else dx.tobytes()
+
+    @pytest.mark.parametrize("need_dx", [False, True])
+    @pytest.mark.parametrize("trained", [False, True], ids=["built", "trained"])
+    @pytest.mark.parametrize(
+        "name", ["scale", "actnorm", "lulinear", "affine_coupling", "coupling_net"]
+    )
+    def test_nan_arrays_end_as_allocated_ones(self, name, trained, need_dx):
+        layer, width = layer_of(name, trained)
+        grads, dx = self.backward(layer, width, need_dx, None)
+        assert all(np.isfinite(p.grad).all() for p in layer.parameters())
+        assert self.backward(layer, width, need_dx, np.nan) == (grads, dx)
+        assert (dx is None) == (not need_dx)
+
+
 # The FLW1 bytes of build_model(...) recorded from the seeded init that drew
 # each Gaussian array in one pass and copied every layer into its own
 # array. The wide cases span several Gaussian blocks per weight matrix.
@@ -1208,19 +1253,17 @@ class TestSeededBuild:
                 assemble(at, by)
 
     def test_step_leaves_the_gradient_buffer_zero(self):
-        """The backward updates each group as it closes and zeroes the
-        buffer behind it, so ``step`` finds nothing left to update."""
+        """The backward updates each group as it closes, so ``step`` finds
+        nothing left to update."""
         model = build_model(8, SMALL_GLOW, seed=62)
         optimizer = training.Adam(model, 1e-3)
         before = model.slab.copy()
         x = np.random.default_rng(63).normal(size=(16, 8))
         training.nll_tensor(model, x).backward()
-        assert not optimizer.grad.any()
         assert (model.slab != before).any()
         updated = model.slab.copy()
         optimizer.step()
         assert model.slab.tobytes() == updated.tobytes()
-        assert not optimizer.grad.any()
         assert all(p.grad.base is optimizer.grad for p in model.parameters())
 
     def test_actnorm_init_inside_the_first_graph_forward(self):

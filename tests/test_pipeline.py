@@ -3,6 +3,7 @@ provenance, exit codes."""
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import table_corpus, table_of
 from isoembed import load_corpus, scoring
 from isoembed.errors import IsoembedError, ParseError
+from isoembed.isotropy import dimension_profile
 from isoembed.rng import PinnedRng
 from isoembed.store import KIND_DOCUMENT, KIND_QUERY, save_corpus
 from isoembed.whitening import fit_whitening, save_whitening
@@ -179,6 +181,19 @@ class TestCli:
         assert lines[0] == "dimension,max_abs,mean,std,outlier"
         assert len(lines) == 1 + payload["dim"]
 
+    def test_measure_csv_holds_the_profile_bitwise(self, tmp_path, workspace):
+        """Each CSV field parses back to the exact ``dimension_profile`` value."""
+        corpus = workspace / "src" / "corpus.emb"
+        csv_path = tmp_path / "m.csv"
+        assert run(["measure", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"),
+                    "--csv", str(csv_path)]) == 0
+        profile = dimension_profile(load_corpus(corpus).matrix)
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(len(profile.mean)))
+        for column, values in enumerate((profile.max_abs, profile.mean, profile.std), 1):
+            assert np.array([float(row[column]) for row in rows]).tobytes() == values.tobytes()
+        assert [int(row[4]) for row in rows] == profile.outlier_flags.astype(int).tolist()
+
     def test_whitening_improves_scenario(self, workspace):
         raw = json.loads((workspace / "none.json").read_text())
         white = json.loads((workspace / "whiten.json").read_text())
@@ -270,6 +285,34 @@ class TestCli:
                     "--candidates", str(bad), "--scorer", "colbert", "--post", "none",
                     "--out", str(out)]) == 3
         assert "cands.jsonl:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda report: [], "an eval report must be a JSON object"),
+            (lambda report: {**report, "per_query_p": list(report["per_query_p"].values())},
+             "per_query_p must be an object of finite numbers"),
+            (lambda report: {k: v for k, v in report.items() if k != "ndcg_at_10"},
+             "ndcg_at_10 must be a finite number"),
+            (lambda report: {**report, "p_at_20": str(report["p_at_20"])},
+             "p_at_20 must be a finite number"),
+            (lambda report: {**report, "p_at_20": math.nan}, "p_at_20 must be a finite number"),
+        ],
+        ids=["list", "per-query-list", "missing-key", "text-mean", "nan-mean"],
+    )
+    @pytest.mark.parametrize("side", ["baseline", "candidate"])
+    def test_compare_of_json_that_is_not_an_eval_report_is_data_error(
+        self, workspace, tmp_path, capsys, edit, message, side
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads((workspace / "none.json").read_text()))))
+        reports = {"baseline": str(workspace / "none.json"), "candidate": str(workspace / "whiten.json")}
+        reports[side] = str(bad)
+        out = tmp_path / "never.json"
+        assert run(["compare", "--baseline", reports["baseline"], "--candidate",
+                    reports["candidate"], "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
         assert not out.exists()
 
     def test_nan_score_in_run_is_data_error(self, workspace, tmp_path, capsys):
